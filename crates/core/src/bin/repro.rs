@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--full] [--net] [--disk] [--sharing MODE] [--full-sweep]
+//! repro [--full] [--net] [--disk] [--full-sweep]
 //!       [--faults PROFILE] [--jobs N] [--seed N] [--trace-out FILE]
 //!       [--metrics-out FILE] [--checkpoint FILE] [--resume FILE]
 //!       [--task-deadline SECS] [--explain] [EXPERIMENT...]
@@ -14,15 +14,6 @@
 //!                 reads, and shuffles pay for bandwidth)
 //!   --disk        run over the harvest-disk model (the same bytes pay
 //!                 for platter bandwidth too; composes with --net)
-//!   --sharing MODE  fair-sharing engine for the fabric and the disk
-//!                 pools: auto (default — single-bottleneck components
-//!                 and channels ride the analytic O(log n) fast path,
-//!                 everything else falls back to progressive filling),
-//!                 analytic (same selection, named for A/B runs), or
-//!                 filling (pin the reference progressive-filling
-//!                 tier). Experiment results are identical across
-//!                 modes; only wall-clock and the transfer-model
-//!                 churn diagnostics change
 //!   --full-sweep  run the scheduling simulations with full-fleet tick
 //!                 sweeps instead of the change-driven default — the
 //!                 bitwise-identical reference mode (slower; for
@@ -141,7 +132,6 @@ fn main() -> ExitCode {
     let mut disk = false;
     let mut full_sweep = false;
     let mut explain = false;
-    let mut sharing = None;
     let mut faults = None;
     let mut seed = None;
     let mut jobs = None;
@@ -159,17 +149,6 @@ fn main() -> ExitCode {
             "--disk" => disk = true,
             "--full-sweep" => full_sweep = true,
             "--explain" => explain = true,
-            "--sharing" => match args
-                .next()
-                .as_deref()
-                .and_then(harvest_net::SharingMode::parse)
-            {
-                Some(mode) => sharing = Some(mode),
-                None => {
-                    eprintln!("--sharing requires one of: auto analytic filling");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--faults" => match args.next() {
                 Some(name) => match FaultProfile::parse(&name) {
                     Some(p) => faults = Some(p),
@@ -235,8 +214,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--full] [--net] [--disk] [--sharing MODE] \
-                     [--full-sweep] [--faults PROFILE] [--jobs N] [--seed N] \
+                    "usage: repro [--full] [--net] [--disk] [--full-sweep] [--faults PROFILE] [--jobs N] [--seed N] \
                      [--trace-out FILE] [--metrics-out FILE] [--checkpoint FILE] \
                      [--resume FILE] [--task-deadline SECS] [--explain] \
                      [EXPERIMENT...]"
@@ -247,15 +225,6 @@ fn main() -> ExitCode {
                     "--full runs the paper's five runs per sweep point; --jobs N sets \
                      the sweep worker count (default: all cores, 1 = sequential \
                      reference; output is byte-identical for any N)"
-                );
-                println!(
-                    "--sharing MODE picks the fair-sharing engine for the fabric and \
-                     disk pools: auto (default; single-bottleneck components and \
-                     channels ride the analytic O(log n) fast path, the rest uses \
-                     progressive filling), analytic (same selection, named for A/B \
-                     runs), or filling (pin the reference tier). Experiment \
-                     results are identical across modes; only wall-clock and \
-                     the transfer-model churn diagnostics change"
                 );
                 println!();
                 println!("inspecting a run:");
@@ -326,6 +295,10 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::SUCCESS;
             }
+            flag if flag.starts_with("--") => {
+                eprintln!("error: unknown flag '{flag}'");
+                return ExitCode::FAILURE;
+            }
             other => experiments.push(other.to_string()),
         }
     }
@@ -368,9 +341,6 @@ fn main() -> ExitCode {
     }
     if full_sweep {
         scale.tick_sweep = harvest_sched::TickSweep::Full;
-    }
-    if let Some(mode) = sharing {
-        scale.sharing = mode;
     }
     scale.faults = faults;
     if let Some(jobs) = jobs {
@@ -474,7 +444,7 @@ fn main() -> ExitCode {
                     eprintln!(
                         "[{id} sharing: {} fabric components promoted to the analytic \
                          tier ({} completions served in O(log n), {} migrated back to \
-                         progressive filling); {} disk channels promoted ({} analytic \
+                         progressive filling); {} disk channel engines ({} analytic \
                          completions)]",
                         cv("net/analytic_components"),
                         net_analytic,

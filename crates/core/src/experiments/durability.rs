@@ -8,7 +8,7 @@ use harvest_net::NetworkConfig;
 use harvest_sim::fault::FaultPlan;
 use harvest_sim::obs::json;
 use harvest_sim::par::par_map;
-use harvest_sim::{SharingMode, SimDuration};
+use harvest_sim::SimDuration;
 use harvest_trace::datacenter::DatacenterProfile;
 
 use super::STORAGE_CELLS as CELLS;
@@ -107,14 +107,12 @@ pub fn run_loss(
     r: usize,
     network: Option<NetworkConfig>,
     disk: Option<DiskConfig>,
-    sharing: SharingMode,
     faults: &FaultPlan,
 ) -> RunLoss {
     let mut cfg = DurabilityConfig::paper(policy, replication, base_seed ^ (r as u64) << 32);
     cfg.months = months;
     cfg.network = network;
     cfg.disk = disk;
-    cfg.sharing = sharing;
     cfg.faults = faults.clone();
     let result = simulate_durability(dc, &cfg);
     let mut stale = 0u64;
@@ -155,7 +153,6 @@ fn repair_blame(dc: &Datacenter, scale: &Scale, seed: u64) -> Option<String> {
     storm.fill_fraction = 0.15;
     storm.network = scale.network;
     storm.disk = scale.disk;
-    storm.sharing = scale.sharing;
     storm.max_repair_streams = Some(64);
     let mut rec = harvest_sim::obs::Recorder::new("blame");
     let _ = harvest_dfs::repair::simulate_reimage_storm_recorded(dc, &storm, &mut rec);
@@ -218,7 +215,6 @@ pub fn loss_summary(
     base_seed: u64,
     network: Option<NetworkConfig>,
     disk: Option<DiskConfig>,
-    sharing: SharingMode,
     faults: &FaultPlan,
 ) -> LossSummary {
     let outcomes: Vec<RunLoss> = (0..runs)
@@ -232,7 +228,6 @@ pub fn loss_summary(
                 r,
                 network,
                 disk,
-                sharing,
                 faults,
             )
         })
@@ -320,7 +315,6 @@ pub fn fig15(scale: &Scale) -> String {
                 t.r,
                 scale.network,
                 scale.disk,
-                scale.sharing,
                 &plans[t.dc_id],
             )
         },
@@ -436,7 +430,6 @@ mod tests {
             7,
             None,
             None,
-            SharingMode::Auto,
             &FaultPlan::none(),
         );
         assert!(s.min_percent <= s.avg_percent);
@@ -449,30 +442,8 @@ mod tests {
         let profile = DatacenterProfile::dc(3).scaled(0.02);
         let dc = Datacenter::generate(&profile, 42);
         let none = FaultPlan::none();
-        let stock = loss_summary(
-            &dc,
-            PlacementPolicy::Stock,
-            3,
-            4,
-            1,
-            7,
-            None,
-            None,
-            SharingMode::Auto,
-            &none,
-        );
-        let hist = loss_summary(
-            &dc,
-            PlacementPolicy::History,
-            3,
-            4,
-            1,
-            7,
-            None,
-            None,
-            SharingMode::Auto,
-            &none,
-        );
+        let stock = loss_summary(&dc, PlacementPolicy::Stock, 3, 4, 1, 7, None, None, &none);
+        let hist = loss_summary(&dc, PlacementPolicy::History, 3, 4, 1, 7, None, None, &none);
         assert!(
             hist.avg_percent < stock.avg_percent,
             "H {} vs Stock {}",
@@ -487,34 +458,10 @@ mod tests {
         let dc = Datacenter::generate(&profile, 42);
         let none = FaultPlan::none();
         let runs: Vec<RunLoss> = (0..3)
-            .map(|r| {
-                run_loss(
-                    &dc,
-                    PlacementPolicy::Stock,
-                    3,
-                    3,
-                    7,
-                    r,
-                    None,
-                    None,
-                    SharingMode::Auto,
-                    &none,
-                )
-            })
+            .map(|r| run_loss(&dc, PlacementPolicy::Stock, 3, 3, 7, r, None, None, &none))
             .collect();
         let a = summarize(&runs);
-        let b = loss_summary(
-            &dc,
-            PlacementPolicy::Stock,
-            3,
-            3,
-            3,
-            7,
-            None,
-            None,
-            SharingMode::Auto,
-            &none,
-        );
+        let b = loss_summary(&dc, PlacementPolicy::Stock, 3, 3, 3, 7, None, None, &none);
         assert_eq!(a.avg_percent.to_bits(), b.avg_percent.to_bits());
         assert_eq!(a.avg_blocks.to_bits(), b.avg_blocks.to_bits());
     }
@@ -529,32 +476,10 @@ mod tests {
             rack_size: harvest_cluster::datacenter::RACK_SIZE as usize,
         };
         let plan = FaultProfile::RackLoss.plan(7, shape, SimDuration::from_days(90));
-        let r = run_loss(
-            &dc,
-            PlacementPolicy::Stock,
-            3,
-            3,
-            7,
-            0,
-            None,
-            None,
-            SharingMode::Auto,
-            &plan,
-        );
+        let r = run_loss(&dc, PlacementPolicy::Stock, 3, 3, 7, 0, None, None, &plan);
         assert!(r.faults_injected > 0, "rack-loss plan never fired");
         // Determinism: the same plan and seed reproduce the run bitwise.
-        let r2 = run_loss(
-            &dc,
-            PlacementPolicy::Stock,
-            3,
-            3,
-            7,
-            0,
-            None,
-            None,
-            SharingMode::Auto,
-            &plan,
-        );
+        let r2 = run_loss(&dc, PlacementPolicy::Stock, 3, 3, 7, 0, None, None, &plan);
         assert_eq!(r.percent.to_bits(), r2.percent.to_bits());
         assert_eq!(r.faults_injected, r2.faults_injected);
     }

@@ -175,7 +175,6 @@ fn record_showcase(scale: &Scale, rec: &mut harvest_sim::obs::Recorder) {
     cfg.drain = SimDuration::from_hours(2);
     cfg.network = Some(network);
     cfg.disk = Some(disk);
-    cfg.sharing = scale.sharing;
     cfg.sweep = scale.tick_sweep;
     let _ = SchedSim::new(&dc, &view, &workload, cfg).run_recorded(rec);
 
@@ -191,7 +190,6 @@ fn record_showcase(scale: &Scale, rec: &mut harvest_sim::obs::Recorder) {
     storm.fill_fraction = 0.15;
     storm.network = Some(network);
     storm.disk = Some(disk);
-    storm.sharing = scale.sharing;
     storm.max_repair_streams = Some(64);
     let _ = harvest_dfs::repair::simulate_reimage_storm_recorded(&dc, &storm, rec);
 

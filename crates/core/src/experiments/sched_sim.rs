@@ -143,7 +143,6 @@ pub fn sweep_point(
     seed: u64,
     network: Option<harvest_net::NetworkConfig>,
     disk: Option<harvest_disk::DiskConfig>,
-    sharing: harvest_net::SharingMode,
     sweep: TickSweep,
     cancel: &CancelToken,
 ) -> SweepPoint {
@@ -156,7 +155,6 @@ pub fn sweep_point(
         cfg.drain = horizon; // generous drain so every job can finish
         cfg.network = network;
         cfg.disk = disk;
-        cfg.sharing = sharing;
         cfg.sweep = sweep;
         cfg.cancel = cancel.clone();
         let stats = SchedSim::new(dc, &view, &workload, cfg).run();
@@ -196,7 +194,6 @@ pub fn stage_blame(
     seed: u64,
     network: Option<harvest_net::NetworkConfig>,
     disk: Option<harvest_disk::DiskConfig>,
-    sharing: harvest_net::SharingMode,
     sweep: TickSweep,
 ) -> Option<String> {
     let (view, workload) = sweep_inputs(dc, scaling, utilization, hours, seed);
@@ -206,7 +203,6 @@ pub fn stage_blame(
     cfg.drain = horizon;
     cfg.network = network;
     cfg.disk = disk;
-    cfg.sharing = sharing;
     cfg.sweep = sweep;
     let mut rec = harvest_sim::obs::Recorder::new("blame");
     let _ = SchedSim::new(dc, &view, &workload, cfg).run_recorded(&mut rec);
@@ -271,7 +267,6 @@ pub fn fig13(scale: &Scale) -> String {
                 scale.run_seed("fig13", t.r),
                 scale.network,
                 scale.disk,
-                scale.sharing,
                 scale.tick_sweep,
                 cancel,
             )
@@ -337,7 +332,6 @@ pub fn fig13(scale: &Scale) -> String {
         scale.run_seed("fig13", 0),
         scale.network,
         scale.disk,
-        scale.sharing,
         scale.tick_sweep,
     ) {
         table.note(format!(
@@ -407,7 +401,6 @@ pub fn fig14(scale: &Scale) -> String {
                 scale.run_seed("fig14", t.dc_id * 100 + t.r),
                 scale.network,
                 scale.disk,
-                scale.sharing,
                 scale.tick_sweep,
                 cancel,
             )
@@ -498,7 +491,6 @@ mod tests {
             7,
             None,
             None,
-            Default::default(),
             TickSweep::Incremental,
             &CancelToken::new(),
         );

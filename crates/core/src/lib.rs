@@ -23,8 +23,8 @@
 //! mutable is shared and aggregation order is fixed, a report is
 //! byte-identical at any `--jobs` value (`crates/core/tests/
 //! determinism.rs` pins this against the `--jobs 1` sequential
-//! reference path, the same oracle pattern as `ReshareScope::Global`
-//! and `TickSweep::Full`).
+//! reference path, the same oracle pattern as `TickSweep::Full` and
+//! the `harvest-oracle` reference allocators).
 //!
 //! # Surviving failures
 //!

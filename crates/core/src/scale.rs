@@ -8,7 +8,7 @@
 //! mixes are scale-invariant.
 
 use harvest_disk::DiskConfig;
-use harvest_net::{NetworkConfig, SharingMode};
+use harvest_net::NetworkConfig;
 use harvest_sched::TickSweep;
 use harvest_sim::fault::{ClusterShape, FaultPlan, FaultProfile};
 use harvest_sim::SimDuration;
@@ -27,15 +27,6 @@ pub struct Scale {
     /// spills pay for platter bandwidth against the primary tenants'
     /// modeled I/O (`repro --disk`, composes with `--net`).
     pub disk: Option<DiskConfig>,
-    /// Fair-sharing engine for the network fabric and disk pools
-    /// (`repro --sharing auto|analytic|filling`). `Auto` (the default)
-    /// lets single-bottleneck components and channels ride the
-    /// analytic O(log n) fast path and falls back to progressive
-    /// filling everywhere else; `Filling` pins the reference
-    /// progressive-filling tier; `Analytic` asserts eligibility.
-    /// Experiment results are identical across modes — only
-    /// wall-clock and the transfer-model churn diagnostics change.
-    pub sharing: SharingMode,
     /// Runs per data point (the paper uses five).
     pub runs: usize,
     /// Simulated hours for the scheduling sweeps.
@@ -87,7 +78,6 @@ impl Scale {
             dc_scale: 0.03,
             network: None,
             disk: None,
-            sharing: SharingMode::default(),
             runs: 1,
             sched_hours: 8,
             durability_months: 6,
@@ -112,7 +102,6 @@ impl Scale {
             dc_scale: 0.06,
             network: None,
             disk: None,
-            sharing: SharingMode::default(),
             runs: 5,
             sched_hours: 12,
             durability_months: 12,

@@ -2,8 +2,9 @@
 //!
 //! The contract behind `repro --jobs N`: thread count decides only *who*
 //! computes each sweep task, never what any report contains. These tests
-//! pin it the same way the `ReshareScope::Global` and `TickSweep::Full`
-//! oracles pin their incremental counterparts — run the reference path
+//! pin it the same way the `TickSweep::Full` oracle and the
+//! `harvest-oracle` reference allocators pin their incremental
+//! counterparts — run the reference path
 //! (`jobs = 1`, a plain sequential loop) and a contended parallel path
 //! (`jobs = 4`, forced even on fewer cores; threads do not need cores to
 //! interleave) and assert the rendered reports are byte-identical.
@@ -263,6 +264,12 @@ fn bad_arguments_fail_fast() {
     assert!(run(&["--jobs", "0", "fig7"]).contains("--jobs requires an integer >= 1"));
     assert!(run(&["--jobs", "x", "fig7"]).contains("--jobs requires an integer >= 1"));
     assert!(run(&["--task-deadline", "0", "fig7"]).contains("--task-deadline requires"));
+    // An unknown flag is rejected as a flag, before anything runs —
+    // not misread as an experiment name (nor is its value).
+    assert_eq!(
+        run(&["--no-such-flag", "value", "fig7"]).trim_end(),
+        "error: unknown flag '--no-such-flag'"
+    );
     assert!(run(&["--resume", "/nonexistent/dir/x.journal", "fig7"])
         .contains("error: cannot read resume journal"));
 

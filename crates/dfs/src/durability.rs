@@ -18,7 +18,7 @@ use harvest_net::{Fabric, NetworkConfig};
 use harvest_sim::fault::{BackoffConfig, FaultKind, FaultPlan};
 use harvest_sim::obs::{Recorder, StateTrackId, TrackId};
 use harvest_sim::rng::stream_rng;
-use harvest_sim::{SharingMode, SimDuration, SimTime};
+use harvest_sim::{SimDuration, SimTime};
 use rand::RngExt;
 
 use crate::placement::{PlacementPolicy, Placer};
@@ -54,11 +54,6 @@ pub struct DurabilityConfig {
     /// Composes with [`DurabilityConfig::network`]; `None` keeps disks
     /// free and instant.
     pub disk: Option<DiskConfig>,
-    /// Fair-sharing engine for the fabric and disk pool
-    /// ([`SharingMode::Auto`] by default: analytic O(log n) on
-    /// single-bottleneck components and channels, progressive filling
-    /// elsewhere; results identical either way).
-    pub sharing: SharingMode,
     /// Injected faults — crashes, rack power loss, uplink outages, disk
     /// failures and brown-outs — plus the retry/backoff knobs. A crash
     /// kills the server's in-flight repairs (they retry with
@@ -82,7 +77,6 @@ impl DurabilityConfig {
             repair: RepairConfig::default(),
             network: None,
             disk: None,
-            sharing: SharingMode::default(),
             faults: FaultPlan::none(),
         }
     }
@@ -193,16 +187,8 @@ fn simulate_durability_inner(
     // when configured, the network fabric and the shared disks). ---
     let mut pipeline = RepairPipeline::new(cfg.repair, n_servers);
     let mut heap: BinaryHeap<QueuedRepair> = BinaryHeap::new();
-    let mut fabric = cfg.network.as_ref().map(|n| {
-        let mut f = Fabric::from_datacenter(dc, n);
-        f.set_sharing_mode(cfg.sharing);
-        f
-    });
-    let mut disks = cfg.disk.as_ref().map(|d| {
-        let mut p = DiskPool::from_datacenter(dc, d);
-        p.set_sharing_mode(cfg.sharing);
-        p
-    });
+    let mut fabric = cfg.network.as_ref().map(|n| Fabric::from_datacenter(dc, n));
+    let mut disks = cfg.disk.as_ref().map(|d| DiskPool::from_datacenter(dc, d));
     let modeled = fabric.is_some() || disks.is_some();
     // In-flight repairs by repair id: outstanding components (flow,
     // source read, destination write), the block, its destination, and

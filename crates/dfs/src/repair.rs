@@ -22,7 +22,7 @@ use harvest_disk::{DiskConfig, DiskPool, IoDir};
 use harvest_net::NetworkConfig;
 use harvest_sim::obs::{HistogramId, Recorder, StateTrackId, TrackId};
 use harvest_sim::rng::stream_rng;
-use harvest_sim::{SharingMode, SimDuration, SimTime};
+use harvest_sim::{SimDuration, SimTime};
 use rand::RngExt;
 
 use crate::placement::{PlacementPolicy, Placer};
@@ -120,13 +120,6 @@ pub struct StormConfig {
     /// read, and destination write finishes. `None` keeps disks free
     /// and instant. Composes with [`StormConfig::network`].
     pub disk: Option<DiskConfig>,
-    /// Fair-sharing engine for the fabric and disk pool. The default
-    /// [`SharingMode::Auto`] serves single-bottleneck components and
-    /// channels analytically in O(log n) per completion and falls back
-    /// to progressive filling elsewhere; results are identical either
-    /// way (rates bitwise, completions within float-reassociation
-    /// drift under the millisecond clock).
-    pub sharing: SharingMode,
     /// Cap on simultaneously in-flight repair streams (HDFS's
     /// `replication.max-streams` backpressure, cluster-wide). Slots past
     /// the cap wait for a repair to finish. Only meaningful with a
@@ -151,7 +144,6 @@ impl StormConfig {
             repair: RepairConfig::default(),
             network: None,
             disk: None,
-            sharing: SharingMode::default(),
             max_repair_streams: None,
         }
     }
@@ -368,16 +360,11 @@ pub fn simulate_reimage_storm_recorded(
     // path's in-flight bookkeeping. If the storm ever gains
     // mid-recovery failures, adopt `simulate_durability`'s land-time
     // commitment (in_flight/doomed accounting) instead.
-    let mut fabric = cfg.network.as_ref().map(|net| {
-        let mut f = harvest_net::Fabric::from_datacenter(dc, net);
-        f.set_sharing_mode(cfg.sharing);
-        f
-    });
-    let mut disks = cfg.disk.as_ref().map(|d| {
-        let mut p = DiskPool::from_datacenter(dc, d);
-        p.set_sharing_mode(cfg.sharing);
-        p
-    });
+    let mut fabric = cfg
+        .network
+        .as_ref()
+        .map(|net| harvest_net::Fabric::from_datacenter(dc, net));
+    let mut disks = cfg.disk.as_ref().map(|d| DiskPool::from_datacenter(dc, d));
     let obs = rec.is_on().then(|| StormObs {
         track: rec.track("dfs"),
         repair_secs: rec.histogram("dfs/repair_secs"),

@@ -22,7 +22,8 @@
 //!   [`PrimaryIoModel`]: the per-tenant-class util→demand mapping;
 //!   [`ThrottlePolicy`]: fair-share vs. the paper's isolation manager;
 //! * [`pool`] — [`DiskPool`]: event-driven secondary streams with fair
-//!   per-channel sharing, versioned completions through a
+//!   per-channel sharing (one O(log n) fair-share engine per occupied
+//!   channel), completions through a
 //!   [`harvest_sim::engine::EventQueue`], bit-identical replays.
 //!
 //! Consumers: `harvest-dfs` bounds repairs by the min of network,
@@ -54,5 +55,4 @@ pub mod config;
 pub mod pool;
 
 pub use config::{DiskConfig, PrimaryIoModel, ThrottlePolicy, MIN_SERVE_FRACTION};
-pub use harvest_sim::fairshare::SharingMode;
-pub use pool::{DiskPool, DiskStats, IoDir, ReshareScope, StreamCompletion, StreamId};
+pub use pool::{DiskPool, DiskStats, IoDir, StreamCompletion, StreamId};

@@ -5,11 +5,7 @@
 //! read and write channels. Secondary (harvested) streams on a channel
 //! split its bandwidth equally — the max-min fair allocation for
 //! single-resource flows — after the primary tenant's demand and the
-//! [`crate::ThrottlePolicy`] have taken their cut. Whenever a channel's
-//! stream set or its primary demand changes, the channel's rates are
-//! re-divided and every affected stream's completion re-predicted;
-//! stale completion events are recognized by version stamps exactly as
-//! in `harvest_net::fabric`.
+//! [`crate::ThrottlePolicy`] have taken their cut.
 //!
 //! Primary I/O is not simulated as individual operations: it is a
 //! bandwidth reservation derived from the utilization playback through
@@ -22,40 +18,28 @@
 //!
 //! # Cost model
 //!
-//! Sharing runs as a three-tier scheme, fastest tier first:
+//! Every occupied channel is served by a [`FairShare`] engine: a
+//! virtual fair-work clock plus a completion-ordered heap. Disk
+//! channels are single-bottleneck by construction (every stream
+//! saturates exactly one channel), so the engine's equal split *is*
+//! the max-min allocation and no classifier or fallback is needed. A
+//! stream start, finish, or capacity change (throttle transition,
+//! brown-out — absorbed via [`FairShare::set_capacity`]) costs
+//! O(log n) in the channel's occupancy and touches no other channel.
+//! The engine is created at a channel's first stream and dropped at
+//! its last. The channel holds exactly one live completion event, for
+//! the engine's next finisher; every change re-predicts it and
+//! *cancels* the superseded one in the queue, so the event heap stays
+//! O(channels) instead of O(re-shares). A fully parked channel keeps
+//! one far-future placeholder event until the re-share that restores
+//! its capacity rescues it.
 //!
-//! * **Analytic** (the default, [`SharingMode::Auto`]) — each occupied
-//!   channel is served by a [`FairShare`] engine: a virtual fair-work
-//!   clock plus a completion-ordered heap, so a stream start, finish,
-//!   or capacity change costs O(log n) in the channel's occupancy
-//!   instead of re-predicting every stream. Disk channels are
-//!   single-bottleneck *by construction* (every stream saturates
-//!   exactly one channel), so unlike `harvest_net::fabric` no
-//!   classifier is needed and the engine is adopted wholesale; fault
-//!   capacity changes (brown-outs, throttle transitions) stay on the
-//!   analytic path via [`FairShare::set_capacity`], and a fully parked
-//!   channel keeps one far-future placeholder event (the filling
-//!   tier's parked-completion idiom) until the restoring re-share
-//!   rescues it. Per-stream rates are the very `capacity / n` division
-//!   the filling tier performs, so rates agree **bitwise** with the
-//!   tiers below; completion times re-associate the float arithmetic
-//!   (see the `harvest_sim::fairshare` docs), which can drift by ulps —
-//!   integer-millisecond time virtually never surfaces it, and the
-//!   oracle tests pin rates bitwise and completion schedules at full
-//!   `SimTime` resolution.
-//! * **Channel filling** ([`SharingMode::Filling`]) — the reference
-//!   equal-split recompute, linear in the touched channel's occupancy:
-//!   only streams whose rate actually changes are advanced (lazily,
-//!   from their own `last_update` stamp) and re-predicted; a superseded
-//!   completion event is *cancelled* in the queue rather than left to
-//!   fire stale, so the event heap stays O(active + scheduled) instead
-//!   of O(re-shares × streams). Switching modes mid-run migrates the
-//!   engine state back to per-stream predictions exactly.
-//! * **Global reference** ([`ReshareScope::Global`]) — re-shares every
-//!   channel on every event, and implies the filling tier (the global
-//!   reference *is* progressive filling). Bitwise identical to
-//!   channel-scoped filling (channels are independent resources),
-//!   pinned by the oracle property tests.
+//! Per-stream rates are the `capacity / n` division, bitwise. The
+//! fair-work clock re-associates completion-time arithmetic (see the
+//! `harvest_sim::fairshare` docs), which can drift by ulps; the
+//! integer-millisecond clock virtually never surfaces it. The
+//! independent equal-split reference in the dev-only `harvest-oracle`
+//! crate pins rates bitwise and completion schedules exactly.
 //!
 //! Everything is exact integer time plus deterministic `f64`
 //! arithmetic over deterministically ordered collections, so a replay
@@ -73,23 +57,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use harvest_cluster::ServerId;
 use harvest_signal::classify::UtilizationPattern;
 use harvest_sim::engine::{EventKey, EventQueue};
-use harvest_sim::fairshare::{FairShare, SharingMode};
+use harvest_sim::fairshare::FairShare;
 use harvest_sim::obs::{CounterId, GaugeId, HistogramId, Recorder, StateTrackId, TrackId};
 use harvest_sim::{SimDuration, SimTime};
 
 use crate::config::DiskConfig;
-
-/// How much of the pool a re-share recomputes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReshareScope {
-    /// Re-share only the channel the event landed on (the default).
-    #[default]
-    Channel,
-    /// Re-share every channel on every event — the reference global
-    /// recompute. Bitwise identical to `Channel` (channels share no
-    /// state); kept for validation and benchmarking.
-    Global,
-}
 
 /// Identifies a stream within a pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -123,30 +95,12 @@ pub struct StreamCompletion {
     pub dir: IoDir,
 }
 
-/// One in-flight secondary I/O stream.
-///
-/// While the stream's channel is served by the analytic tier, the
-/// channel's [`FairShare`] engine is the source of truth: `remaining`,
-/// `rate` and `last_update` are stale (settled at promotion time),
-/// `version` is frozen, and `pending` is `None` — the group holds the
-/// channel's single completion event instead. Migrating back to the
-/// filling tier rematerializes all of them exactly.
-#[derive(Debug, Clone)]
+/// One in-flight secondary I/O stream. Its remaining work lives in its
+/// channel's [`FairShare`] engine.
+#[derive(Debug)]
 struct Stream {
     tag: u64,
     bytes: u64,
-    /// Bytes left as of `last_update` (plus the folded-in seek bytes).
-    remaining: f64,
-    /// Current allocation in bytes/s.
-    rate: f64,
-    /// Bumped whenever the rate changes; completion events carry the
-    /// version they were predicted under.
-    version: u64,
-    /// When `remaining` was last advanced. Streams advance lazily —
-    /// only at rate changes.
-    last_update: SimTime,
-    /// The stream's live completion event, cancelled when superseded.
-    pending: Option<EventKey>,
     started: SimTime,
     chan: u32,
 }
@@ -163,14 +117,20 @@ struct PendingStream {
 #[derive(Debug)]
 enum DiskEvent {
     Start(StreamId),
-    Complete(StreamId, u64),
+    /// The named channel's next finisher completes.
+    Complete(u32),
 }
 
-/// One direction of one disk: its active streams.
+/// One direction of one disk.
 #[derive(Debug, Clone, Default)]
 struct Channel {
     /// Active stream ids in start order (deterministic iteration).
     streams: Vec<u64>,
+    /// The sharing engine, live while the channel has streams.
+    engine: Option<FairShare>,
+    /// The channel's single live completion event (a far-future
+    /// placeholder while fully parked), `None` while empty.
+    event: Option<EventKey>,
 }
 
 /// Aggregate pool counters.
@@ -182,12 +142,11 @@ pub struct DiskStats {
     pub bytes_moved: u64,
     /// High-water mark of concurrently active streams, pool-wide.
     pub peak_active: usize,
-    /// Channel re-share passes run.
+    /// Channel allocation passes run.
     pub reshares: u64,
-    /// Superseded completion events dropped — cancelled in the queue
-    /// when a re-share re-predicted the stream, or (defensively)
-    /// recognized stale by version at fire time, plus cancels that
-    /// found nothing to cancel (fault-driven mass cancellation).
+    /// Superseded completion events cancelled in the queue when a
+    /// channel was re-predicted, plus cancels that found nothing to
+    /// cancel (fault-driven mass cancellation).
     pub stale_events_dropped: u64,
     /// Streams aborted by fault injection (disk death or a caller
     /// tearing down a doomed transfer) before completion.
@@ -195,27 +154,17 @@ pub struct DiskStats {
     /// High-water mark of the event heap (including not-yet-collected
     /// tombstones).
     pub peak_queue_len: usize,
-    /// Channels promoted onto the analytic sharing tier (counting
-    /// re-promotions after a channel drains and refills).
+    /// [`FairShare`] engines created: one per channel occupancy period
+    /// (a channel that drains and refills counts again).
     pub analytic_channels: u64,
-    /// Completions served by the analytic engine in O(log n).
+    /// Completions served by the channel engines in O(log n) — every
+    /// completion.
     pub analytic_events: u64,
 }
 
-/// How far in the future a starved stream's completion is parked by
-/// the filling tier; a later re-share rescues it. (The analytic tier
-/// parks by scheduling nothing at all — same rescue.)
+/// How far in the future a fully parked channel's placeholder
+/// completion sits; the re-share that restores capacity rescues it.
 const PARKED: SimDuration = SimDuration::from_days(365_000);
-
-/// One channel's analytic sharing state: the [`FairShare`] engine plus
-/// the channel's single live completion event (for the engine's next
-/// finisher, carrying that stream's frozen version). `event` is `None`
-/// while the channel is fully parked (zero secondary capacity).
-#[derive(Debug)]
-struct ChanGroup {
-    engine: FairShare,
-    event: Option<EventKey>,
-}
 
 /// The shared-disk simulator. See the module docs.
 #[derive(Debug)]
@@ -245,14 +194,6 @@ pub struct DiskPool {
     queue: EventQueue<DiskEvent>,
     pending: BTreeMap<u64, PendingStream>,
     active: BTreeMap<u64, Stream>,
-    scope: ReshareScope,
-    mode: SharingMode,
-    /// Analytic engine per occupied channel — populated only while an
-    /// analytic [`SharingMode`] is in force with channel scope.
-    groups: BTreeMap<u32, ChanGroup>,
-    /// High-water mark of simulation time the pool has been driven to;
-    /// the "now" used by control-plane switches that take none.
-    clock: SimTime,
     next_id: u64,
     stats: DiskStats,
     completions: Vec<StreamCompletion>,
@@ -323,10 +264,6 @@ impl DiskPool {
             queue: EventQueue::new(),
             pending: BTreeMap::new(),
             active: BTreeMap::new(),
-            scope: ReshareScope::Channel,
-            mode: SharingMode::default(),
-            groups: BTreeMap::new(),
-            clock: SimTime::ZERO,
             next_id: 0,
             stats: DiskStats::default(),
             completions: Vec::new(),
@@ -382,51 +319,6 @@ impl DiskPool {
         std::mem::take(&mut self.rec)
     }
 
-    /// The re-share scope in force.
-    pub fn reshare_scope(&self) -> ReshareScope {
-        self.scope
-    }
-
-    /// Switches the re-share scope. Safe at any point — the filling
-    /// tiers produce bitwise-identical trajectories and the analytic
-    /// tier matches them exactly — but `Global` exists for validation,
-    /// not production use. `Global` implies the filling reference, so
-    /// any analytic channel state is migrated back to per-stream
-    /// predictions first.
-    pub fn set_reshare_scope(&mut self, scope: ReshareScope) {
-        if scope == self.scope {
-            return;
-        }
-        self.scope = scope;
-        if scope == ReshareScope::Global {
-            self.dissolve_all();
-        }
-    }
-
-    /// The sharing mode in force.
-    pub fn sharing_mode(&self) -> SharingMode {
-        self.mode
-    }
-
-    /// Switches the sharing engine. Leaving the analytic tier migrates
-    /// every channel's engine state back to per-stream filling
-    /// predictions exactly; entering it promotes channels lazily, each
-    /// on its next event.
-    pub fn set_sharing_mode(&mut self, mode: SharingMode) {
-        if mode == self.mode {
-            return;
-        }
-        self.mode = mode;
-        if !mode.analytic_allowed() {
-            self.dissolve_all();
-        }
-    }
-
-    /// Whether the analytic tier may serve channels right now.
-    fn analytic_on(&self) -> bool {
-        self.mode.analytic_allowed() && self.scope == ReshareScope::Channel
-    }
-
     /// Number of disks.
     pub fn n_disks(&self) -> usize {
         self.patterns.len()
@@ -454,27 +346,9 @@ impl DiskPool {
 
     /// The current rate of a stream in bytes/s, if it is active.
     pub fn stream_rate(&self, stream: StreamId) -> Option<f64> {
-        self.active.get(&stream.0).map(|s| self.rate_of(s))
-    }
-
-    /// A stream's live allocation, whichever tier serves its channel.
-    fn rate_of(&self, s: &Stream) -> f64 {
-        match self.groups.get(&s.chan) {
-            Some(g) => g.engine.rate(),
-            None => s.rate,
-        }
-    }
-
-    /// The re-prediction version of an active stream — bumped whenever
-    /// a filling re-share changes its rate. Streams on untouched
-    /// channels keep their version (and their scheduled completion
-    /// event) across unrelated starts/finishes; tests pin that. While
-    /// a channel is served by the analytic tier its streams' versions
-    /// are *frozen* (the group's single event carries the next
-    /// finisher's frozen version), so version-probing oracles pin
-    /// [`SharingMode::Filling`].
-    pub fn stream_version(&self, stream: StreamId) -> Option<u64> {
-        self.active.get(&stream.0).map(|s| s.version)
+        let s = self.active.get(&stream.0)?;
+        let engine = self.channels[s.chan as usize].engine.as_ref();
+        Some(engine.expect("occupied channel has an engine").rate())
     }
 
     /// Ids of the currently active streams, ascending.
@@ -509,10 +383,9 @@ impl DiskPool {
     /// Sum of active secondary stream rates on a channel, in bytes/s.
     pub fn channel_load(&self, server: ServerId, dir: IoDir) -> f64 {
         self.channels[chan(server, dir) as usize]
-            .streams
-            .iter()
-            .map(|id| self.rate_of(&self.active[id]))
-            .sum()
+            .engine
+            .as_ref()
+            .map_or(0.0, |e| e.rate() * e.n() as f64)
     }
 
     /// Active secondary streams on a channel.
@@ -545,7 +418,6 @@ impl DiskPool {
     /// never runs backwards); utilization playback naturally satisfies
     /// this by updating on its sample grid.
     pub fn set_primary_util(&mut self, now: SimTime, server: ServerId, util: f64) {
-        self.clock = self.clock.max(now);
         if util == self.primary_util[server.0 as usize] {
             return;
         }
@@ -563,7 +435,7 @@ impl DiskPool {
         }
         self.primary_fraction[server.0 as usize] = fraction;
         for dir in [IoDir::Read, IoDir::Write] {
-            self.reshare_scoped(chan(server, dir), now);
+            self.reshare(chan(server, dir), now);
         }
     }
 
@@ -623,10 +495,9 @@ impl DiskPool {
                 break;
             }
             let (now, ev) = self.queue.pop().expect("peeked");
-            self.clock = self.clock.max(now);
             match ev {
                 DiskEvent::Start(id) => self.on_start(id, now),
-                DiskEvent::Complete(id, version) => self.on_complete(id, version, now),
+                DiskEvent::Complete(c) => self.on_complete(c, now),
             }
         }
         self.sync_dead_cancels();
@@ -661,13 +532,12 @@ impl DiskPool {
             factor.is_finite() && factor >= 0.0,
             "degrade factor must be finite and non-negative, got {factor}"
         );
-        self.clock = self.clock.max(now);
         if factor == self.degrade[server.0 as usize] {
             return;
         }
         self.degrade[server.0 as usize] = factor;
         for dir in [IoDir::Read, IoDir::Write] {
-            self.reshare_scoped(chan(server, dir), now);
+            self.reshare(chan(server, dir), now);
         }
     }
 
@@ -677,7 +547,6 @@ impl DiskPool {
     /// replaced-disk model); combine with [`DiskPool::set_degrade`] to
     /// model a dead-until-restored disk.
     pub fn fail_server(&mut self, now: SimTime, server: ServerId) -> Vec<u64> {
-        self.clock = self.clock.max(now);
         let mut ids: Vec<u64> = Vec::new();
         for dir in [IoDir::Read, IoDir::Write] {
             ids.extend(&self.channels[chan(server, dir) as usize].streams);
@@ -686,7 +555,7 @@ impl DiskPool {
         for id in ids {
             if let Some((tag, c)) = self.abort_active(StreamId(id), now) {
                 tags.push(tag);
-                self.reshare_scoped(c, now);
+                self.reshare(c, now);
             }
         }
         let pend: Vec<u64> = self
@@ -712,7 +581,6 @@ impl DiskPool {
         now: SimTime,
         tags: &std::collections::HashSet<u64>,
     ) -> usize {
-        self.clock = self.clock.max(now);
         let ids: Vec<u64> = self
             .active
             .iter()
@@ -723,7 +591,7 @@ impl DiskPool {
         for id in ids {
             if let Some((_, c)) = self.abort_active(StreamId(id), now) {
                 n += 1;
-                self.reshare_scoped(c, now);
+                self.reshare(c, now);
             }
         }
         let pend: Vec<u64> = self
@@ -741,37 +609,20 @@ impl DiskPool {
         n
     }
 
-    /// Removes an active stream without completing it, mirroring
-    /// `on_complete`'s bookkeeping (channel list, per-server counts,
-    /// pending event, obs state). Returns the stream's tag and channel
-    /// so the caller can re-share it.
+    /// Removes an active stream without completing it: out of its
+    /// channel's engine and indexes, the channel's event cancelled
+    /// (it may predict this very stream). Returns the stream's tag and
+    /// channel so the caller can re-share it.
     fn abort_active(&mut self, id: StreamId, now: SimTime) -> Option<(u64, u32)> {
         let stream = self.active.remove(&id.0)?;
         let c = stream.chan;
-        if let Some(g) = self.groups.get_mut(&c) {
-            g.engine.remove(now, id.0);
-            // The group's one event may predict this very stream; the
-            // caller's re-share re-predicts (or retires) the group.
-            if let Some(key) = g.event.take() {
-                if self.queue.cancel(key) {
-                    self.stats.stale_events_dropped += 1;
-                }
-            }
-        }
-        let list = &mut self.channels[c as usize].streams;
-        let pos = list.iter().position(|&s| s == id.0).expect("on channel");
-        list.remove(pos);
-        let (server, _) = unchan(c);
-        let per_server = &mut self.streams_per_server[server.0 as usize];
-        *per_server -= 1;
-        if *per_server == 0 {
-            self.active_servers.remove(&server.0);
-        }
-        if let Some(key) = stream.pending {
-            if self.queue.cancel(key) {
-                self.stats.stale_events_dropped += 1;
-            }
-        }
+        self.channels[c as usize]
+            .engine
+            .as_mut()
+            .expect("occupied channel has an engine")
+            .remove(now, id.0);
+        self.cancel_event(c);
+        self.unlist(id.0, c);
         self.stats.streams_aborted += 1;
         if let Some(obs) = &self.obs {
             self.rec.state_exit(obs.states, id.0, now);
@@ -780,9 +631,9 @@ impl DiskPool {
     }
 
     /// Drains the pool to quiescence, returning all remaining
-    /// completions. A fully throttled channel never quiesces on its own
-    /// (its streams are parked); drain only a pool whose primary demand
-    /// will not strand streams.
+    /// completions. A fully throttled channel does not quiesce until
+    /// its far-future placeholder fires; drain only a pool whose
+    /// primary demand will not strand streams.
     pub fn drain(&mut self) -> Vec<StreamCompletion> {
         self.pump(SimTime::MAX)
     }
@@ -792,20 +643,11 @@ impl DiskPool {
             return; // cancelled
         };
         let c = chan(p.server, p.dir);
-        // Fold the per-op seek in as capacity-bytes, the same trick the
-        // fabric uses for hop latency: a zero-byte stream still takes
-        // one seek.
-        let seek_bytes = self.config.seek_ms / 1_000.0 * self.capacity(p.dir);
         self.active.insert(
             id.0,
             Stream {
                 tag: p.tag,
                 bytes: p.bytes,
-                remaining: p.bytes as f64 + seek_bytes,
-                rate: 0.0,
-                version: 0,
-                last_update: now,
-                pending: None,
                 started: now,
                 chan: c,
             },
@@ -820,334 +662,52 @@ impl DiskPool {
         if let Some(obs) = &self.obs {
             self.rec.state_enter(obs.states, id.0, "running", now);
         }
-        if self.analytic_on() {
-            if self.groups.contains_key(&c) {
-                self.enroll_one(c, id.0, now);
-            } else {
-                self.promote_channel(c, now);
-            }
-        } else {
-            self.reshare_scoped(c, now);
+        // Fold the per-op seek in as capacity-bytes, the same trick the
+        // fabric uses for hop latency: a zero-byte stream still takes
+        // one seek.
+        let seek_bytes = self.config.seek_ms / 1_000.0 * self.capacity(p.dir);
+        let cap = self.secondary_capacity(p.server, p.dir);
+        let ch = &mut self.channels[c as usize];
+        if ch.engine.is_none() {
+            ch.engine = Some(FairShare::new(cap, now));
+            self.stats.analytic_channels += 1;
         }
-    }
-
-    fn on_complete(&mut self, id: StreamId, version: u64, now: SimTime) {
-        let stale = match self.active.get(&id.0) {
-            Some(s) => s.version != version,
-            None => true,
-        };
-        if stale {
-            // Defensive: superseded events are cancelled at re-predict
-            // time, so a stale fire indicates a missed cancellation.
-            self.stats.stale_events_dropped += 1;
-            return;
-        }
-        let c = self.active[&id.0].chan;
-        if self.groups.contains_key(&c) {
-            self.on_analytic_complete(id, now);
-            return;
-        }
-        let stream = self.active.remove(&id.0).expect("checked above");
-        let list = &mut self.channels[c as usize].streams;
-        let pos = list.iter().position(|&s| s == id.0).expect("on channel");
-        list.remove(pos);
-        let (server, dir) = unchan(c);
-        let per_server = &mut self.streams_per_server[server.0 as usize];
-        *per_server -= 1;
-        if *per_server == 0 {
-            self.active_servers.remove(&server.0);
-        }
-        self.stats.completed += 1;
-        self.stats.bytes_moved += stream.bytes;
-        if let Some(obs) = &self.obs {
-            self.rec
-                .observe(obs.stream_secs, now.since(stream.started).as_secs_f64());
-            self.rec.state_exit(obs.states, id.0, now);
-            self.rec.span_args(
-                obs.track,
-                "stream",
-                stream.started,
-                now,
-                &[("bytes", stream.bytes as f64)],
-            );
-        }
-        self.completions.push(StreamCompletion {
-            stream: id,
-            at: now,
-            tag: stream.tag,
-            bytes: stream.bytes,
-            started: stream.started,
-            server,
-            dir,
-        });
-        self.reshare_scoped(c, now);
-    }
-
-    /// Re-shares the touched channel through whichever tier serves it.
-    /// Under an analytic mode (with channel scope) this syncs the
-    /// channel's engine; otherwise it runs the filling recompute — for
-    /// the touched channel, or under [`ReshareScope::Global`] every
-    /// channel in index order (the reference recompute; untouched
-    /// channels' rates come out bitwise unchanged and are skipped, so
-    /// the trajectories are identical).
-    fn reshare_scoped(&mut self, c: u32, now: SimTime) {
-        if self.analytic_on() {
-            self.sync_channel(c, now);
-            return;
-        }
-        match self.scope {
-            ReshareScope::Channel => self.reshare_channel(c, now),
-            ReshareScope::Global => {
-                for ch in 0..self.channels.len() as u32 {
-                    self.reshare_channel(ch, now);
-                }
-            }
-        }
-    }
-
-    /// Recomputes the channel's equal-share rates and re-predicts its
-    /// streams' completions. Equal split of the secondary bandwidth is
-    /// the max-min fair allocation here because every stream demands as
-    /// much as it can get and touches exactly one channel.
-    fn reshare_channel(&mut self, c: u32, now: SimTime) {
-        if self.channels[c as usize].streams.is_empty() {
-            // An empty channel has nothing to re-divide; skipping it
-            // before the counter keeps `DiskStats.reshares` a count of
-            // *allocation* passes, identical however many idle disks a
-            // sweep policy happens to visit (the tick-sweep oracle
-            // pins full vs. incremental sweeps bitwise, stats included).
-            return;
-        }
-        self.stats.reshares += 1;
-        let (server, dir) = unchan(c);
-        let rate =
-            self.secondary_capacity(server, dir) / self.channels[c as usize].streams.len() as f64;
-        let channel = &self.channels[c as usize];
-        let active = &mut self.active;
-        let queue = &mut self.queue;
-        let stats = &mut self.stats;
-        let rec = &mut self.rec;
-        let obs = self.obs.as_ref();
-        if let Some(obs) = obs {
-            rec.observe(obs.reshare_streams, channel.streams.len() as f64);
-            rec.gauge_at(obs.queue_len, now, queue.len() as f64);
-            rec.gauge_at(obs.tombstones, now, queue.n_stale() as f64);
-        }
-        for id in &channel.streams {
-            let s = active.get_mut(id).expect("active");
-            // A stream whose rate is bitwise-unchanged keeps its pending
-            // Complete event: its `remaining` hasn't been advanced since
-            // that event was predicted, so the predicted completion is
-            // still exact. A changed stream is advanced lazily — one
-            // multiply covering the whole span since its own last
-            // change — and its superseded event is cancelled.
-            if s.version > 0 && rate == s.rate {
-                continue;
-            }
-            // Captured before the assignment below: the guard above
-            // means reaching here with an old rate of zero is exactly
-            // the throttled→running rescue transition.
-            let was_parked = s.version > 0 && s.rate == 0.0;
-            let dt = now.since(s.last_update).as_secs_f64();
-            if dt > 0.0 {
-                s.remaining = (s.remaining - s.rate * dt).max(0.0);
-            }
-            s.last_update = now;
-            if let Some(key) = s.pending.take() {
-                if queue.cancel(key) {
-                    stats.stale_events_dropped += 1;
-                }
-            }
-            s.rate = rate;
-            s.version += 1;
-            let eta = if s.rate > 0.0 {
-                if let (true, Some(obs)) = (was_parked, obs) {
-                    rec.state_enter(obs.states, *id, "running", now);
-                }
-                SimDuration::from_secs_f64(s.remaining / s.rate)
-            } else {
-                // Fully throttled: park the completion; the re-share
-                // when the primary backs off rescues it.
-                if let Some(obs) = obs {
-                    rec.add(obs.parks, 1);
-                    rec.instant(obs.track, "park", now);
-                    rec.state_enter(obs.states, *id, "throttle_parked", now);
-                }
-                PARKED
-            };
-            s.pending =
-                Some(queue.push_keyed(now + eta, DiskEvent::Complete(StreamId(*id), s.version)));
-            stats.peak_queue_len = stats.peak_queue_len.max(queue.len());
-        }
-    }
-
-    /// Enrolls a just-started stream into its channel's existing
-    /// analytic engine — O(log n) instead of a full re-predict pass.
-    fn enroll_one(&mut self, c: u32, id: u64, now: SimTime) {
-        let remaining = self.active[&id].remaining;
-        let g = self.groups.get_mut(&c).expect("caller checked");
-        g.engine.insert(now, id, remaining);
-        let n = g.engine.n();
-        if g.engine.rate() == 0.0 {
-            self.park_obs(id, now);
+        let engine = ch.engine.as_mut().expect("just ensured");
+        engine.insert(now, id.0, p.bytes as f64 + seek_bytes);
+        let (n, parked) = (engine.n(), engine.rate() == 0.0);
+        if parked {
+            self.park_obs(id.0, now);
         }
         self.alloc_pass_obs(n, now);
-        self.repredict_group(c, now);
+        self.repredict(c, now);
     }
 
-    /// Puts a channel on the analytic tier: cancels every stream's
-    /// individual prediction, settles remaining work to `now`, and
-    /// enrolls the channel into a fresh engine. The engine's uniform
-    /// rate is the same `capacity / n` division the filling tier would
-    /// compute, so promotion is invisible in the trajectory.
-    fn promote_channel(&mut self, c: u32, now: SimTime) {
-        let (server, dir) = unchan(c);
-        let cap = self.secondary_capacity(server, dir);
-        let mut engine = FairShare::new(cap, now);
-        let ids = self.channels[c as usize].streams.clone();
-        for &id in &ids {
-            let s = self.active.get_mut(&id).expect("on channel");
-            let dt = now.since(s.last_update).as_secs_f64();
-            if dt > 0.0 {
-                s.remaining = (s.remaining - s.rate * dt).max(0.0);
+    /// The channel's one live event fired: its engine's next finisher
+    /// completes in O(log n).
+    fn on_complete(&mut self, c: u32, now: SimTime) {
+        let ch = &mut self.channels[c as usize];
+        ch.event = None;
+        let engine = ch.engine.as_mut().expect("a live event implies streams");
+        let id = match engine.pop(now) {
+            Some(id) => id,
+            None => {
+                // A parked channel's placeholder reached its far-future
+                // instant: its lowest-id stream completes then.
+                let (id, _) = engine.members().next().expect("occupied channel");
+                engine.remove(now, id);
+                id
             }
-            s.last_update = now;
-            if let Some(key) = s.pending.take() {
-                if self.queue.cancel(key) {
-                    self.stats.stale_events_dropped += 1;
-                }
-            }
-            engine.insert(now, id, s.remaining);
-        }
-        // Throttle transitions across the promotion itself: a stream
-        // whose old filling rate disagrees with the engine's park state
-        // changes obs state here. (A just-started stream has version 0
-        // and no park on record yet.)
-        let rate = engine.rate();
-        for &id in &ids {
-            let (version, old_rate) = {
-                let s = &self.active[&id];
-                (s.version, s.rate)
-            };
-            let was_parked = version > 0 && old_rate == 0.0;
-            if rate == 0.0 && !was_parked {
-                self.park_obs(id, now);
-            } else if rate > 0.0 && was_parked {
-                if let Some(obs) = &self.obs {
-                    self.rec.state_enter(obs.states, id, "running", now);
-                }
-            }
-        }
-        self.groups.insert(
-            c,
-            ChanGroup {
-                engine,
-                event: None,
-            },
-        );
-        self.stats.analytic_channels += 1;
-        self.alloc_pass_obs(ids.len(), now);
-        self.repredict_group(c, now);
-    }
-
-    /// Brings an analytic channel current after a membership or
-    /// capacity change: refreshes the engine's capacity (throttle,
-    /// brown-out), records park/rescue transitions, and re-predicts
-    /// the group's single completion event. Promotes or retires the
-    /// channel's engine as the channel fills or empties.
-    fn sync_channel(&mut self, c: u32, now: SimTime) {
-        if self.channels[c as usize].streams.is_empty() {
-            if let Some(mut g) = self.groups.remove(&c) {
-                if let Some(key) = g.event.take() {
-                    if self.queue.cancel(key) {
-                        self.stats.stale_events_dropped += 1;
-                    }
-                }
-            }
-            return;
-        }
-        if !self.groups.contains_key(&c) {
-            self.promote_channel(c, now);
-            return;
-        }
-        let (server, dir) = unchan(c);
-        let cap = self.secondary_capacity(server, dir);
-        let g = self.groups.get_mut(&c).expect("checked above");
-        let was = g.engine.rate();
-        g.engine.set_capacity(now, cap);
-        let rate = g.engine.rate();
-        let n = g.engine.n();
-        if (was == 0.0) != (rate == 0.0) {
-            let ids: Vec<u64> = g.engine.members().map(|(id, _)| id).collect();
-            for id in ids {
-                if rate == 0.0 {
-                    self.park_obs(id, now);
-                } else if let Some(obs) = &self.obs {
-                    self.rec.state_enter(obs.states, id, "running", now);
-                }
-            }
-        }
-        self.alloc_pass_obs(n, now);
-        self.repredict_group(c, now);
-    }
-
-    /// Re-predicts a group's single completion event from the engine's
-    /// next finisher. A parked group (zero rate) keeps one far-future
-    /// [`PARKED`] event on its lowest-id member — mirroring the filling
-    /// tier, so [`DiskPool::next_event_time`] stays `Some` while any
-    /// stream is in flight — until the capacity-restoring re-share
-    /// rescues it (cancelling the placeholder like any superseded
-    /// prediction).
-    fn repredict_group(&mut self, c: u32, now: SimTime) {
-        let g = self.groups.get_mut(&c).expect("group exists");
-        if let Some(key) = g.event.take() {
-            if self.queue.cancel(key) {
-                self.stats.stale_events_dropped += 1;
-            }
-        }
-        let (top, eta) = match g.engine.peek(now) {
-            Some((top, eta)) => (top, SimDuration::from_secs_f64(eta)),
-            None => match g.engine.members().map(|(id, _)| id).min() {
-                Some(top) => (top, PARKED),
-                None => return,
-            },
         };
-        let version = self.active[&top].version;
-        g.event = Some(
-            self.queue
-                .push_keyed(now + eta, DiskEvent::Complete(StreamId(top), version)),
-        );
-        self.stats.peak_queue_len = self.stats.peak_queue_len.max(self.queue.len());
-    }
-
-    /// Completion served by the analytic tier in O(log n): pop the
-    /// engine's finisher, book the completion, re-predict the group's
-    /// next event.
-    fn on_analytic_complete(&mut self, id: StreamId, now: SimTime) {
-        let stream = self.active.remove(&id.0).expect("caller checked");
-        let c = stream.chan;
-        let g = self.groups.get_mut(&c).expect("caller checked");
-        // This is the group's one live event firing; superseded group
-        // events are cancelled at re-predict time, never left to fire.
-        g.event = None;
-        let removed = g.engine.remove(now, id.0);
-        debug_assert!(removed.is_some(), "completed stream not enrolled");
         self.stats.analytic_events += 1;
-        let list = &mut self.channels[c as usize].streams;
-        let pos = list.iter().position(|&s| s == id.0).expect("on channel");
-        list.remove(pos);
+        let stream = self.active.remove(&id).expect("engine member is active");
+        self.unlist(id, c);
         let (server, dir) = unchan(c);
-        let per_server = &mut self.streams_per_server[server.0 as usize];
-        *per_server -= 1;
-        if *per_server == 0 {
-            self.active_servers.remove(&server.0);
-        }
         self.stats.completed += 1;
         self.stats.bytes_moved += stream.bytes;
         if let Some(obs) = &self.obs {
             self.rec
                 .observe(obs.stream_secs, now.since(stream.started).as_secs_f64());
-            self.rec.state_exit(obs.states, id.0, now);
+            self.rec.state_exit(obs.states, id, now);
             self.rec.span_args(
                 obs.track,
                 "stream",
@@ -1157,7 +717,7 @@ impl DiskPool {
             );
         }
         self.completions.push(StreamCompletion {
-            stream: id,
+            stream: StreamId(id),
             at: now,
             tag: stream.tag,
             bytes: stream.bytes,
@@ -1167,59 +727,88 @@ impl DiskPool {
         });
         let left = self.channels[c as usize].streams.len();
         if left == 0 {
-            self.groups.remove(&c);
+            self.channels[c as usize].engine = None;
         } else {
             self.alloc_pass_obs(left, now);
-            self.repredict_group(c, now);
+            self.repredict(c, now);
         }
     }
 
-    /// Migrates one channel's engine state back to per-stream filling
-    /// predictions exactly: remaining work settled under the engine's
-    /// clock, the uniform rate, fresh versioned completion events
-    /// (far-future parked events for a fully throttled channel).
-    fn dissolve_group(&mut self, c: u32, now: SimTime) {
-        let Some(mut g) = self.groups.remove(&c) else {
+    /// Brings a channel current after a membership or capacity change:
+    /// refreshes its engine's capacity (throttle, brown-out), records
+    /// park/rescue transitions, and re-predicts its completion event.
+    /// An emptied channel drops its engine instead.
+    fn reshare(&mut self, c: u32, now: SimTime) {
+        if self.channels[c as usize].streams.is_empty() {
+            self.channels[c as usize].engine = None;
+            self.cancel_event(c);
             return;
+        }
+        let (server, dir) = unchan(c);
+        let cap = self.secondary_capacity(server, dir);
+        let engine = self.channels[c as usize]
+            .engine
+            .as_mut()
+            .expect("occupied channel has an engine");
+        let was = engine.rate();
+        engine.set_capacity(now, cap);
+        let rate = engine.rate();
+        let n = engine.n();
+        if (was == 0.0) != (rate == 0.0) {
+            let ids: Vec<u64> = engine.members().map(|(id, _)| id).collect();
+            for id in ids {
+                if rate == 0.0 {
+                    self.park_obs(id, now);
+                } else if let Some(obs) = &self.obs {
+                    self.rec.state_enter(obs.states, id, "running", now);
+                }
+            }
+        }
+        self.alloc_pass_obs(n, now);
+        self.repredict(c, now);
+    }
+
+    /// Re-predicts an occupied channel's single completion event from
+    /// its engine's next finisher, cancelling the superseded one. A
+    /// parked channel (zero rate) gets a far-future [`PARKED`]
+    /// placeholder, so [`DiskPool::next_event_time`] stays `Some` while
+    /// any stream is in flight.
+    fn repredict(&mut self, c: u32, now: SimTime) {
+        self.cancel_event(c);
+        let ch = &mut self.channels[c as usize];
+        let eta = match ch.engine.as_mut().expect("occupied channel").peek(now) {
+            Some((_, eta)) => SimDuration::from_secs_f64(eta),
+            None => PARKED,
         };
-        if let Some(key) = g.event.take() {
+        ch.event = Some(self.queue.push_keyed(now + eta, DiskEvent::Complete(c)));
+        self.stats.peak_queue_len = self.stats.peak_queue_len.max(self.queue.len());
+    }
+
+    /// Cancels a channel's live completion event, if any.
+    fn cancel_event(&mut self, c: u32) {
+        if let Some(key) = self.channels[c as usize].event.take() {
             if self.queue.cancel(key) {
                 self.stats.stale_events_dropped += 1;
             }
         }
-        g.engine.advance(now);
-        let rate = g.engine.rate();
-        for (id, remaining) in g.engine.members() {
-            let s = self.active.get_mut(&id).expect("enrolled member");
-            s.remaining = remaining;
-            s.rate = rate;
-            s.last_update = now;
-            s.version += 1;
-            let eta = if rate > 0.0 {
-                SimDuration::from_secs_f64(remaining / rate)
-            } else {
-                PARKED
-            };
-            s.pending = Some(
-                self.queue
-                    .push_keyed(now + eta, DiskEvent::Complete(StreamId(id), s.version)),
-            );
-            self.stats.peak_queue_len = self.stats.peak_queue_len.max(self.queue.len());
+    }
+
+    /// Drops a departed stream from its channel's list and the
+    /// per-server index.
+    fn unlist(&mut self, id: u64, c: u32) {
+        let list = &mut self.channels[c as usize].streams;
+        let pos = list.iter().position(|&s| s == id).expect("on channel");
+        list.remove(pos);
+        let (server, _) = unchan(c);
+        let per_server = &mut self.streams_per_server[server.0 as usize];
+        *per_server -= 1;
+        if *per_server == 0 {
+            self.active_servers.remove(&server.0);
         }
     }
 
-    /// Migrates every analytic channel back to the filling tier, at
-    /// the pool's time high-water mark.
-    fn dissolve_all(&mut self) {
-        let cs: Vec<u32> = self.groups.keys().copied().collect();
-        for c in cs {
-            self.dissolve_group(c, self.clock);
-        }
-    }
-
-    /// Counts one analytic allocation pass, mirroring the filling
-    /// tier's per-re-share bookkeeping so [`DiskStats::reshares`]
-    /// stays a count of allocation passes whichever tier served them.
+    /// Counts one allocation pass for [`DiskStats::reshares`] and
+    /// samples the re-share histograms and queue gauges.
     fn alloc_pass_obs(&mut self, n_streams: usize, now: SimTime) {
         self.stats.reshares += 1;
         if let Some(obs) = &self.obs {
@@ -1362,18 +951,17 @@ mod tests {
         assert!((600.0..601.0).contains(&at), "rescued at {at}s");
     }
 
-    /// A fully parked analytic channel keeps a far-future placeholder
-    /// event: `next_event_time()` must stay `Some` while any stream is
-    /// in flight, exactly the contract the filling tier provides via
-    /// its parked completions (heartbeat replay in `harvest_dfs`
-    /// drives the pool off `next_event_time` and relies on it).
+    /// A fully parked channel keeps a far-future placeholder event:
+    /// `next_event_time()` must stay `Some` while any stream is in
+    /// flight (heartbeat replay in `harvest_dfs` drives the pool off
+    /// `next_event_time` and relies on it).
     #[test]
     fn parked_analytic_channel_keeps_a_next_event() {
         let mut p = pool();
         p.set_primary_util(SimTime::ZERO, S0, 0.95);
         p.schedule_stream(SimTime::ZERO, S0, IoDir::Read, 16 * MB, 7);
         p.pump(SimTime::from_secs(60));
-        assert!(p.stats().analytic_channels > 0, "channel never promoted");
+        assert_eq!(p.stats().analytic_channels, 1, "channel has no engine");
         assert_eq!(p.stream_rate(StreamId(0)), Some(0.0), "not parked");
         assert!(
             p.next_event_time().is_some(),
@@ -1462,30 +1050,40 @@ mod tests {
         assert!(s.peak_queue_len >= 2);
     }
 
-    /// An event on one disk leaves streams on other disks' channels
-    /// with their version (and scheduled completion event) untouched.
+    /// An event on one disk leaves other disks' channels alone: no
+    /// allocation pass runs there and their scheduled completion event
+    /// is neither cancelled nor moved.
     #[test]
     fn other_channels_keep_their_event_version() {
-        // Versions are a filling-tier concept (the analytic tier
-        // freezes them), so this oracle pins the filling engine.
         let mut p = pool();
-        p.set_sharing_mode(SharingMode::Filling);
         let bystander = p.schedule_stream(SimTime::ZERO, S0, IoDir::Read, 160 * MB, 1);
         p.pump(SimTime::ZERO);
-        let v0 = p.stream_version(bystander).expect("active");
-        // Unrelated churn on another disk starts and finishes.
+        let r0 = p.stream_rate(bystander).expect("active");
+        let next = p.next_event_time();
+        let (passes, dropped) = (p.stats().reshares, p.stats().stale_events_dropped);
+        // Unrelated churn on another disk starts and finishes: one
+        // allocation pass on its own channel (the completion that
+        // empties it is not one), no cancellation anywhere.
         p.schedule_stream(SimTime::from_millis(10), S1, IoDir::Write, 4 * MB, 2);
         p.pump(SimTime::from_millis(500));
         assert_eq!(p.stats().completed, 1, "unrelated stream should be done");
         assert_eq!(
-            p.stream_version(bystander),
-            Some(v0),
+            p.stats().reshares,
+            passes + 1,
+            "untouched channel re-shared"
+        );
+        assert_eq!(
+            p.stats().stale_events_dropped,
+            dropped,
             "stream on an untouched channel was re-predicted"
         );
-        // Churn on the *same* channel bumps it.
+        assert_eq!(p.stream_rate(bystander), Some(r0));
+        assert_eq!(p.next_event_time(), next, "bystander's completion moved");
+        // Churn on the *same* channel re-predicts it.
         p.schedule_stream(SimTime::from_millis(600), S0, IoDir::Read, 4 * MB, 3);
         p.pump(SimTime::from_millis(600));
-        assert!(p.stream_version(bystander).expect("active") > v0);
+        assert!(p.stats().stale_events_dropped > dropped);
+        assert_eq!(p.stream_rate(bystander), Some(r0 / 2.0));
         p.drain();
     }
 
@@ -1512,22 +1110,22 @@ mod tests {
     /// runs and in-flight streams keep their completion predictions.
     #[test]
     fn unchanged_util_early_outs() {
-        // Version-probing, so pinned to the filling tier; the early-out
-        // itself is mode-independent (it returns before any re-share).
         let mut p = pool();
-        p.set_sharing_mode(SharingMode::Filling);
         p.set_primary_util(SimTime::ZERO, S0, 0.4);
         let s = p.schedule_stream(SimTime::ZERO, S0, IoDir::Read, 160 * MB, 1);
         p.pump(SimTime::ZERO);
-        let v = p.stream_version(s).unwrap();
-        let reshares = p.stats().reshares;
+        let rate = p.stream_rate(s).unwrap();
+        let next = p.next_event_time();
+        let (reshares, dropped) = (p.stats().reshares, p.stats().stale_events_dropped);
         // Replaying the same sample must not disturb the stream.
         p.set_primary_util(SimTime::from_millis(100), S0, 0.4);
-        assert_eq!(p.stream_version(s), Some(v), "stream was re-predicted");
+        assert_eq!(p.next_event_time(), next, "stream was re-predicted");
+        assert_eq!(p.stats().stale_events_dropped, dropped);
         assert_eq!(p.stats().reshares, reshares, "re-share ran needlessly");
         // A moved sample still applies.
         p.set_primary_util(SimTime::from_millis(100), S0, 0.6);
-        assert!(p.stream_version(s).unwrap() > v);
+        assert!(p.stream_rate(s).unwrap() < rate);
+        assert!(p.stats().reshares > reshares);
         p.set_primary_util(SimTime::from_millis(200), S0, 0.0);
         p.drain();
     }
@@ -1641,97 +1239,9 @@ mod tests {
         assert!(secs < 0.2, "survivor took {secs}s — bandwidth not released");
     }
 
-    /// Channel scoping and the global reference recompute must agree
-    /// bitwise (the full randomized oracle lives in tests/properties.rs).
-    #[test]
-    fn channel_scope_matches_global_scope() {
-        let run = |scope: ReshareScope| {
-            let mut p = DiskPool::new(8, &DiskConfig::datacenter());
-            // Global implies filling; probe versions, so pin the
-            // channel-scoped run to filling too.
-            p.set_sharing_mode(SharingMode::Filling);
-            p.set_reshare_scope(scope);
-            p.set_primary_util(SimTime::ZERO, ServerId(2), 0.4);
-            for i in 0..30u64 {
-                p.schedule_stream(
-                    SimTime::from_millis(i * 37),
-                    ServerId((i % 8) as u32),
-                    if i % 3 == 0 {
-                        IoDir::Write
-                    } else {
-                        IoDir::Read
-                    },
-                    (i + 1) * 4 * MB,
-                    i,
-                );
-            }
-            p.pump(SimTime::from_millis(700));
-            let probe: Vec<(u64, u64, u64)> = p
-                .active_stream_ids()
-                .iter()
-                .map(|&id| {
-                    (
-                        id.0,
-                        p.stream_rate(id).unwrap().to_bits(),
-                        p.stream_version(id).unwrap(),
-                    )
-                })
-                .collect();
-            let ends: Vec<(u64, SimTime)> = p.drain().into_iter().map(|c| (c.tag, c.at)).collect();
-            (probe, ends)
-        };
-        let chan = run(ReshareScope::Channel);
-        let glob = run(ReshareScope::Global);
-        assert_eq!(chan.0, glob.0, "mid-run rates/versions diverged");
-        assert_eq!(chan.1, glob.1, "completion schedules diverged");
-    }
-
-    /// The analytic tier (the default) must reproduce the filling
-    /// reference exactly: uniform rates bitwise, completion schedule
-    /// at full `SimTime` resolution — through starts, finishes, a
-    /// mid-storm brown-out, a fully parked channel, and its rescue.
-    #[test]
-    fn analytic_matches_filling_exactly() {
-        let run = |mode: SharingMode| {
-            let mut p = DiskPool::new(8, &DiskConfig::datacenter());
-            p.set_sharing_mode(mode);
-            // Server 3 is fully throttled before its streams start.
-            p.set_primary_util(SimTime::ZERO, ServerId(3), 0.95);
-            for i in 0..40u64 {
-                p.schedule_stream(
-                    SimTime::from_millis(i * 61),
-                    ServerId((i % 8) as u32),
-                    if i % 3 == 0 {
-                        IoDir::Write
-                    } else {
-                        IoDir::Read
-                    },
-                    (i % 9 + 1) * 8 * MB,
-                    i,
-                );
-            }
-            p.pump(SimTime::from_millis(400));
-            p.set_degrade(SimTime::from_millis(400), S0, 0.5);
-            p.pump(SimTime::from_secs(2));
-            let rates: Vec<(u64, u64)> = p
-                .active_stream_ids()
-                .iter()
-                .map(|&id| (id.0, p.stream_rate(id).unwrap().to_bits()))
-                .collect();
-            p.set_primary_util(SimTime::from_secs(2), ServerId(3), 0.0);
-            let ends: Vec<(u64, SimTime)> = p.drain().into_iter().map(|c| (c.tag, c.at)).collect();
-            (rates, ends, p.stats().completed)
-        };
-        let analytic = run(SharingMode::Auto);
-        let filling = run(SharingMode::Filling);
-        assert_eq!(analytic.0, filling.0, "mid-run rates diverged");
-        assert_eq!(analytic.1, filling.1, "completion schedules diverged");
-        assert_eq!(analytic.2, 40, "streams lost");
-    }
-
     /// Fault interplay regression: a disk brown-out to zero mid-storm
-    /// (then a degraded replacement) is a capacity change the analytic
-    /// tier absorbs in place — no stream is lost or double-completed.
+    /// (then a degraded replacement) is a capacity change the channel
+    /// engines absorb in place — no stream is lost or double-completed.
     #[test]
     fn degrade_mid_storm_loses_nothing() {
         let mut p = DiskPool::new(4, &DiskConfig::datacenter());
@@ -1761,36 +1271,8 @@ mod tests {
         assert!(p.stats().analytic_events > 0, "fast path never served");
     }
 
-    /// Switching to the filling tier mid-run migrates engine state to
-    /// per-stream predictions without disturbing the trajectory.
-    #[test]
-    fn mode_switch_migrates_exactly() {
-        let run = |switch: bool| {
-            let mut p = pool();
-            for i in 0..12u64 {
-                p.schedule_stream(
-                    SimTime::from_millis(i * 23),
-                    ServerId((i % 2) as u32),
-                    IoDir::Read,
-                    (i % 4 + 1) * 20 * MB,
-                    i,
-                );
-            }
-            p.pump(SimTime::from_millis(300));
-            if switch {
-                p.set_sharing_mode(SharingMode::Filling);
-                assert!(p.stats().analytic_channels > 0, "never promoted");
-            }
-            p.drain()
-                .into_iter()
-                .map(|c| (c.tag, c.at))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(true), run(false), "migration moved the schedule");
-    }
-
-    /// The analytic counters track the fast path: the default serves
-    /// single-channel churn analytically, the filling pin serves none.
+    /// The engine counters: one engine per channel occupancy period,
+    /// every completion served by it.
     #[test]
     fn analytic_counters_track_the_fast_path() {
         let mut p = pool();
@@ -1798,16 +1280,13 @@ mod tests {
             p.schedule_stream(SimTime::ZERO, S0, IoDir::Read, 8 * MB, tag);
         }
         p.drain();
-        assert_eq!(p.stats().analytic_channels, 1, "one channel, one group");
+        assert_eq!(p.stats().analytic_channels, 1, "one channel, one engine");
         assert_eq!(p.stats().analytic_events, 3);
-
-        let mut f = pool();
-        f.set_sharing_mode(SharingMode::Filling);
-        for tag in 0..3u64 {
-            f.schedule_stream(SimTime::ZERO, S0, IoDir::Read, 8 * MB, tag);
-        }
-        f.drain();
-        assert_eq!(f.stats().analytic_channels, 0);
-        assert_eq!(f.stats().analytic_events, 0);
+        // The drained channel dropped its engine; refilling it makes a
+        // fresh one.
+        p.schedule_stream(SimTime::from_secs(5), S0, IoDir::Read, 8 * MB, 3);
+        p.drain();
+        assert_eq!(p.stats().analytic_channels, 2);
+        assert_eq!(p.stats().analytic_events, 4);
     }
 }

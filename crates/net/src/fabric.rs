@@ -2,21 +2,20 @@
 //!
 //! A [`Fabric`] carries [`Flow`]s between servers over a [`Topology`].
 //! Whenever the active-flow set changes — a flow starts or finishes —
-//! link bandwidth is re-divided max-min fairly (progressive filling) and
-//! every in-flight flow's completion is re-predicted. Starts,
-//! completions, and those re-share reschedules all travel through one
-//! [`EventQueue`]; a stale completion (superseded by a later re-share) is
-//! recognized by its version stamp and ignored, which is the standard
-//! trick for event-driven flow models with time-varying rates.
+//! link bandwidth is re-divided max-min fairly and the affected flows'
+//! completions are re-predicted. Starts, completions, and those
+//! re-predictions all travel through one [`EventQueue`]; a superseded
+//! completion is cancelled in the queue (and, defensively, recognized
+//! by its version stamp should one ever fire).
 //!
 //! Everything is exact integer time plus deterministic `f64` arithmetic
 //! over deterministically ordered collections, so a fabric replay is
 //! bit-identical for identical inputs.
 //!
-//! # Cost model — three tiers
+//! # Cost model
 //!
-//! The fabric serves each event with the cheapest allocator that is
-//! provably exact for the component the event touches:
+//! The fabric serves each event with the cheaper of two allocators,
+//! chosen per component from the input by a classifier:
 //!
 //! 1. **Analytic** (O(log n) per event): a component whose flows all
 //!    traverse one common saturated link — the reimage-storm shape —
@@ -39,7 +38,7 @@
 //!    double-completed. Migration may immediately re-promote under the
 //!    new bottleneck.
 //! 2. **Component filling** (O(component links × filling iterations)
-//!    per event): the general fallback. The fabric maintains a
+//!    per event): the multi-bottleneck fallback. The fabric maintains a
 //!    persistent inverted index (link → active flows crossing it), and
 //!    a flow start/finish recomputes only the connected component of
 //!    flows transitively sharing a link with the changed flow. Flows
@@ -50,56 +49,41 @@
 //!    *cancelled* in the queue rather than left to fire stale, so the
 //!    event heap stays O(active + scheduled) instead of
 //!    O(re-shares × flows).
-//! 3. **Global reference** ([`ReshareScope::Global`]): recomputes
-//!    every active flow on every event with progressive filling — the
-//!    pre-optimization *cost shape*, kept because it is the oracle the
-//!    other two tiers are pinned against (the property tests in
-//!    `tests/properties.rs`). Selecting it disables the analytic tier
-//!    entirely: the reference *is* filling.
 //!
-//! **Exactness.** Component scoping is *bitwise* identical to global:
-//! a component's progressive-filling arithmetic is unaffected by flows
-//! it shares no link with, so scoping changes which flows are
-//! *visited*, never what any flow gets. The analytic tier's rates are
-//! also bitwise identical — its per-flow rate is
-//! `capacity / n as f64`, the same division filling performs when its
-//! first iteration splits the untouched bottleneck — but completion
+//! **Exactness.** Component filling is *bitwise* what filling over the
+//! whole population computes: a component's progressive-filling
+//! arithmetic is unaffected by flows it shares no link with. The
+//! analytic tier's rates are also bitwise identical — its per-flow rate
+//! is `capacity / n as f64`, the same division filling performs when
+//! its first iteration splits the untouched bottleneck — but completion
 //! *times* re-associate the float arithmetic: filling folds
 //! `(r − a) − b − …` across re-shares while the fair-work clock
 //! computes `r − (a + b + …)`, so predicted completions can drift by a
-//! few ulps (≈1e-16 relative). Simulated time is integer milliseconds
-//! and `SimDuration::from_secs_f64` rounds to the nearest millisecond,
-//! so that drift virtually never moves a completion across a
-//! millisecond boundary; the oracle tests pin analytic rates bitwise
-//! and completion schedules at full `SimTime` resolution, and that is
-//! the documented tolerance (see `sim::fairshare`). Which tier served
-//! an event is visible: `analytic_components` / `analytic_events` /
+//! few ulps (≈1e-16 relative), which the integer-millisecond clock
+//! virtually never surfaces. The dev-only `harvest-oracle` crate holds
+//! an independent reference — max-min progressive filling over every
+//! active flow on every event, sharing no lazy-advance, cancellation,
+//! index, or `FairShare` code with this module — and the oracle tests
+//! pin rates bitwise, single-bottleneck completion schedules exactly,
+//! and mixed workloads within one millisecond. Which tier served an
+//! event is visible: `analytic_components` / `analytic_events` /
 //! `fallback_migrations` in [`FabricStats`] and as `net/*` counters.
 //!
 //! The worst case is a genuinely multi-bottleneck workload whose every
 //! flow shares a link with every other (one giant component that never
-//! classifies single-bottleneck): then a re-share still touches the
-//! whole population, exactly as a global recompute would, and the old
-//! guidance applies — offered load must not exceed fabric capacity for
+//! classifies single-bottleneck): then a re-share touches the whole
+//! population, and offered load must not exceed fabric capacity for
 //! sustained periods, or the backlog (and the simulation) grows without
 //! bound. Callers injecting unthrottled demand must bound concurrency
 //! themselves (see `StormConfig::max_repair_streams` in `harvest-dfs`
 //! for the repair-path backpressure).
-//!
-//! Note the filling oracle's limit: both scopes share the lazy-advance
-//! and cancellation machinery (they must, or bitwise comparison would
-//! be impossible — the pre-PR code advanced every flow's `remaining`
-//! in per-event steps, whose float rounding differs from one fused
-//! multiply per rate change by ulps), so the pinned property is
-//! "scoping never changes an allocation", not "this PR's trajectories
-//! equal the old code's to the last bit".
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
 use harvest_cluster::ServerId;
 use harvest_sim::engine::{EventKey, EventQueue};
-use harvest_sim::fairshare::{FairShare, SharingMode};
+use harvest_sim::fairshare::FairShare;
 use harvest_sim::obs::{GaugeId, HistogramId, Recorder, StateTrackId, TrackId};
 use harvest_sim::{SimDuration, SimTime};
 
@@ -123,22 +107,6 @@ pub struct FlowCompletion {
     pub bytes: u64,
     /// When the flow entered the fabric.
     pub started: SimTime,
-}
-
-/// How much of the fabric a re-share recomputes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReshareScope {
-    /// Recompute only the connected component of flows transitively
-    /// sharing a link with the changed flow (the default; see the
-    /// module-level cost model).
-    #[default]
-    Component,
-    /// Recompute every active flow on every event — the reference
-    /// global recompute, with the pre-optimization cost shape but the
-    /// same lazy-advance/cancellation machinery as `Component` (see the
-    /// module docs for what the oracle does and does not pin). Bitwise
-    /// identical to `Component`; kept for validation and benchmarking.
-    Global,
 }
 
 /// One in-flight transfer.
@@ -268,9 +236,6 @@ pub struct Fabric {
     /// Dead cancels already folded into `stats.stale_events_dropped`
     /// (see `sync_dead_cancels`).
     dead_cancels_seen: u64,
-    scope: ReshareScope,
-    /// Which sharing tiers are allowed (see the module cost model).
-    mode: SharingMode,
     /// Analytic groups, indexed by the id in `Flow::group`/`link_of`;
     /// freed slots are recycled through `free_groups`.
     groups: Vec<Option<AnalyticGroup>>,
@@ -281,10 +246,6 @@ pub struct Fabric {
     /// components and joins preserve it — so loose flows and group
     /// members never share a link.
     link_of: Vec<u32>,
-    /// High-water mark of event time, so mode/scope switches (which
-    /// take no `now`) can materialize group state at the current
-    /// instant.
-    clock: SimTime,
     next_id: u64,
     hop_latency: SimDuration,
     stats: FabricStats,
@@ -326,12 +287,9 @@ impl Fabric {
             in_flight_remaining: 0.0,
             link_up: vec![true; n_links],
             dead_cancels_seen: 0,
-            scope: ReshareScope::Component,
-            mode: SharingMode::default(),
             groups: Vec::new(),
             free_groups: Vec::new(),
             link_of: vec![NO_GROUP; n_links],
-            clock: SimTime::ZERO,
             next_id: 0,
             hop_latency: SimDuration::from_secs_f64(config.hop_latency_ms / 1_000.0),
             stats: FabricStats::default(),
@@ -393,63 +351,6 @@ impl Fabric {
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// The re-share scope in force.
-    pub fn reshare_scope(&self) -> ReshareScope {
-        self.scope
-    }
-
-    /// Switches the re-share scope. Safe at any point — both scopes
-    /// produce bitwise-identical trajectories (see the module docs) —
-    /// but `Global` exists for validation, not production use.
-    /// `Global` *is* the filling reference, so selecting it dissolves
-    /// any live analytic groups (state migrated exactly).
-    pub fn set_reshare_scope(&mut self, scope: ReshareScope) {
-        self.scope = scope;
-        if scope == ReshareScope::Global {
-            self.dissolve_all_groups();
-        }
-    }
-
-    /// The sharing mode in force.
-    pub fn sharing_mode(&self) -> SharingMode {
-        self.mode
-    }
-
-    /// Switches the sharing mode. Selecting [`SharingMode::Filling`]
-    /// dissolves any live analytic groups (state migrated exactly, so
-    /// the trajectory is unchanged); selecting an analytic-capable
-    /// mode lets the classifier promote components at their next
-    /// re-share. Allocations are identical in every mode — the
-    /// classifier only admits components where the analytic engine
-    /// provably agrees with filling — so this is a cost knob, not a
-    /// behavior knob.
-    pub fn set_sharing_mode(&mut self, mode: SharingMode) {
-        self.mode = mode;
-        if !mode.analytic_allowed() {
-            self.dissolve_all_groups();
-        }
-    }
-
-    /// Dissolves every analytic group at the fabric's high-water
-    /// clock and re-fills over the freed components.
-    fn dissolve_all_groups(&mut self) {
-        let mut seeds: Vec<LinkId> = Vec::new();
-        for g in 0..self.groups.len() as u32 {
-            let Some(grp) = &self.groups[g as usize] else {
-                continue;
-            };
-            let ids: Vec<u64> = grp.engine.members().map(|(id, _)| id).collect();
-            for id in ids {
-                seeds.extend(self.active[&id].path.iter().copied());
-            }
-            self.dissolve_group(g, self.clock);
-        }
-        if !seeds.is_empty() {
-            let now = self.clock;
-            self.reshare(now, &seeds);
-        }
     }
 
     /// Aggregate counters.
@@ -627,7 +528,6 @@ impl Fabric {
         if !self.link_up[link.0 as usize] {
             return Vec::new();
         }
-        self.clock = self.clock.max(now);
         // A capacity change invalidates the owning group's
         // classification: migrate its state back to filling before the
         // abort sweep (survivors are re-filled — and possibly
@@ -672,7 +572,6 @@ impl Fabric {
         if self.link_up[link.0 as usize] {
             return;
         }
-        self.clock = self.clock.max(now);
         self.link_up[link.0 as usize] = true;
         self.reshare(now, &[link]);
     }
@@ -712,7 +611,6 @@ impl Fabric {
         now: SimTime,
         tags: &std::collections::HashSet<u64>,
     ) -> usize {
-        self.clock = self.clock.max(now);
         let ids: Vec<u64> = self
             .active
             .iter()
@@ -777,7 +675,6 @@ impl Fabric {
     }
 
     fn on_start(&mut self, id: FlowId, now: SimTime) {
-        self.clock = self.clock.max(now);
         let Some(p) = self.pending.remove(&id.0) else {
             return; // cancelled
         };
@@ -836,9 +733,6 @@ impl Fabric {
     /// migrated and re-filled). The flow must already be in
     /// `active`/`flows_on`.
     fn try_join_group(&mut self, id: FlowId, now: SimTime) -> bool {
-        if self.scope != ReshareScope::Component || !self.mode.analytic_allowed() {
-            return false;
-        }
         let path = self.active[&id.0].path;
         let mut owner: Option<u32> = None;
         let mut merges = false;
@@ -917,7 +811,6 @@ impl Fabric {
     }
 
     fn on_complete(&mut self, id: FlowId, version: u64, now: SimTime) {
-        self.clock = self.clock.max(now);
         let stale = match self.active.get(&id.0) {
             Some(f) => f.version != version,
             None => true,
@@ -1154,9 +1047,8 @@ impl Fabric {
 
     /// Recomputes max-min fair rates (progressive filling) for the
     /// flows the event can affect and re-predicts their completions.
-    /// `seeds` is the changed flow's path; under
-    /// [`ReshareScope::Component`] only its connected component is
-    /// recomputed, under [`ReshareScope::Global`] everything is.
+    /// `seeds` is the changed flow's path; only its connected component
+    /// is recomputed.
     ///
     /// Progressive filling: repeatedly find the most-contended link (the
     /// one whose remaining capacity split across its unfrozen flows is
@@ -1186,22 +1078,10 @@ impl Fabric {
             return;
         }
 
-        // The candidate set: one component, or everything. Sorted ids
-        // keep the freeze order and the bottleneck tie-break identical
-        // between the two scopes.
-        let (ids, used): (Vec<u64>, Vec<u32>) = match self.scope {
-            ReshareScope::Component => self.component(seeds),
-            ReshareScope::Global => {
-                let ids: Vec<u64> = self.active.keys().copied().collect();
-                let mut used: Vec<u32> = ids
-                    .iter()
-                    .flat_map(|id| self.active[id].path.iter().map(|l| l.0))
-                    .collect();
-                used.sort_unstable();
-                used.dedup();
-                (ids, used)
-            }
-        };
+        // The candidate set: the component, both lists ascending so the
+        // freeze order and the bottleneck tie-break are those of a
+        // filling over the whole population.
+        let (ids, used) = self.component(seeds);
         if ids.is_empty() {
             return;
         }
@@ -1277,16 +1157,11 @@ impl Fabric {
         // Single-bottleneck classification: one iteration froze the
         // whole component, so every flow crosses the picked link and
         // max-min degenerates to an equal split — promote the
-        // component to the analytic tier (unless the reference filling
-        // was explicitly requested, or the component is trivial, or
-        // the bottleneck is a dead link parking everyone at 0).
+        // component to the analytic tier (unless the component is
+        // trivial, or the bottleneck is a dead link parking everyone
+        // at 0).
         if let Some((share, bottleneck)) = first {
-            if iterations == 1
-                && share > 0.0
-                && ids.len() >= 2
-                && self.scope == ReshareScope::Component
-                && self.mode.analytic_allowed()
-            {
+            if iterations == 1 && share > 0.0 && ids.len() >= 2 {
                 self.promote(now, &ids, &used, bottleneck, share);
                 return;
             }
@@ -1647,49 +1522,6 @@ mod tests {
         f.drain();
     }
 
-    /// Component scoping and the global reference recompute must agree
-    /// bitwise (the full randomized oracle lives in tests/properties.rs).
-    #[test]
-    fn component_scope_matches_global_scope() {
-        let run = |scope: ReshareScope| {
-            let (dc, mut f) = fabric();
-            // This oracle probes *versions*, which the analytic tier
-            // deliberately freezes — pin the filling machinery itself.
-            // (The analytic-vs-global oracles live below and in
-            // tests/properties.rs.)
-            f.set_sharing_mode(SharingMode::Filling);
-            f.set_reshare_scope(scope);
-            let n = dc.n_servers();
-            for i in 0..40u64 {
-                f.schedule_flow(
-                    SimTime::from_millis(i * 23),
-                    dc.servers[(i as usize * 13) % n].id,
-                    dc.servers[(i as usize * 7 + 1) % n].id,
-                    (i % 64 + 1) * 4 * MB,
-                    i,
-                );
-            }
-            f.pump(SimTime::from_millis(300));
-            let probe: Vec<(u64, u64, u64)> = f
-                .active_flow_ids()
-                .iter()
-                .map(|&id| {
-                    (
-                        id.0,
-                        f.flow_rate(id).unwrap().to_bits(),
-                        f.flow_version(id).unwrap(),
-                    )
-                })
-                .collect();
-            let ends: Vec<(u64, SimTime)> = f.drain().into_iter().map(|c| (c.tag, c.at)).collect();
-            (probe, ends)
-        };
-        let comp = run(ReshareScope::Component);
-        let glob = run(ReshareScope::Global);
-        assert_eq!(comp.0, glob.0, "mid-run rates/versions diverged");
-        assert_eq!(comp.1, glob.1, "completion schedules diverged");
-    }
-
     /// Recording is pure observation: the completion schedule and the
     /// stats struct are bitwise identical with a recorder attached, and
     /// the recorder mirrors the final stats as counters.
@@ -1735,166 +1567,6 @@ mod tests {
             rec_on.counter_value("fabric/peak_queue_len"),
             Some(stats_on.peak_queue_len as u64)
         );
-    }
-
-    /// A rack-pair convoy (every flow through one oversubscribed
-    /// uplink) classifies single-bottleneck, is served analytically,
-    /// migrates back to filling when the population shrinks until the
-    /// NICs bind — and the whole trajectory is exactly the filling
-    /// reference's.
-    #[test]
-    fn storm_promotes_and_matches_filling_exactly() {
-        let run = |mode: SharingMode| {
-            let (dc, mut f) = fabric();
-            f.set_sharing_mode(mode);
-            let rack0: Vec<ServerId> = dc
-                .servers
-                .iter()
-                .filter(|s| s.rack.0 == 0)
-                .map(|s| s.id)
-                .collect();
-            let rack1: Vec<ServerId> = dc
-                .servers
-                .iter()
-                .filter(|s| s.rack.0 == 1)
-                .map(|s| s.id)
-                .collect();
-            assert!(rack0.len() >= 12 && rack1.len() >= 12);
-            for i in 0..12u64 {
-                f.schedule_flow(
-                    SimTime::from_millis(i * 7),
-                    rack0[i as usize],
-                    rack1[i as usize],
-                    64 * MB,
-                    i,
-                );
-            }
-            let ends: Vec<(u64, SimTime)> = f.drain().into_iter().map(|c| (c.tag, c.at)).collect();
-            (ends, *f.stats())
-        };
-        let (ends_auto, stats_auto) = run(SharingMode::Auto);
-        let (ends_fill, stats_fill) = run(SharingMode::Filling);
-        assert_eq!(ends_auto, ends_fill, "analytic schedule diverged");
-        assert_eq!(stats_auto.completed, 12);
-        assert!(
-            stats_auto.analytic_components >= 1,
-            "storm never classified single-bottleneck: {stats_auto:?}"
-        );
-        assert!(stats_auto.analytic_events > 0);
-        assert!(
-            stats_auto.fallback_migrations >= 1,
-            "NIC-bound tail never migrated: {stats_auto:?}"
-        );
-        assert_eq!(stats_fill.analytic_components, 0);
-        assert_eq!(stats_fill.analytic_events, 0);
-    }
-
-    /// Mid-run rate allocations under the analytic tier are bitwise
-    /// the global filling reference's (the randomized oracle lives in
-    /// tests/properties.rs).
-    #[test]
-    fn analytic_rates_match_global_bitwise() {
-        let run = |mode: SharingMode, scope: ReshareScope| {
-            let (dc, mut f) = fabric();
-            f.set_sharing_mode(mode);
-            f.set_reshare_scope(scope);
-            let rack0: Vec<ServerId> = dc
-                .servers
-                .iter()
-                .filter(|s| s.rack.0 == 0)
-                .map(|s| s.id)
-                .collect();
-            let rack1: Vec<ServerId> = dc
-                .servers
-                .iter()
-                .filter(|s| s.rack.0 == 1)
-                .map(|s| s.id)
-                .collect();
-            for i in 0..10u64 {
-                f.schedule_flow(
-                    SimTime::from_millis(i * 5),
-                    rack0[i as usize],
-                    rack1[i as usize],
-                    256 * MB,
-                    i,
-                );
-            }
-            f.pump(SimTime::from_millis(60));
-            let probe: Vec<(u64, u64)> = f
-                .active_flow_ids()
-                .iter()
-                .map(|&id| (id.0, f.flow_rate(id).unwrap().to_bits()))
-                .collect();
-            let ends: Vec<(u64, SimTime)> = f.drain().into_iter().map(|c| (c.tag, c.at)).collect();
-            (probe, ends)
-        };
-        let analytic = run(SharingMode::Analytic, ReshareScope::Component);
-        let global = run(SharingMode::Filling, ReshareScope::Global);
-        assert_eq!(analytic.0, global.0, "mid-run rates diverged bitwise");
-        assert_eq!(analytic.1, global.1, "completion schedules diverged");
-    }
-
-    /// The fault-interplay regression: an uplink going down mid-storm
-    /// invalidates the analytic classification. The group must migrate
-    /// its state exactly — crossing flows abort (as filling would
-    /// abort them), survivors re-promote under the new shape, and no
-    /// flow is lost or double-completed.
-    #[test]
-    fn uplink_down_mid_storm_migrates_exactly() {
-        let run = |mode: SharingMode| {
-            let (dc, mut f) = fabric();
-            f.set_sharing_mode(mode);
-            let by_rack = |r: u32| -> Vec<ServerId> {
-                dc.servers
-                    .iter()
-                    .filter(|s| s.rack.0 == r)
-                    .map(|s| s.id)
-                    .collect()
-            };
-            let (rack0, rack1, rack2) = (by_rack(0), by_rack(1), by_rack(2));
-            // 8 flows to rack 1 and 8 to rack 2, all through rack 0's
-            // uplink: one single-bottleneck component of 16.
-            for i in 0..8u64 {
-                f.schedule_flow(
-                    SimTime::ZERO,
-                    rack0[i as usize],
-                    rack1[i as usize],
-                    256 * MB,
-                    i,
-                );
-                f.schedule_flow(
-                    SimTime::ZERO,
-                    rack0[8 + i as usize],
-                    rack2[i as usize],
-                    256 * MB,
-                    100 + i,
-                );
-            }
-            f.pump(SimTime::from_millis(50));
-            // Rack 1's downlink dies mid-storm.
-            let mut aborted = f.set_link_down(SimTime::from_millis(50), f.topology().rack_down(1));
-            aborted.sort_unstable();
-            let ends: Vec<(u64, SimTime)> = f.drain().into_iter().map(|c| (c.tag, c.at)).collect();
-            (aborted, ends, *f.stats())
-        };
-        let (ab_auto, ends_auto, stats_auto) = run(SharingMode::Auto);
-        let (ab_fill, ends_fill, stats_fill) = run(SharingMode::Filling);
-        assert_eq!(ab_auto, ab_fill, "abort sets diverged");
-        assert_eq!(ends_auto, ends_fill, "survivor schedules diverged");
-        // Conservation: every scheduled flow either completed once or
-        // aborted once — none lost, none double-completed.
-        assert_eq!(ab_auto.len(), 8, "expected the rack-1 half to abort");
-        assert_eq!(stats_auto.completed, 8);
-        assert_eq!(stats_auto.flows_aborted, 8);
-        assert_eq!(stats_fill.completed, 8);
-        let mut seen = ends_auto.iter().map(|(tag, _)| *tag).collect::<Vec<_>>();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), 8, "a survivor completed twice");
-        // The fault really did hit a live analytic group, and the
-        // survivors re-promoted afterwards.
-        assert!(stats_auto.fallback_migrations >= 1, "{stats_auto:?}");
-        assert!(stats_auto.analytic_components >= 2, "{stats_auto:?}");
     }
 
     #[test]

@@ -46,6 +46,5 @@ pub mod fabric;
 pub mod topology;
 
 pub use config::NetworkConfig;
-pub use fabric::{Fabric, FabricStats, FlowCompletion, FlowId, ReshareScope};
-pub use harvest_sim::fairshare::SharingMode;
+pub use fabric::{Fabric, FabricStats, FlowCompletion, FlowId};
 pub use topology::{LinkId, Path, Topology};

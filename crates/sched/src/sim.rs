@@ -88,7 +88,7 @@ use harvest_sim::fault::{FaultKind, FaultPlan};
 use harvest_sim::obs::{GaugeId, HistogramId, Recorder, StateTrackId, TrackId};
 use harvest_sim::rng::stream_rng;
 use harvest_sim::supervise::CancelToken;
-use harvest_sim::{SharingMode, SimDuration, SimTime};
+use harvest_sim::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -151,11 +151,6 @@ pub struct SchedSimConfig {
     /// finishes. Composes with `network`; meaningful on its own too
     /// (disk-bound shuffles over a free wire).
     pub disk: Option<DiskConfig>,
-    /// Fair-sharing engine for the fabric and disk pool
-    /// ([`SharingMode::Auto`] by default: analytic O(log n) on
-    /// single-bottleneck components and channels, progressive filling
-    /// elsewhere; results identical either way).
-    pub sharing: SharingMode,
     /// Intermediate bytes each upstream task ships per dependent edge
     /// (only meaningful with `network` or `disk` set).
     pub shuffle_bytes_per_task: u64,
@@ -196,7 +191,6 @@ impl SchedSimConfig {
             record_server_load: false,
             network: None,
             disk: None,
-            sharing: SharingMode::default(),
             shuffle_bytes_per_task: DEFAULT_BYTES_PER_TASK,
             sweep: TickSweep::Incremental,
             faults: FaultPlan::none(),
@@ -497,16 +491,16 @@ impl<'a> Runner<'a> {
                 history.record(&q.name, q.critical_path());
             }
         }
-        let mut fabric = sim.cfg.network.as_ref().map(|net| {
-            let mut f = Fabric::from_datacenter(sim.dc, net);
-            f.set_sharing_mode(sim.cfg.sharing);
-            f
-        });
-        let mut disks = sim.cfg.disk.as_ref().map(|d| {
-            let mut p = DiskPool::from_datacenter(sim.dc, d);
-            p.set_sharing_mode(sim.cfg.sharing);
-            p
-        });
+        let mut fabric = sim
+            .cfg
+            .network
+            .as_ref()
+            .map(|net| Fabric::from_datacenter(sim.dc, net));
+        let mut disks = sim
+            .cfg
+            .disk
+            .as_ref()
+            .map(|d| DiskPool::from_datacenter(sim.dc, d));
         if rec.is_on() {
             if let Some(f) = fabric.as_mut() {
                 f.set_recorder(rec.child());

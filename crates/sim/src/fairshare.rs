@@ -1,16 +1,17 @@
 //! Analytic max-min fair sharing for a single saturated resource.
 //!
-//! Progressive filling (the `net::fabric` / `disk::pool` reference
-//! algorithm) recomputes every flow's rate whenever any flow starts or
-//! finishes, which costs O(component) per event and turns a fleet-wide
-//! reimage storm — every flow in one connected component — quadratic.
-//! But when a component is *single-bottleneck* (all flows cross one
-//! common saturated link), max-min fair sharing degenerates to an
-//! equal split of that link, and the whole trajectory can be tracked
-//! analytically in O(log n) per event. This module implements that
-//! engine; `net::fabric` routes provably single-bottleneck components
-//! through it and `disk::pool` (whose channels are single-bottleneck
-//! by construction) adopts it wholesale.
+//! Progressive filling (the general max-min algorithm, `net::fabric`'s
+//! multi-bottleneck fallback) recomputes every flow's rate whenever any
+//! flow starts or finishes, which costs O(component) per event and
+//! turns a fleet-wide reimage storm — every flow in one connected
+//! component — quadratic. But when a component is *single-bottleneck*
+//! (all flows cross one common saturated link), max-min fair sharing
+//! degenerates to an equal split of that link, and the whole trajectory
+//! can be tracked analytically in O(log n) per event. This module
+//! implements that engine; `net::fabric` routes provably
+//! single-bottleneck components through it and `disk::pool` (whose
+//! channels are single-bottleneck by construction) serves every
+//! occupied channel with it.
 //!
 //! # The virtual fair-work clock
 //!
@@ -30,75 +31,26 @@
 //! The per-flow rate is computed as `capacity / n as f64` — the very
 //! same floating-point operation progressive filling performs on its
 //! first (and, for a single-bottleneck component, only) iteration, so
-//! rates agree **bitwise** with the filling reference. Completion
-//! times re-associate the arithmetic: filling folds `(r − a) − b − …`
-//! across reshares while the clock computes `r − (a + b + …)`, so the
-//! two schedules can differ by a few ulps (≈1e-16 relative). Simulated
-//! time is integer milliseconds and `SimDuration::from_secs_f64`
-//! rounds to the nearest millisecond, so the drift virtually never
-//! moves a completion across a millisecond boundary; trajectories with
-//! at most one clock-accumulation step between a flow's entry and its
-//! completion are exact. The oracle property tests pin rates bitwise
-//! and completion schedules at full `SimTime` resolution.
+//! rates agree **bitwise** with a filling reference. Completion times
+//! re-associate the arithmetic: a reference that advances each flow
+//! folds `(r − a) − b − …` across re-shares while the clock computes
+//! `r − (a + b + …)`, so the two schedules can differ by a few ulps
+//! (≈1e-16 relative). Simulated time is integer milliseconds and
+//! `SimDuration::from_secs_f64` rounds to the nearest millisecond, so
+//! the drift virtually never moves a completion across a millisecond
+//! boundary. The oracle tests (the dev-only `harvest-oracle` crate)
+//! pin rates bitwise and completion schedules exactly.
 //!
-//! Ties (equal keys) complete in ascending flow id, matching the
-//! reference's ascending-id event pushes and the event queue's FIFO
-//! tie-break.
+//! Ties (equal keys) complete in ascending flow id. Completions that
+//! land on the same millisecond may therefore pop in a different order
+//! than in a reference that breaks ties another way, so schedules are
+//! compared sorted by (time, id).
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// Which fair-sharing engine a fabric or pool uses.
-///
-/// `Auto` (the default) routes provably single-bottleneck components
-/// through the analytic engine and falls back to progressive filling
-/// everywhere else, so it allocates exactly what `Filling` would.
-/// `Analytic` is `Auto` under a different name — the classifier still
-/// gates admission, because forcing the analytic engine onto a
-/// multi-bottleneck component would *change* the allocation, and the
-/// engines are required to agree. `Filling` disables the analytic
-/// path entirely (the A/B baseline; `ReshareScope::Global` implies it,
-/// since the global reference *is* progressive filling).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SharingMode {
-    /// Classifier-gated analytic fast path, filling fallback (default).
-    #[default]
-    Auto,
-    /// Same engine selection as `Auto`; named for explicit A/B runs.
-    Analytic,
-    /// Progressive filling only — the reference allocator.
-    Filling,
-}
-
-impl SharingMode {
-    /// Parses a `--sharing` argument. Accepts `auto`, `analytic`,
-    /// `filling`.
-    pub fn parse(s: &str) -> Option<SharingMode> {
-        match s {
-            "auto" => Some(SharingMode::Auto),
-            "analytic" => Some(SharingMode::Analytic),
-            "filling" => Some(SharingMode::Filling),
-            _ => None,
-        }
-    }
-
-    /// The canonical flag spelling, for help text and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            SharingMode::Auto => "auto",
-            SharingMode::Analytic => "analytic",
-            SharingMode::Filling => "filling",
-        }
-    }
-
-    /// Whether the analytic engine may serve components at all.
-    pub fn analytic_allowed(self) -> bool {
-        !matches!(self, SharingMode::Filling)
-    }
-}
 
 /// A member's heap entry: (key bits, id). Keys are non-negative finite
 /// `f64`, for which IEEE-754 bit patterns order identically to the
@@ -267,22 +219,6 @@ mod tests {
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
-    }
-
-    #[test]
-    fn sharing_mode_parses_and_round_trips() {
-        for mode in [
-            SharingMode::Auto,
-            SharingMode::Analytic,
-            SharingMode::Filling,
-        ] {
-            assert_eq!(SharingMode::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(SharingMode::parse("fair"), None);
-        assert_eq!(SharingMode::default(), SharingMode::Auto);
-        assert!(SharingMode::Auto.analytic_allowed());
-        assert!(SharingMode::Analytic.analytic_allowed());
-        assert!(!SharingMode::Filling.analytic_allowed());
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod supervise;
 pub mod time;
 
 pub use engine::{EventKey, EventQueue};
-pub use fairshare::{FairShare, SharingMode};
+pub use fairshare::FairShare;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultProfile};
 pub use obs::Recorder;
 pub use par::{default_jobs, par_map, par_map_profiled, par_map_with};

@@ -669,15 +669,16 @@ impl Recorder {
 
     /// Records [`crate::par::par_map_profiled`] worker profiles as one
     /// wall track per worker (`{label}/w{worker}`), one span per task.
+    /// A worker that ran no task still gets its (empty) track.
     pub fn record_worker_profiles(&mut self, label: &str, profiles: &[WorkerProfile]) {
-        if self.inner.is_none() {
-            return;
-        }
+        let Some(inner) = &mut self.inner else { return };
         for p in profiles {
-            let track = format!("{label}/w{}", p.worker);
-            for t in &p.tasks {
-                self.wall_span(&track, &format!("task {}", t.task), t.start_us, t.end_us);
-            }
+            let track = inner.wall_track_mut(&format!("{label}/w{}", p.worker));
+            track.spans.extend(p.tasks.iter().map(|t| WallSpan {
+                label: format!("task {}", t.task),
+                start_us: t.start_us,
+                end_us: t.end_us,
+            }));
         }
     }
 
@@ -1181,6 +1182,31 @@ mod tests {
     use super::json::Value;
     use super::*;
     use crate::time::SimDuration;
+
+    /// Every worker profile gets its wall track, including a worker
+    /// that never claimed a task.
+    #[test]
+    fn idle_workers_keep_their_wall_track() {
+        let mut r = Recorder::new("t");
+        let busy = WorkerProfile {
+            worker: 1,
+            tasks: vec![crate::par::TaskTiming {
+                task: 0,
+                start_us: 5,
+                end_us: 9,
+            }],
+        };
+        let idle = WorkerProfile {
+            worker: 0,
+            tasks: Vec::new(),
+        };
+        r.record_worker_profiles("sweep", &[idle, busy]);
+        let trace = r.chrome_trace_json();
+        json::parse(&trace).expect("trace parses");
+        assert!(trace.contains("\"sweep/w0\""), "idle worker lost its track");
+        assert!(trace.contains("\"sweep/w1\""));
+        assert!(trace.contains("\"task 0\""));
+    }
 
     #[test]
     fn off_recorder_is_inert() {

@@ -4,9 +4,9 @@ use harvest::cluster::{Datacenter, ServerId};
 use harvest::dfs::grid::Grid2D;
 use harvest::dfs::placement::{PlacementPolicy, Placer};
 use harvest::dfs::store::BlockStore;
-use harvest::disk::{DiskConfig, DiskPool, IoDir};
+use harvest::disk::{DiskConfig, DiskPool, IoDir, StreamCompletion, StreamId};
 use harvest::jobs::length::LengthThresholds;
-use harvest::net::{Fabric, NetworkConfig};
+use harvest::net::{Fabric, FlowCompletion, FlowId, NetworkConfig};
 use harvest::signal::fft::{fft_in_place, ifft_in_place};
 use harvest::signal::kmeans::kmeans;
 use harvest::signal::Complex;
@@ -15,6 +15,7 @@ use harvest::sim::metrics::{empirical_cdf, Percentiles, StreamingStats};
 use harvest::sim::time::{SimDuration, SimTime};
 use harvest::trace::scaling::{calibrate, scale, ScalingKind};
 use harvest::trace::timeseries::TimeSeries;
+use harvest_oracle::{OracleFabric, OraclePool};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -187,31 +188,16 @@ fn fabric_dc() -> Datacenter {
     )
 }
 
-/// Builds a fabric carrying `flows` (src, dst, bytes, start-ms tuples
-/// mapped into the datacenter) and pumps it to `probe_ms`.
-fn loaded_fabric(dc: &Datacenter, flows: &[(usize, usize, u64, u64)], probe_ms: u64) -> Fabric {
-    loaded_fabric_scoped(
-        dc,
-        flows,
-        probe_ms,
-        harvest::net::ReshareScope::Component,
-        harvest::net::SharingMode::default(),
-    )
-}
-
-fn loaded_fabric_scoped(
+/// Schedules `flows` ((src, dst, bytes, start-ms) tuples mapped into
+/// the datacenter) through `schedule` — on a fabric or its reference.
+fn schedule_flows(
     dc: &Datacenter,
     flows: &[(usize, usize, u64, u64)],
-    probe_ms: u64,
-    scope: harvest::net::ReshareScope,
-    mode: harvest::net::SharingMode,
-) -> Fabric {
-    let mut fabric = Fabric::from_datacenter(dc, &NetworkConfig::datacenter());
-    fabric.set_reshare_scope(scope);
-    fabric.set_sharing_mode(mode);
+    mut schedule: impl FnMut(SimTime, ServerId, ServerId, u64, u64),
+) {
     let n = dc.n_servers();
     for (i, &(s, d, bytes, at)) in flows.iter().enumerate() {
-        fabric.schedule_flow(
+        schedule(
             SimTime::from_millis(at),
             ServerId((s % n) as u32),
             ServerId((d % n) as u32),
@@ -220,8 +206,54 @@ fn loaded_fabric_scoped(
             i as u64,
         );
     }
+}
+
+/// Builds a fabric carrying `flows` and pumps it to `probe_ms`.
+fn loaded_fabric(dc: &Datacenter, flows: &[(usize, usize, u64, u64)], probe_ms: u64) -> Fabric {
+    let mut fabric = Fabric::from_datacenter(dc, &NetworkConfig::datacenter());
+    schedule_flows(dc, flows, |at, s, d, b, tag| {
+        fabric.schedule_flow(at, s, d, b, tag);
+    });
     fabric.pump(SimTime::from_millis(probe_ms));
     fabric
+}
+
+/// The fabric and the reference filling over the same `flows`, both
+/// pumped to `probe_ms`, with the completions each reported by then.
+fn fabric_and_oracle(
+    dc: &Datacenter,
+    flows: &[(usize, usize, u64, u64)],
+    probe_ms: u64,
+) -> (
+    (Fabric, Vec<FlowCompletion>),
+    (OracleFabric, Vec<FlowCompletion>),
+) {
+    let net = NetworkConfig::datacenter();
+    let mut fabric = Fabric::from_datacenter(dc, &net);
+    let mut oracle = OracleFabric::from_datacenter(dc, &net);
+    schedule_flows(dc, flows, |at, s, d, b, tag| {
+        fabric.schedule_flow(at, s, d, b, tag);
+        oracle.schedule_flow(at, s, d, b, tag);
+    });
+    let probe = SimTime::from_millis(probe_ms);
+    let early = fabric.pump(probe);
+    let early_oracle = oracle.pump(probe);
+    ((fabric, early), (oracle, early_oracle))
+}
+
+/// Every active flow's rate bits, ascending by id.
+fn flow_rates(ids: Vec<FlowId>, rate: impl Fn(FlowId) -> Option<f64>) -> Vec<(u64, u64)> {
+    ids.into_iter()
+        .map(|id| (id.0, rate(id).expect("active").to_bits()))
+        .collect()
+}
+
+/// A completion list as (time, tag), sorted: completions that share a
+/// millisecond may be reported in a different order.
+fn sorted_ends<C>(done: Vec<C>, key: impl Fn(&C) -> (SimTime, u64)) -> Vec<(SimTime, u64)> {
+    let mut ends: Vec<(SimTime, u64)> = done.iter().map(key).collect();
+    ends.sort_unstable();
+    ends
 }
 
 proptest! {
@@ -319,45 +351,32 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// The incremental-allocator oracle: component-scoped re-sharing is
-    /// *bitwise* identical to the reference global recompute — same
-    /// rates (compared by bit pattern), same versions, same completion
-    /// schedule — across randomized storm workloads. Pinned to
-    /// `SharingMode::Filling`: versions are a filling-tier concept
-    /// (frozen while a flow is enrolled in an analytic group), and this
-    /// oracle compares the two *filling* scopes; the analytic tier has
-    /// its own oracles below.
+    /// The incremental-allocator oracle: component-scoped re-sharing,
+    /// with the analytic tier on whatever the classifier promotes,
+    /// allocates *bitwise* what max-min progressive filling over every
+    /// active flow allocates (rates compared by bit pattern), and every
+    /// flow completes at the same instant, across randomized storm
+    /// workloads. Schedules are compared sorted by (time, tag).
     #[test]
     fn fabric_component_reshare_matches_global_oracle(
         flows in prop::collection::vec((0usize..500, 0usize..500, 0u64..64, 0u64..400), 1..60),
         probe_ms in 0u64..400,
     ) {
         let dc = fabric_dc();
-        let run = |scope: harvest::net::ReshareScope| {
-            let mut f = loaded_fabric_scoped(
-                &dc,
-                &flows,
-                probe_ms,
-                scope,
-                harvest::net::SharingMode::Filling,
-            );
-            let probe: Vec<(u64, u64, u64)> = f
-                .active_flow_ids()
-                .iter()
-                .map(|&id| (
-                    id.0,
-                    f.flow_rate(id).unwrap().to_bits(),
-                    f.flow_version(id).unwrap(),
-                ))
-                .collect();
-            let ends: Vec<(u64, harvest::sim::SimTime)> =
-                f.drain().into_iter().map(|c| (c.tag, c.at)).collect();
-            (probe, ends)
-        };
-        let comp = run(harvest::net::ReshareScope::Component);
-        let glob = run(harvest::net::ReshareScope::Global);
-        prop_assert_eq!(&comp.0, &glob.0, "mid-storm rates/versions diverged");
-        prop_assert_eq!(&comp.1, &glob.1, "completion schedules diverged");
+        let ((mut f, mut ends), (mut o, mut ends_oracle)) = fabric_and_oracle(&dc, &flows, probe_ms);
+        prop_assert_eq!(
+            flow_rates(f.active_flow_ids(), |id| f.flow_rate(id)),
+            flow_rates(o.active_flow_ids(), |id| o.flow_rate(id)),
+            "mid-storm rates diverged"
+        );
+        ends.extend(f.drain());
+        ends_oracle.extend(o.drain());
+        let key = |c: &FlowCompletion| (c.at, c.tag);
+        prop_assert_eq!(
+            sorted_ends(ends, key),
+            sorted_ends(ends_oracle, key),
+            "completion schedules diverged"
+        );
     }
 
     /// The analytic-tier oracle on its home turf: every flow leaves one
@@ -365,13 +384,13 @@ proptest! {
     /// single bottleneck and the classifier must promote it (singleton
     /// components are left on filling — the fast path needs at least
     /// two concurrent flows to have anything to share). Mid-storm rates
-    /// are *bitwise* identical to the global filling reference (both
-    /// tiers compute `capacity / n` on identical populations) and
-    /// every flow's completion *time* matches exactly. Completions
-    /// landing on the same millisecond may pop in a different order
-    /// (the analytic heap breaks ties by fair-work key, filling's
-    /// queue by push order — the integer clock erases the sub-ms
-    /// distinction), so schedules are compared sorted by (time, tag).
+    /// are *bitwise* the reference filling's (both compute
+    /// `capacity / n` on identical populations) and every flow's
+    /// completion *time* matches exactly. Completions landing on the
+    /// same millisecond may pop in a different order (the analytic heap
+    /// breaks ties by fair-work key, the reference by id — the integer
+    /// clock erases the sub-ms distinction), so schedules are compared
+    /// sorted by (time, tag).
     #[test]
     fn fabric_single_bottleneck_analytic_matches_global_bitwise(
         flows in prop::collection::vec((0usize..500, 0u64..64), 2..50),
@@ -386,122 +405,109 @@ proptest! {
                 (src, if d % n == src % n { d + 1 } else { d }, b, 0)
             })
             .collect();
-        let run = |scope, mode| {
-            let mut f = loaded_fabric_scoped(&dc, &shaped, probe_ms, scope, mode);
-            let probe: Vec<(u64, u64)> = f
-                .active_flow_ids()
-                .iter()
-                .map(|&id| (id.0, f.flow_rate(id).unwrap().to_bits()))
-                .collect();
-            let mut ends: Vec<(harvest::sim::SimTime, u64)> =
-                f.drain().into_iter().map(|c| (c.at, c.tag)).collect();
-            ends.sort();
-            (probe, ends, f.stats().analytic_events)
-        };
-        let ana = run(
-            harvest::net::ReshareScope::Component,
-            harvest::net::SharingMode::Auto,
+        let ((mut f, mut ends), (mut o, mut ends_oracle)) = fabric_and_oracle(&dc, &shaped, probe_ms);
+        prop_assert_eq!(
+            flow_rates(f.active_flow_ids(), |id| f.flow_rate(id)),
+            flow_rates(o.active_flow_ids(), |id| o.flow_rate(id)),
+            "mid-storm rates diverged"
         );
-        let glob = run(
-            harvest::net::ReshareScope::Global,
-            harvest::net::SharingMode::Filling,
+        ends.extend(f.drain());
+        ends_oracle.extend(o.drain());
+        let key = |c: &FlowCompletion| (c.at, c.tag);
+        prop_assert_eq!(
+            sorted_ends(ends, key),
+            sorted_ends(ends_oracle, key),
+            "completion schedules diverged"
         );
-        prop_assert_eq!(&ana.0, &glob.0, "mid-storm rates diverged");
-        prop_assert_eq!(&ana.1, &glob.1, "completion schedules diverged");
-        prop_assert!(ana.2 > 0, "classifier never promoted a single-bottleneck component");
+        prop_assert!(
+            f.stats().analytic_events > 0,
+            "classifier never promoted a single-bottleneck component"
+        );
     }
 
     /// The analytic tier on *mixed* workloads (arbitrary src/dst pairs,
     /// so components may have several bottlenecks and only some
-    /// promote): `Auto` conserves capacity and completes the same flows
-    /// as the global filling reference, with every completion within
+    /// promote): the fabric conserves capacity and completes the same
+    /// flows as the reference filling, with every completion within
     /// 1 ms. Rates are bitwise identical whichever tier serves a
     /// component; completion *times* may differ by float reassociation
-    /// (filling folds `(r - a) - b`, the fair-work clock computes
-    /// `r - (a + b)`), which the millisecond clock rounds away —
-    /// documented tolerance: one clock quantum.
+    /// and by the order same-millisecond completions are served in,
+    /// which the millisecond clock bounds — documented tolerance: one
+    /// clock quantum.
     #[test]
     fn fabric_mixed_analytic_matches_global_schedule(
         flows in prop::collection::vec((0usize..500, 0usize..500, 0u64..64, 0u64..400), 1..60),
         probe_ms in 0u64..400,
     ) {
         let dc = fabric_dc();
-        let run = |scope, mode| {
-            let mut f = loaded_fabric_scoped(&dc, &flows, probe_ms, scope, mode);
-            for l in 0..f.topology().n_links() {
-                let link = harvest::net::LinkId(l as u32);
-                assert!(
-                    f.link_load(link) <= f.topology().capacity(link) * (1.0 + 1e-9),
-                    "link {l} overloaded under analytic sharing"
-                );
-            }
-            let mut ends: Vec<(u64, i64)> = f
-                .drain()
-                .into_iter()
-                .map(|c| (c.tag, c.at.as_millis() as i64))
-                .collect();
-            ends.sort();
-            ends
-        };
-        let ana = run(
-            harvest::net::ReshareScope::Component,
-            harvest::net::SharingMode::Auto,
-        );
-        let glob = run(
-            harvest::net::ReshareScope::Global,
-            harvest::net::SharingMode::Filling,
-        );
-        prop_assert_eq!(ana.len(), glob.len(), "flow counts diverged");
-        for (a, g) in ana.iter().zip(glob.iter()) {
-            prop_assert_eq!(a.0, g.0, "completion order diverged");
+        let ((mut f, mut ends), (mut o, mut ends_oracle)) = fabric_and_oracle(&dc, &flows, probe_ms);
+        for l in 0..f.topology().n_links() {
+            let link = harvest::net::LinkId(l as u32);
             prop_assert!(
-                (a.1 - g.1).abs() <= 1,
-                "flow {} finished at {} analytic vs {} filling (> 1 ms apart)",
-                a.0, a.1, g.1
+                f.link_load(link) <= f.topology().capacity(link) * (1.0 + 1e-9),
+                "link {} overloaded under analytic sharing", l
+            );
+        }
+        ends.extend(f.drain());
+        ends_oracle.extend(o.drain());
+        let by_tag = |done: Vec<FlowCompletion>| {
+            let mut e: Vec<(u64, i64)> =
+                done.iter().map(|c| (c.tag, c.at.as_millis() as i64)).collect();
+            e.sort_unstable();
+            e
+        };
+        let (ana, reference) = (by_tag(ends), by_tag(ends_oracle));
+        prop_assert_eq!(ana.len(), flows.len(), "flows went missing");
+        prop_assert_eq!(ana.len(), reference.len(), "flow counts diverged");
+        for (a, r) in ana.iter().zip(reference.iter()) {
+            prop_assert_eq!(a.0, r.0, "completion sets diverged");
+            prop_assert!(
+                (a.1 - r.1).abs() <= 1,
+                "flow {} finished at {} vs {} in the reference (> 1 ms apart)",
+                a.0, a.1, r.1
             );
         }
     }
 }
 
+/// Disks in the pools the disk properties build.
+const N_DISKS: usize = 48;
+
 /// Builds a pool of `N_DISKS` carrying `streams` ((server, dir, bytes,
 /// start-ms) tuples) under per-disk primary utilizations drawn from
 /// `utils`, and pumps it to `probe_ms`.
-const N_DISKS: usize = 48;
-
 fn loaded_pool(
     streams: &[(usize, u64, u64, u64)],
     utils: &[(usize, u64)],
     probe_ms: u64,
 ) -> DiskPool {
-    loaded_pool_scoped(
-        streams,
-        utils,
-        probe_ms,
-        harvest::disk::ReshareScope::Channel,
-        harvest::disk::SharingMode::default(),
-    )
+    let mut pool = DiskPool::new(N_DISKS, &DiskConfig::datacenter());
+    for (server, util) in primary_utils(utils) {
+        pool.set_primary_util(SimTime::ZERO, server, util);
+    }
+    schedule_streams(streams, |at, server, dir, bytes, tag| {
+        pool.schedule_stream(at, server, dir, bytes, tag);
+    });
+    pool.pump(SimTime::from_millis(probe_ms));
+    pool
 }
 
-fn loaded_pool_scoped(
+/// `utils` ((server, centi-util) pairs) mapped onto the pool's disks.
+fn primary_utils(utils: &[(usize, u64)]) -> impl Iterator<Item = (ServerId, f64)> + '_ {
+    utils
+        .iter()
+        .map(|&(server, centi)| (ServerId((server % N_DISKS) as u32), centi as f64 / 100.0))
+}
+
+/// Schedules `streams` ((server, write, bytes, start-ms) tuples)
+/// through `schedule` — on a pool or its reference.
+fn schedule_streams(
     streams: &[(usize, u64, u64, u64)],
-    utils: &[(usize, u64)],
-    probe_ms: u64,
-    scope: harvest::disk::ReshareScope,
-    mode: harvest::disk::SharingMode,
-) -> DiskPool {
-    let mut pool = DiskPool::new(N_DISKS, &DiskConfig::datacenter());
-    pool.set_reshare_scope(scope);
-    pool.set_sharing_mode(mode);
-    for &(server, centi_util) in utils {
-        pool.set_primary_util(
-            harvest::sim::SimTime::ZERO,
-            ServerId((server % N_DISKS) as u32),
-            centi_util as f64 / 100.0,
-        );
-    }
+    mut schedule: impl FnMut(SimTime, ServerId, IoDir, u64, u64),
+) {
     for (i, &(server, write, bytes, at)) in streams.iter().enumerate() {
-        pool.schedule_stream(
-            harvest::sim::SimTime::from_millis(at),
+        schedule(
+            SimTime::from_millis(at),
             ServerId((server % N_DISKS) as u32),
             if write % 2 == 1 {
                 IoDir::Write
@@ -513,8 +519,33 @@ fn loaded_pool_scoped(
             i as u64,
         );
     }
-    pool.pump(harvest::sim::SimTime::from_millis(probe_ms));
-    pool
+}
+
+/// The pool and the reference equal split over the same `streams`
+/// and `utils`, not yet pumped.
+fn pool_and_oracle(
+    streams: &[(usize, u64, u64, u64)],
+    utils: &[(usize, u64)],
+) -> (DiskPool, OraclePool) {
+    let config = DiskConfig::datacenter();
+    let mut pool = DiskPool::new(N_DISKS, &config);
+    let mut oracle = OraclePool::new(N_DISKS, &config);
+    for (server, util) in primary_utils(utils) {
+        pool.set_primary_util(SimTime::ZERO, server, util);
+        oracle.set_primary_util(SimTime::ZERO, server, util);
+    }
+    schedule_streams(streams, |at, server, dir, bytes, tag| {
+        pool.schedule_stream(at, server, dir, bytes, tag);
+        oracle.schedule_stream(at, server, dir, bytes, tag);
+    });
+    (pool, oracle)
+}
+
+/// Every active stream's rate bits, ascending by id.
+fn stream_rates(ids: Vec<StreamId>, rate: impl Fn(StreamId) -> Option<f64>) -> Vec<(u64, u64)> {
+    ids.into_iter()
+        .map(|id| (id.0, rate(id).expect("active").to_bits()))
+        .collect()
 }
 
 proptest! {
@@ -601,83 +632,98 @@ proptest! {
         }
     }
 
-    /// The disk-pool oracle: channel-scoped re-sharing is *bitwise*
-    /// identical to the reference global recompute (every channel
-    /// re-shared on every event) — same rates, versions, and completion
-    /// schedule — across randomized storm workloads. Utilizations are
-    /// capped below the throttle threshold so drain() terminates.
-    /// Pinned to `SharingMode::Filling`: versions are a filling-tier
-    /// concept (frozen while a stream is enrolled in an analytic
-    /// group); the analytic tier has its own oracle below.
+    /// The disk-pool oracle: channel-scoped sharing is *bitwise* the
+    /// reference's equal split of every channel on every event, at any
+    /// primary utilization — throttled and fully parked channels
+    /// included — across randomized storm workloads.
     #[test]
     fn disk_channel_reshare_matches_global_oracle(
         streams in prop::collection::vec((0usize..500, 0u64..2, 0u64..64, 0u64..400), 1..60),
-        utils in prop::collection::vec((0usize..500, 0u64..45), 0..8),
+        utils in prop::collection::vec((0usize..500, 0u64..100), 0..16),
         probe_ms in 0u64..400,
     ) {
-        let run = |scope: harvest::disk::ReshareScope| {
-            let mut p = loaded_pool_scoped(
-                &streams,
-                &utils,
-                probe_ms,
-                scope,
-                harvest::disk::SharingMode::Filling,
-            );
-            let probe: Vec<(u64, u64, u64)> = p
-                .active_stream_ids()
-                .iter()
-                .map(|&id| (
-                    id.0,
-                    p.stream_rate(id).unwrap().to_bits(),
-                    p.stream_version(id).unwrap(),
-                ))
-                .collect();
-            let ends: Vec<(u64, harvest::sim::SimTime)> =
-                p.drain().into_iter().map(|c| (c.tag, c.at)).collect();
-            (probe, ends)
-        };
-        let chan = run(harvest::disk::ReshareScope::Channel);
-        let glob = run(harvest::disk::ReshareScope::Global);
-        prop_assert_eq!(&chan.0, &glob.0, "mid-storm rates/versions diverged");
-        prop_assert_eq!(&chan.1, &glob.1, "completion schedules diverged");
+        let (mut p, mut o) = pool_and_oracle(&streams, &utils);
+        let probe = SimTime::from_millis(probe_ms);
+        let key = |c: &StreamCompletion| (c.at, c.tag);
+        prop_assert_eq!(
+            sorted_ends(p.pump(probe), key),
+            sorted_ends(o.pump(probe), key),
+            "completions before the probe diverged"
+        );
+        prop_assert_eq!(
+            stream_rates(p.active_stream_ids(), |id| p.stream_rate(id)),
+            stream_rates(o.active_stream_ids(), |id| o.stream_rate(id)),
+            "mid-storm rates diverged"
+        );
     }
 
-    /// The disk analytic-tier oracle: channels are single-bottleneck by
-    /// construction, so under `Auto` every occupied channel promotes.
-    /// Mid-storm rates are *bitwise* identical to the global filling
-    /// reference and every completion *time* matches exactly (both
-    /// tiers divide the same capacity by the same population; the
-    /// millisecond clock rounds away the reassociation drift).
-    /// Same-millisecond completions may pop in a different order
-    /// across tiers, so schedules are compared sorted by (time, tag).
+    /// The disk schedule oracle: every occupied channel is served by
+    /// its own fair-share engine, and the completion schedule matches
+    /// the reference's exactly (the millisecond clock rounds away the
+    /// fair-work clock's reassociation drift). Same-millisecond
+    /// completions may pop in a different order, so schedules are
+    /// compared sorted by (time, tag). Utilizations are capped below
+    /// the throttle threshold so drain() terminates.
     #[test]
     fn disk_analytic_matches_global_oracle(
         streams in prop::collection::vec((0usize..500, 0u64..2, 0u64..64, 0u64..400), 1..60),
         utils in prop::collection::vec((0usize..500, 0u64..45), 0..8),
-        probe_ms in 0u64..400,
     ) {
-        let run = |scope, mode| {
-            let mut p = loaded_pool_scoped(&streams, &utils, probe_ms, scope, mode);
-            let probe: Vec<(u64, u64)> = p
-                .active_stream_ids()
-                .iter()
-                .map(|&id| (id.0, p.stream_rate(id).unwrap().to_bits()))
-                .collect();
-            let mut ends: Vec<(harvest::sim::SimTime, u64)> =
-                p.drain().into_iter().map(|c| (c.at, c.tag)).collect();
-            ends.sort();
-            (probe, ends)
-        };
-        let ana = run(
-            harvest::disk::ReshareScope::Channel,
-            harvest::disk::SharingMode::Auto,
+        let (mut p, mut o) = pool_and_oracle(&streams, &utils);
+        let key = |c: &StreamCompletion| (c.at, c.tag);
+        let ends = sorted_ends(p.drain(), key);
+        prop_assert_eq!(ends.len(), streams.len(), "streams went missing");
+        prop_assert_eq!(ends, sorted_ends(o.drain(), key), "completion schedules diverged");
+    }
+
+    /// Throttle park and rescue against the reference: mid-run, one
+    /// disk's primary crosses the paper policy's throttle threshold
+    /// (parking its streams) and drops back, and another disk browns
+    /// out to zero and recovers. Rates match bitwise at every stage,
+    /// and the whole completion schedule matches exactly.
+    #[test]
+    fn disk_park_and_rescue_matches_oracle(
+        streams in prop::collection::vec((0usize..8, 0u64..2, 0u64..64, 0u64..400), 1..40),
+        utils in prop::collection::vec((0usize..500, 0u64..45), 0..8),
+        stages in prop::collection::vec(50u64..600, 4),
+        hot in 0u32..8,
+        offset in 1u32..8,
+    ) {
+        let (hot, browned) = (ServerId(hot), ServerId((hot + offset) % 8));
+        let (mut p, mut o) = pool_and_oracle(&streams, &utils);
+        let key = |c: &StreamCompletion| (c.at, c.tag);
+        let (mut ends, mut ends_oracle) = (Vec::new(), Vec::new());
+        let mut at = SimTime::ZERO;
+        // Park (util 0.95 ⇒ demand above the 0.5 threshold), brown out,
+        // rescue, restore.
+        let steps: [(ServerId, bool, f64); 4] =
+            [(hot, true, 0.95), (browned, false, 0.0), (hot, true, 0.1), (browned, false, 1.0)];
+        for (&gap, &(server, util, v)) in stages.iter().zip(&steps) {
+            at += SimDuration::from_millis(gap);
+            ends.extend(p.pump(at));
+            ends_oracle.extend(o.pump(at));
+            if util {
+                p.set_primary_util(at, server, v);
+                o.set_primary_util(at, server, v);
+            } else {
+                p.set_degrade(at, server, v);
+                o.set_degrade(at, server, v);
+            }
+            prop_assert_eq!(
+                stream_rates(p.active_stream_ids(), |id| p.stream_rate(id)),
+                stream_rates(o.active_stream_ids(), |id| o.stream_rate(id)),
+                "rates diverged after setting {:?} to {}", server, v
+            );
+        }
+        prop_assert!(!p.is_throttled(hot));
+        ends.extend(p.drain());
+        ends_oracle.extend(o.drain());
+        prop_assert_eq!(ends.len(), streams.len(), "streams went missing");
+        prop_assert_eq!(
+            sorted_ends(ends, key),
+            sorted_ends(ends_oracle, key),
+            "completion schedules diverged"
         );
-        let glob = run(
-            harvest::disk::ReshareScope::Global,
-            harvest::disk::SharingMode::Filling,
-        );
-        prop_assert_eq!(&ana.0, &glob.0, "mid-storm rates diverged");
-        prop_assert_eq!(&ana.1, &glob.1, "completion schedules diverged");
     }
 
     /// The disk pool replays bit-identically for identical inputs.
@@ -999,11 +1045,10 @@ proptest! {
         let mut knobs = FaultPlan::none();
         knobs.max_retries = retries;
         knobs.shed_inflight_above = Some(shed);
-        let mode = harvest::sim::SharingMode::Auto;
         let a = run_loss(
-            &dc, PlacementPolicy::Stock, 3, 2, seed, 0, None, None, mode, &FaultPlan::none(),
+            &dc, PlacementPolicy::Stock, 3, 2, seed, 0, None, None, &FaultPlan::none(),
         );
-        let b = run_loss(&dc, PlacementPolicy::Stock, 3, 2, seed, 0, None, None, mode, &knobs);
+        let b = run_loss(&dc, PlacementPolicy::Stock, 3, 2, seed, 0, None, None, &knobs);
         prop_assert_eq!(a.percent.to_bits(), b.percent.to_bits());
         prop_assert_eq!(a.blocks, b.blocks);
         prop_assert_eq!(b.faults_injected, 0);
