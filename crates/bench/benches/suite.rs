@@ -17,8 +17,8 @@
 //!   with the machine's core count next to the measured speedup. The
 //!   issue's acceptance bar is ≥ 3× for the sweep on a ≥ 4-core
 //!   machine; on fewer cores the JSON records what the hardware can
-//!   show (a 1-core machine records ~1×: the harness is overhead-free,
-//!   not magic).
+//!   show, and on one core it records `"speedup": null` (unmeasured)
+//!   rather than a 1.00× that no second worker could have beaten.
 //! * `SUITE_SMOKE=1` — a reduced slice of the same sweeps sized for
 //!   CI's 2-core runner under `timeout 300`, asserting byte-identical
 //!   reports always, and a machine-independent ≥ 1.5× floor whenever
@@ -96,8 +96,13 @@ fn main() {
     println!("bench suite/sequential (1 worker)           {seq_secs:>10.3}s");
     let (par_secs, par_reports) = best(cores);
     println!("bench suite/parallel ({cores} workers)          {par_secs:>10.3}s");
-    let speedup = seq_secs / par_secs;
-    println!("bench suite/speedup                         {speedup:>10.2}x");
+    // A one-worker "parallel" run measures no speedup; say so rather
+    // than record 1.00x.
+    let speedup = (cores >= 2).then(|| seq_secs / par_secs);
+    match speedup {
+        Some(x) => println!("bench suite/speedup                         {x:>10.2}x"),
+        None => println!("bench suite/speedup: unmeasured (<2 cores)"),
+    }
 
     // The determinism contract: identical sweep outcomes, byte for byte.
     assert_eq!(
@@ -112,14 +117,13 @@ fn main() {
         // Machine-independent floor, only meaningful when the machine
         // can actually run two workers at once.
         let floor = 1.5;
-        if cores >= 2 {
-            assert!(
-                speedup >= floor,
-                "parallel suite only {speedup:.2}x faster than sequential on {cores} cores \
+        match speedup {
+            Some(x) => assert!(
+                x >= floor,
+                "parallel suite only {x:.2}x faster than sequential on {cores} cores \
                  (floor {floor}x) — the sweep matrix has regressed toward serial execution"
-            );
-        } else {
-            println!("single-core machine: skipping the {floor}x floor assert");
+            ),
+            None => println!("single-core machine: skipping the {floor}x floor assert"),
         }
         return;
     }
@@ -145,8 +149,9 @@ fn main() {
         }
     }
 
+    let speedup = speedup.map_or("null".to_string(), |x| format!("{x:.2}"));
     let json = format!(
-        "{{\n  \"bench\": \"suite\",\n  \"workload\": \"repro {} at quick scale (the durability and scheduling sweep matrices)\",\n  \"cores\": {cores},\n  \"suite\": {{ \"sequential_secs\": {seq_secs:.3}, \"parallel_secs\": {par_secs:.3}, \"speedup\": {speedup:.2} }},\n  \"note\": \"speedup scales with cores (acceptance bar: >= 3x on a >= 4-core machine); reports asserted byte-identical across worker counts; sequential path gated at <= 1.05x the previous recording (supervision harness must stay free when checkpointing is off)\"\n}}\n",
+        "{{\n  \"bench\": \"suite\",\n  \"workload\": \"repro {} at quick scale (the durability and scheduling sweep matrices)\",\n  \"cores\": {cores},\n  \"suite\": {{ \"sequential_secs\": {seq_secs:.3}, \"parallel_secs\": {par_secs:.3}, \"speedup\": {speedup} }},\n  \"note\": \"speedup scales with cores (acceptance bar: >= 3x on a >= 4-core machine); reports asserted byte-identical across worker counts; sequential path gated at <= 1.05x the previous recording (supervision harness must stay free when checkpointing is off)\"\n}}\n",
         EXPERIMENTS.join(" "),
     );
     std::fs::write(path, &json).expect("write BENCH_suite.json");

@@ -33,10 +33,23 @@ impl std::fmt::Display for ScalingKind {
     }
 }
 
+impl ScalingKind {
+    /// One sample of [`scale`]: the transform with parameter `param`,
+    /// saturated to `[0, 1]`. [`scale`] maps it over a series and
+    /// [`calibrate`] sums it in place, so the two agree bit for bit.
+    fn apply(self, v: f64, param: f64) -> f64 {
+        match self {
+            ScalingKind::Linear => v * param,
+            ScalingKind::Root => v.max(0.0).powf(param),
+        }
+        .clamp(0.0, 1.0)
+    }
+}
+
 /// Multiplies every sample by `factor`, saturating at 1.0.
 pub fn scale_linear(ts: &TimeSeries, factor: f64) -> TimeSeries {
     assert!(factor >= 0.0, "scaling factor must be non-negative");
-    ts.map_clamped(|v| v * factor)
+    ts.map_clamped(|v| ScalingKind::Linear.apply(v, factor))
 }
 
 /// Raises every sample to the power `exponent` (`u^e`).
@@ -45,7 +58,7 @@ pub fn scale_linear(ts: &TimeSeries, factor: f64) -> TimeSeries {
 /// `e > 1` lowers it. Saturation is impossible since `u ∈ [0, 1]`.
 pub fn scale_root(ts: &TimeSeries, exponent: f64) -> TimeSeries {
     assert!(exponent > 0.0, "root exponent must be positive");
-    ts.map_clamped(|v| v.max(0.0).powf(exponent))
+    ts.map_clamped(|v| ScalingKind::Root.apply(v, exponent))
 }
 
 /// Applies the given scaling with the given parameter.
@@ -56,22 +69,93 @@ pub fn scale(ts: &TimeSeries, kind: ScalingKind, param: f64) -> TimeSeries {
     }
 }
 
+/// Traces [`fleet_mean`] sums in lockstep, one accumulator each.
+const LANES: usize = 8;
+/// Samples per trace [`group_means`] adds between bounds checks.
+const BLOCK: usize = 64;
+
+/// The mean of each trace in `group` (at most [`LANES`] of them) under
+/// `sample`, in the first `group.len()` slots: the bits of
+/// `t.map_clamped(sample).mean()`. Each trace adds its samples in index
+/// order from `-0.0`, as `Iterator::sum` does; equal-length groups of
+/// [`LANES`] interleave those chains so they overlap, the rest run them
+/// one trace at a time.
+fn group_means(group: &[&TimeSeries], sample: impl Fn(f64) -> f64 + Copy) -> [f64; LANES] {
+    let mut means = [0.0; LANES];
+    let n = group[0].len();
+    match <&[&TimeSeries; LANES]>::try_from(group) {
+        Ok(lanes) if lanes.iter().all(|t| t.len() == n) => {
+            let mut sums = [-0.0; LANES];
+            let whole = n - n % BLOCK;
+            for from in (0..whole).step_by(BLOCK) {
+                // Fixed-size rows: the inner loop carries no bounds checks.
+                let rows: [&[f64; BLOCK]; LANES] = lanes.map(|t| {
+                    t.values()[from..from + BLOCK]
+                        .try_into()
+                        .expect("whole block")
+                });
+                for i in 0..BLOCK {
+                    for (sum, row) in sums.iter_mut().zip(&rows) {
+                        *sum += sample(row[i]);
+                    }
+                }
+            }
+            for i in whole..n {
+                for (sum, t) in sums.iter_mut().zip(lanes) {
+                    *sum += sample(t.values()[i]);
+                }
+            }
+            for (mean, sum) in means.iter_mut().zip(sums) {
+                *mean = sum / n as f64;
+            }
+        }
+        _ => {
+            for (mean, t) in means.iter_mut().zip(group) {
+                *mean = t.values().iter().map(|&v| sample(v)).sum::<f64>() / t.len() as f64;
+            }
+        }
+    }
+    means
+}
+
+/// The fleet-average of `traces` under `sample`: the trace means added
+/// in trace order, over the trace count — the bits of
+/// `traces.iter().map(|t| t.map_clamped(sample).mean()).sum() / len`,
+/// without the copies.
+fn fleet_mean(traces: &[&TimeSeries], sample: impl Fn(f64) -> f64 + Copy) -> f64 {
+    let total: f64 = traces
+        .chunks(LANES)
+        .flat_map(|group| group_means(group, sample).into_iter().take(group.len()))
+        .sum();
+    total / traces.len() as f64
+}
+
 /// Finds the scaling parameter that brings the *fleet-average* utilization
 /// of `traces` to `target_mean`, by bisection.
 ///
 /// For [`ScalingKind::Linear`] the parameter is the multiplicative factor;
 /// for [`ScalingKind::Root`] it is the exponent. Returns the parameter.
-/// The mapping is monotone in both cases, so bisection converges; the
-/// result is accurate to about 1e-4 in mean utilization.
+/// The mapping is monotone in both cases, so bisection converges.
+///
+/// The result has the same bits as a bisection that scales every trace
+/// with [`scale`], takes each [`TimeSeries::mean`] and adds the means in
+/// trace order: each step evaluates exactly that sum, fused into one pass
+/// over the samples with no copy. The search takes at most 60 steps and
+/// stops early, exactly, once a step leaves `(lo, hi)` unchanged, since
+/// every later step would repeat it. Root scaling's cost is bound by
+/// `powf` per sample.
 pub fn calibrate(traces: &[&TimeSeries], kind: ScalingKind, target_mean: f64) -> f64 {
     assert!(!traces.is_empty(), "cannot calibrate zero traces");
     assert!(
         (0.0..=1.0).contains(&target_mean),
         "target mean must be in [0, 1], got {target_mean}"
     );
+    // One monomorphised pass per kind, so the transform inlines.
     let mean_with = |param: f64| -> f64 {
-        let total: f64 = traces.iter().map(|t| scale(t, kind, param).mean()).sum();
-        total / traces.len() as f64
+        match kind {
+            ScalingKind::Linear => fleet_mean(traces, |v| ScalingKind::Linear.apply(v, param)),
+            ScalingKind::Root => fleet_mean(traces, |v| ScalingKind::Root.apply(v, param)),
+        }
     };
     // Parameter ranges: linear factor in [0, 64]; root exponent in
     // [1/64, 64]. Root scaling *decreases* the mean as the exponent grows,
@@ -88,11 +172,12 @@ pub fn calibrate(traces: &[&TimeSeries], kind: ScalingKind, target_mean: f64) ->
         } else {
             m > target_mean
         };
-        if go_up {
-            lo = mid;
-        } else {
-            hi = mid;
+        let end = if go_up { &mut lo } else { &mut hi };
+        if end.to_bits() == mid.to_bits() {
+            // A fixed point: the next step sees the same (lo, hi).
+            break;
         }
+        *end = mid;
     }
     0.5 * (lo + hi)
 }

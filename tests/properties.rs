@@ -882,6 +882,227 @@ proptest! {
     }
 }
 
+// --- calibration: bit-exact against the scale-then-mean bisection -------
+
+/// `calibrate`'s reference fleet mean: scale every trace, take each
+/// mean, and add the means in trace order.
+fn reference_mean(traces: &[&TimeSeries], kind: ScalingKind, param: f64) -> f64 {
+    let total: f64 = traces.iter().map(|t| scale(t, kind, param).mean()).sum();
+    total / traces.len() as f64
+}
+
+/// `calibrate`'s reference: all 60 bisection steps over
+/// [`reference_mean`]. Returns the result and the midpoint of each step.
+fn reference_calibrate(
+    traces: &[&TimeSeries],
+    kind: ScalingKind,
+    target_mean: f64,
+) -> (f64, Vec<f64>) {
+    let (mut lo, mut hi, increasing) = match kind {
+        ScalingKind::Linear => (0.0f64, 64.0f64, true),
+        ScalingKind::Root => (1.0 / 64.0, 64.0f64, false),
+    };
+    let mut mids = Vec::with_capacity(60);
+    for _ in 0..60 {
+        let mid = 0.5 * (lo + hi);
+        mids.push(mid);
+        let m = reference_mean(traces, kind, mid);
+        let go_up = if increasing {
+            m < target_mean
+        } else {
+            m > target_mean
+        };
+        if go_up {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (0.5 * (lo + hi), mids)
+}
+
+/// One sample from a `(pick, uniform)` draw: exactly 0, exactly 1
+/// (saturated), or uniform in [0, 1).
+fn calibration_sample((pick, u): (usize, f64)) -> f64 {
+    match pick {
+        0 => 0.0,
+        1 => 1.0,
+        _ => u,
+    }
+}
+
+proptest! {
+    /// `calibrate` returns the reference bisection's exact bits for 1–20
+    /// traces (group remainders included) of shared or mixed lengths,
+    /// both scalings, targets 0, 1 and between, and samples that are
+    /// exactly 0 or saturate. The knife-edge targets are the reference
+    /// mean at midpoints the search visits, where a mean off by one ulp
+    /// turns the search the other way.
+    #[test]
+    fn calibration_matches_reference_bitwise(
+        shared_len in 1usize..200,
+        traces in prop::collection::vec(
+            (0usize..8, 1usize..200, prop::collection::vec((0usize..8, 0.0f64..1.0), 200)),
+            1..21,
+        ),
+        target in 0.0f64..1.0,
+        steps in prop::collection::vec(0usize..60, 3),
+    ) {
+        // Most traces share one length, so whole groups run in lockstep;
+        // the rest break their group's lengths apart.
+        let series: Vec<TimeSeries> = traces
+            .iter()
+            .map(|(mixed, own_len, samples)| {
+                let len = if *mixed == 0 { *own_len } else { shared_len };
+                let values = samples[..len].iter().map(|&s| calibration_sample(s)).collect();
+                TimeSeries::new(SimDuration::from_mins(2), values)
+            })
+            .collect();
+        let refs: Vec<&TimeSeries> = series.iter().collect();
+        for kind in [ScalingKind::Linear, ScalingKind::Root] {
+            let (_, mids) = reference_calibrate(&refs, kind, target);
+            let knife_edges = steps.iter().map(|&k| reference_mean(&refs, kind, mids[k]));
+            for t in [0.0, 1.0, target].into_iter().chain(knife_edges) {
+                let got = calibrate(&refs, kind, t);
+                let (want, _) = reference_calibrate(&refs, kind, t);
+                prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{} traces, {kind} to {t}: {got} vs reference {want}",
+                    refs.len()
+                );
+            }
+        }
+    }
+}
+
+// --- parsers: errors, never panics --------------------------------------
+
+/// Bytes that steer random input into the JSON and journal grammars:
+/// structure, string escapes, literals, numbers, hex and separators.
+const GRAMMAR_BYTES: &[u8] = b"{}[],:\"\\/bfnrtu0123456789abcdefE+-. \n\tlsenul";
+
+/// Random text: each `(pick, byte)` is a grammar byte or, for pick 0, a
+/// raw byte, decoded as lossy UTF-8.
+fn fuzz_text(draws: &[(usize, u8)]) -> String {
+    let bytes: Vec<u8> = draws
+        .iter()
+        .map(|&(pick, b)| {
+            if pick == 0 {
+                b
+            } else {
+                GRAMMAR_BYTES[b as usize % GRAMMAR_BYTES.len()]
+            }
+        })
+        .collect();
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// `text` with each `(at, byte)` XOR-ed into the byte at `at` (a
+/// fraction of the length; a zero byte flips nothing), as lossy UTF-8.
+fn flip_bytes(text: &str, flips: &[(f64, u8)]) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for &(at, b) in flips {
+        let i = ((at * bytes.len() as f64) as usize).min(bytes.len() - 1);
+        bytes[i] ^= b;
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// `text` cut to a fraction `at` of its bytes, as lossy UTF-8.
+fn truncate_bytes(text: &str, at: f64) -> String {
+    let len = (at * text.len() as f64) as usize;
+    String::from_utf8_lossy(&text.as_bytes()[..len]).into_owned()
+}
+
+/// Both exports of a small recording with counters, a gauge, sim-time
+/// spans and a hostile name.
+fn real_exports() -> [String; 2] {
+    use harvest::sim::obs::Recorder;
+    let mut rec = Recorder::new("props");
+    let c = rec.counter("flows \"done\"\n");
+    rec.add(c, 42);
+    let g = rec.gauge("queue/len");
+    rec.gauge_at(g, SimTime::from_millis(3), 7.5);
+    let track = rec.track("net/flow");
+    rec.span(
+        track,
+        "transfer",
+        SimTime::from_millis(1),
+        SimTime::from_millis(9),
+    );
+    rec.wall_span("worker", "task", 0, 5);
+    [rec.metrics_json(), rec.chrome_trace_json()]
+}
+
+/// A journal written through `Checkpoint`, holding three results.
+fn real_journal() -> String {
+    use harvest::core::checkpoint::{hex_f64, hex_u64, obj, Checkpoint};
+    let path = std::env::temp_dir().join(format!("harvest-props-{}.journal", std::process::id()));
+    let path = path.to_str().expect("utf-8 temp path");
+    let (cp, _, _) = Checkpoint::open(Some(path), None)
+        .expect("journal opens")
+        .expect("a write path gives a checkpoint");
+    for (i, key) in [
+        "fig15/dc1/cell0/r0",
+        "fig15/dc1/cell1/r0",
+        "fig13/linear/r1",
+    ]
+    .iter()
+    .enumerate()
+    {
+        let value = obj(&[
+            ("n", hex_u64(i as u64 + 1)),
+            ("p", hex_f64(0.25 * i as f64)),
+        ]);
+        cp.journal(key, &value);
+    }
+    cp.flush().expect("journal flushes");
+    let text = std::fs::read_to_string(path).expect("journal reads back");
+    let _ = std::fs::remove_file(path);
+    text
+}
+
+proptest! {
+    /// `obs::json::parse` and `checkpoint::parse_journal` return, never
+    /// panic, on arbitrary text.
+    #[test]
+    fn parsers_never_panic_on_arbitrary_bytes(
+        draws in prop::collection::vec((0usize..3, 0u8..=255), 0..300),
+    ) {
+        use harvest::core::checkpoint::parse_journal;
+        use harvest::sim::obs::json;
+        let text = fuzz_text(&draws);
+        let _ = json::parse(&text);
+        let _ = parse_journal(&text);
+    }
+
+    /// Truncated or byte-flipped copies of real exports and journals
+    /// never panic the parsers; an export cut short is an error.
+    #[test]
+    fn parsers_never_panic_on_damaged_real_inputs(
+        cut in 0.0f64..1.0,
+        flips in prop::collection::vec((0.0f64..1.0, 0u8..=255), 1..4),
+    ) {
+        use harvest::core::checkpoint::parse_journal;
+        use harvest::sim::obs::json;
+        for export in real_exports() {
+            let truncated = truncate_bytes(export.trim_end(), cut);
+            prop_assert!(
+                json::parse(&truncated).is_err(),
+                "a truncated export parsed: {truncated:?}"
+            );
+            let flipped = flip_bytes(&export, &flips);
+            let _ = json::parse(&flipped);
+        }
+        let journal = real_journal();
+        prop_assert_eq!(parse_journal(&journal)?.map.len(), 3);
+        for damaged in [truncate_bytes(&journal, cut), flip_bytes(&journal, &flips)] {
+            let _ = parse_journal(&damaged);
+        }
+    }
+}
+
 // --- observability: export → parse round trips -------------------------
 
 /// Characters chosen to stress the JSON escaper: quotes, backslashes,
