@@ -883,8 +883,8 @@ fn start_repair_transfer(
         // a phantom duplicate here would only burn bandwidth.
         return;
     }
-    let existing: Vec<u32> = store.replicas(block).to_vec();
-    let Some(dest) = placer.place_repair(rng, store, &existing, frt.busy()) else {
+    let existing = store.replicas(block);
+    let Some(dest) = placer.place_repair(rng, store, existing, frt.busy()) else {
         // No destination (cluster full): retry after a detection delay.
         let at = pipeline.schedule(now);
         heap.push(QueuedRepair { at, block });
@@ -911,7 +911,7 @@ fn start_repair_transfer(
         }
         crate::repair::repair_source(dc, &live, dest)
     } else {
-        crate::repair::repair_source(dc, &existing, dest)
+        crate::repair::repair_source(dc, existing, dest)
     };
     if frt.armed {
         if let Some(f) = fabric.as_ref() {
@@ -1027,8 +1027,7 @@ fn apply_repair(
     if count >= replication {
         return; // already fully replicated (duplicate repair entries)
     }
-    let existing: Vec<u32> = store.replicas(block).to_vec();
-    if let Some(dest) = placer.place_repair(rng, store, &existing, frt.busy()) {
+    if let Some(dest) = placer.place_repair(rng, store, store.replicas(block), frt.busy()) {
         if frt.armed && frt.down[dest.0 as usize] {
             // Busy-oblivious policies (Stock) can pick a crashed
             // destination; treat it like no destination and re-queue.

@@ -14,6 +14,13 @@
 //! The production deployment initially treated the constraints as "soft"
 //! (§7, lesson 3), preferring space over diversity; both modes are
 //! implemented and the soft mode reports when it relaxed a constraint.
+//!
+//! # Cost
+//!
+//! No heap allocation per block beyond the returned server list: the
+//! row/column memory is a bit mask, the environment memory is the chosen
+//! replicas (read through a per-server environment table), and candidate
+//! cells shuffle in a stack array. A selection step is O(probes × R).
 
 use harvest_cluster::{Datacenter, ServerId};
 use harvest_sim::dist;
@@ -78,6 +85,8 @@ pub struct Placer<'a> {
     policy: PlacementPolicy,
     grid: Option<Grid2D>,
     rack_servers: Vec<Vec<ServerId>>,
+    /// Environment of each server's tenant.
+    env_of: Vec<usize>,
     soft: bool,
 }
 
@@ -90,14 +99,17 @@ impl<'a> Placer<'a> {
             None
         };
         let mut rack_servers = vec![Vec::new(); dc.n_racks()];
+        let mut env_of = Vec::with_capacity(dc.n_servers());
         for s in &dc.servers {
             rack_servers[s.rack.0 as usize].push(s.id);
+            env_of.push(dc.tenant(s.tenant).environment);
         }
         Placer {
             dc,
             policy,
             grid,
             rack_servers,
+            env_of,
             soft: true,
         }
     }
@@ -159,16 +171,11 @@ impl<'a> Placer<'a> {
                 // last `existing.len() % 3` placements (a full round has no
                 // active row/column constraints), plus every environment.
                 let in_round = existing.len() % 3;
-                let mut cons = Constraints::default();
-                for &s in existing {
-                    cons.envs.push(self.dc.tenant_of(ServerId(s)).environment);
-                }
+                let mut taken = 0;
                 for &s in existing.iter().rev().take(in_round) {
-                    let cell = grid.cell_of(store.tenant_of(ServerId(s)));
-                    cons.rows.push(cell.row);
-                    cons.cols.push(cell.col);
+                    taken |= row_col_bits(grid.cell_of(store.tenant_of(ServerId(s))));
                 }
-                self.pick_history(rng, store, busy, &mut cons, existing)
+                self.pick_history(rng, store, busy, &mut taken, existing)
                     .map(|(sid, _)| sid)
             }
         }
@@ -246,10 +253,8 @@ impl<'a> Placer<'a> {
         busy: Option<&[bool]>,
     ) -> Option<Placement> {
         let grid = self.grid.as_ref().expect("history placer has a grid");
-        let mut chosen: Vec<ServerId> = Vec::with_capacity(r);
-        let mut chosen_raw: Vec<u32> = Vec::with_capacity(r);
+        let mut chosen: Vec<u32> = Vec::with_capacity(r);
         let mut relaxed = false;
-        let mut cons = Constraints::default();
 
         // Lines 6-7: replica 1 goes to the writer (locality), consuming
         // the writer's cell.
@@ -259,63 +264,55 @@ impl<'a> Placer<'a> {
             // Writer unusable: pick any server of the writer's cell, or
             // anywhere as a last resort.
             let cell = grid.cell_of(self.dc.server(writer).tenant);
-            self.pick_in_cell(rng, store, busy, cell, &cons, &chosen_raw)
+            self.pick_in_cell(rng, store, busy, cell, &chosen)
                 .or_else(|| {
                     relaxed = true;
                     self.random_server(rng, store, busy, |_| true)
                 })?
         };
-        let first_cell = grid.cell_of(store.tenant_of(first));
-        cons.rows.push(first_cell.row);
-        cons.cols.push(first_cell.col);
-        cons.envs.push(self.dc.tenant_of(first).environment);
-        chosen_raw.push(first.0);
-        chosen.push(first);
+        let mut taken = row_col_bits(grid.cell_of(store.tenant_of(first)));
+        chosen.push(first.0);
 
         // Lines 8-18: remaining replicas.
         for placed in 1..r {
             // Line 15-17: forget rows/columns every three replicas.
             if placed % 3 == 0 {
-                cons.rows.clear();
-                cons.cols.clear();
+                taken = 0;
             }
-            match self.pick_history(rng, store, busy, &mut cons, &chosen_raw) {
-                Some((sid, was_relaxed)) => {
-                    relaxed |= was_relaxed;
-                    chosen_raw.push(sid.0);
-                    chosen.push(sid);
-                }
-                None => return None,
-            }
+            let (sid, was_relaxed) = self.pick_history(rng, store, busy, &mut taken, &chosen)?;
+            relaxed |= was_relaxed;
+            chosen.push(sid.0);
         }
 
         Some(Placement {
-            servers: chosen,
+            // Collected in place: the same buffer, retyped.
+            servers: chosen.into_iter().map(ServerId).collect(),
             relaxed,
         })
     }
 
     /// Picks one server per Algorithm 2 lines 9-14, updating the
-    /// constraints. Returns the server and whether constraints were
+    /// row/column memory. Returns the server and whether constraints were
     /// relaxed to find it.
     fn pick_history<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         store: &BlockStore,
         busy: Option<&[bool]>,
-        cons: &mut Constraints,
+        taken: &mut u8,
         already: &[u32],
     ) -> Option<(ServerId, bool)> {
         // Strict pass: row, column, and environment constraints.
-        let mut cells: Vec<Cell> = Grid2D::cells()
-            .filter(|c| !cons.rows.contains(&c.row) && !cons.cols.contains(&c.col))
-            .collect();
-        dist::shuffle(rng, &mut cells);
-        for cell in &cells {
-            if let Some(sid) = self.pick_in_cell(rng, store, busy, *cell, cons, already) {
-                cons.rows.push(cell.row);
-                cons.cols.push(cell.col);
-                cons.envs.push(self.dc.tenant_of(sid).environment);
+        let mut cells = [Cell { col: 0, row: 0 }; 9];
+        let mut n = 0;
+        for cell in Grid2D::cells().filter(|&c| row_col_bits(c) & *taken == 0) {
+            cells[n] = cell;
+            n += 1;
+        }
+        dist::shuffle(rng, &mut cells[..n]);
+        for &cell in &cells[..n] {
+            if let Some(sid) = self.pick_in_cell(rng, store, busy, cell, already) {
+                *taken |= row_col_bits(cell);
                 return Some((sid, false));
             }
         }
@@ -327,11 +324,12 @@ impl<'a> Placer<'a> {
         // Soft relaxation 1: ignore rows/columns, keep the environment
         // constraint (the paper's production system prioritized this
         // order: environments are the strongest correlation).
-        let mut all: Vec<Cell> = Grid2D::cells().collect();
-        dist::shuffle(rng, &mut all);
-        for cell in &all {
-            if let Some(sid) = self.pick_in_cell(rng, store, busy, *cell, cons, already) {
-                cons.envs.push(self.dc.tenant_of(sid).environment);
+        for (slot, cell) in cells.iter_mut().zip(Grid2D::cells()) {
+            *slot = cell;
+        }
+        dist::shuffle(rng, &mut cells);
+        for &cell in &cells {
+            if let Some(sid) = self.pick_in_cell(rng, store, busy, cell, already) {
                 return Some((sid, true));
             }
         }
@@ -339,11 +337,10 @@ impl<'a> Placer<'a> {
         // Soft relaxation 2: any server with space ("promote space
         // utilization over diversity").
         let sid = self.random_server(rng, store, busy, |sid| !already.contains(&sid.0))?;
-        cons.envs.push(self.dc.tenant_of(sid).environment);
         Some((sid, true))
     }
 
-    /// Random tenant of `cell` honoring the environment constraint, then
+    /// Random tenant of `cell` in none of `already`'s environments, then
     /// a random server of that tenant with space.
     fn pick_in_cell<R: Rng + ?Sized>(
         &self,
@@ -351,7 +348,6 @@ impl<'a> Placer<'a> {
         store: &BlockStore,
         busy: Option<&[bool]>,
         cell: Cell,
-        cons: &Constraints,
         already: &[u32],
     ) -> Option<ServerId> {
         let grid = self.grid.as_ref().expect("history placer has a grid");
@@ -362,7 +358,10 @@ impl<'a> Placer<'a> {
         for _ in 0..PROBES {
             let tid = members[rng.random_range(0..members.len())];
             let tenant = self.dc.tenant(tid);
-            if cons.envs.contains(&tenant.environment) || store.tenant_free(tid) == 0 {
+            let env = tenant.environment;
+            if store.tenant_free(tid) == 0
+                || already.iter().any(|&s| self.env_of[s as usize] == env)
+            {
                 continue;
             }
             let n = tenant.n_servers();
@@ -404,11 +403,11 @@ impl<'a> Placer<'a> {
     }
 }
 
-#[derive(Debug, Default, Clone)]
-struct Constraints {
-    rows: Vec<u8>,
-    cols: Vec<u8>,
-    envs: Vec<usize>,
+/// A cell's bits in Algorithm 2's row/column memory (`taken`): bits 0-2
+/// are rows, bits 3-5 columns. The environment memory is the chosen
+/// replicas themselves.
+fn row_col_bits(cell: Cell) -> u8 {
+    1 << cell.row | 8 << cell.col
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ pub struct PlacementQuality {
     /// Blocks with two replicas in the same grid row or column (within
     /// the block's first round of three replicas).
     pub grid_violations: u64,
-    /// Fraction of inspected blocks with no violations.
+    /// Fraction of inspected blocks with no violation of either kind.
     pub diversity: f64,
 }
 
@@ -29,6 +29,7 @@ pub struct PlacementQuality {
 pub fn measure_quality(dc: &Datacenter, grid: &Grid2D, store: &BlockStore) -> PlacementQuality {
     let mut env_violations = 0u64;
     let mut grid_violations = 0u64;
+    let mut dirty = 0u64;
     let n = store.n_blocks() as u64;
     for b in 0..store.n_blocks() {
         let replicas = store.replicas(crate::store::BlockId(b as u64));
@@ -66,8 +67,12 @@ pub fn measure_quality(dc: &Datacenter, grid: &Grid2D, store: &BlockStore) -> Pl
         if grid_bad {
             grid_violations += 1;
         }
+        // A block can break one rule or both; it is dirty either way.
+        if env_bad || grid_bad {
+            dirty += 1;
+        }
     }
-    let clean = n - env_violations.max(grid_violations).min(n);
+    let clean = n - dirty;
     PlacementQuality {
         blocks: n,
         env_violations,
@@ -105,7 +110,7 @@ impl QualityMonitor {
 mod tests {
     use super::*;
     use crate::placement::{PlacementPolicy, Placer};
-    use harvest_cluster::Datacenter;
+    use harvest_cluster::{Datacenter, Tenant};
     use harvest_sim::rng::stream_rng;
     use harvest_trace::datacenter::DatacenterProfile;
 
@@ -150,6 +155,41 @@ mod tests {
         // Rack-local second replicas usually share the writer's tenant
         // (hence environment and cell), so stock diversity is poor.
         assert!(q.diversity < 0.6, "stock diversity {}", q.diversity);
+        assert!(QualityMonitor::default().should_stop(&q));
+    }
+
+    #[test]
+    fn env_only_and_grid_only_blocks_are_both_dirty() {
+        let dc = dc();
+        let grid = Grid2D::build(&dc);
+        let cell = |t: &Tenant| grid.cell_of(t.id);
+        let pairs = || {
+            dc.tenants
+                .iter()
+                .flat_map(|a| dc.tenants.iter().map(move |b| (a, b)))
+                .filter(|(a, b)| a.id < b.id)
+        };
+        let env_only = pairs()
+            .find(|(a, b)| {
+                a.environment == b.environment
+                    && cell(a).row != cell(b).row
+                    && cell(a).col != cell(b).col
+            })
+            .expect("two tenants of one environment in disjoint rows and columns");
+        let grid_only = pairs()
+            .find(|(a, b)| a.environment != b.environment && cell(a).row == cell(b).row)
+            .expect("two tenants of different environments in one row");
+        let host = |t: &Tenant| {
+            t.server_ids()
+                .find(|&s| dc.server(s).harvest_blocks > 0)
+                .expect("tenant with harvestable space")
+        };
+        let mut store = BlockStore::new(&dc);
+        store.create_block(&[host(env_only.0), host(env_only.1)]);
+        store.create_block(&[host(grid_only.0), host(grid_only.1)]);
+        let q = measure_quality(&dc, &grid, &store);
+        assert_eq!((q.env_violations, q.grid_violations), (1, 1));
+        assert_eq!(q.diversity, 0.0);
         assert!(QualityMonitor::default().should_stop(&q));
     }
 

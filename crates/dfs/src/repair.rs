@@ -126,9 +126,12 @@ pub struct StormConfig {
     /// transfer model on (network and/or disk); `None` leaves
     /// concurrency to the throttle alone — safe at the default
     /// 30 blocks/hour, but an aggressive throttle over a slow fabric or
-    /// slow disks then grows an unbounded transfer backlog (and the
-    /// fabric's re-share cost is quadratic in active flows), so set a
-    /// cap whenever the throttle outruns transfer capacity.
+    /// slow disks then grows an unbounded transfer backlog, so set a
+    /// cap whenever the throttle outruns transfer capacity. (A large
+    /// backlog is also where the fabric's re-share cost can turn
+    /// quadratic in active flows: only when the flows form one giant
+    /// multi-bottleneck component, which the analytic tier cannot
+    /// serve.)
     pub max_repair_streams: Option<usize>,
 }
 
@@ -460,8 +463,8 @@ pub fn simulate_reimage_storm_recorded(
             if store.replica_count(block) >= cfg.replication {
                 continue; // duplicate entry
             }
-            let existing: Vec<u32> = store.replicas(block).to_vec();
-            let Some(dest) = placer.place_repair(&mut rng, &store, &existing, None) else {
+            let existing = store.replicas(block);
+            let Some(dest) = placer.place_repair(&mut rng, &store, existing, None) else {
                 // Cluster momentarily full; retry after another slot.
                 heap.push(QueuedRepair {
                     at: pipeline.schedule(r.at),
@@ -469,9 +472,9 @@ pub fn simulate_reimage_storm_recorded(
                 });
                 continue;
             };
+            let src = modeled.then(|| repair_source(dc, existing, dest));
             store.add_replica(block, dest);
-            if modeled {
-                let src = repair_source(dc, &existing, dest);
+            if let Some(src) = src {
                 // A slot deferred by backpressure starts now, not at
                 // its original release time.
                 let start = r.at.max(now);

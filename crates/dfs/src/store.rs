@@ -1,4 +1,17 @@
 //! Block-store state: blocks, replicas, and space accounting.
+//!
+//! # Layout and cost
+//!
+//! The forward map (block → replica servers) is packed: every block owns
+//! `stride` consecutive `u32` slots in one flat vector, plus a `u8` count
+//! of the slots in use. The stride is the widest block the store has
+//! held; the first block that needs more slots re-lays the whole vector
+//! out once at the wider stride (in practice once per store, when the
+//! first block arrives). At R = 3 a block costs 13 bytes of forward map
+//! plus 8 bytes per replica in the inverse map (server → blocks), and
+//! there is no heap allocation per block: `create_block`, `add_replica`
+//! and `replicas` are O(R) over that packed row, with amortized growth
+//! of the flat vectors only.
 
 use harvest_cluster::{Datacenter, ServerId, TenantId};
 
@@ -13,12 +26,17 @@ pub const BLOCK_BYTES: u64 = 256 * 1024 * 1024;
 /// Replica locations and space accounting for every block in the cluster.
 ///
 /// Blocks are 256 MB (the paper's HDFS default); capacities are counted
-/// in blocks. The store keeps the forward map (block → servers), the
-/// inverse map (server → blocks) needed to process disk reimages, and
-/// per-server/per-tenant free-space counters the placement policies use.
+/// in blocks. The store keeps the forward map (block → servers, packed as
+/// the module docs describe), the inverse map (server → blocks) needed to
+/// process disk reimages, and per-server/per-tenant free-space counters
+/// the placement policies use.
 #[derive(Debug, Clone)]
 pub struct BlockStore {
-    replicas: Vec<Vec<u32>>,
+    /// Block `b`'s replicas are `slots[b * stride..][..n_replicas[b]]`,
+    /// in placement order.
+    slots: Vec<u32>,
+    n_replicas: Vec<u8>,
+    stride: usize,
     server_blocks: Vec<Vec<u64>>,
     server_used: Vec<u32>,
     server_capacity: Vec<u32>,
@@ -37,7 +55,9 @@ impl BlockStore {
             tenant_free[s.tenant.0 as usize] += s.harvest_blocks as u64;
         }
         BlockStore {
-            replicas: Vec::new(),
+            slots: Vec::new(),
+            n_replicas: Vec::new(),
+            stride: 0,
             server_blocks: vec![Vec::new(); dc.n_servers()],
             server_used: vec![0; dc.n_servers()],
             server_capacity,
@@ -49,7 +69,7 @@ impl BlockStore {
 
     /// Number of blocks ever created (including lost ones).
     pub fn n_blocks(&self) -> usize {
-        self.replicas.len()
+        self.n_replicas.len()
     }
 
     /// Number of blocks whose every replica has been destroyed.
@@ -59,7 +79,8 @@ impl BlockStore {
 
     /// The replica servers of a block (empty if the block is lost).
     pub fn replicas(&self, block: BlockId) -> &[u32] {
-        &self.replicas[block.0 as usize]
+        let b = block.0 as usize;
+        &self.slots[b * self.stride..][..self.n_replicas[b] as usize]
     }
 
     /// Free blocks on a server.
@@ -86,22 +107,24 @@ impl BlockStore {
     ///
     /// # Panics
     ///
-    /// Panics if a location is full or duplicated.
+    /// Panics if a location is full or duplicated, or if there are more
+    /// than 255 locations.
     pub fn create_block(&mut self, locations: &[ServerId]) -> BlockId {
-        let id = BlockId(self.replicas.len() as u64);
-        let mut list = Vec::with_capacity(locations.len());
-        for &sid in locations {
+        let id = BlockId(self.n_replicas.len() as u64);
+        for (i, sid) in locations.iter().enumerate() {
             assert!(
-                !list.contains(&sid.0),
+                !locations[..i].contains(sid),
                 "duplicate replica location {sid} for block {id:?}"
             );
-            list.push(sid.0);
         }
-        self.replicas.push(Vec::new());
+        if locations.len() > self.stride {
+            self.restride(locations.len());
+        }
+        self.n_replicas.push(0);
+        self.slots.resize(self.slots.len() + self.stride, 0);
         for &sid in locations {
             self.add_replica(id, sid);
         }
-        self.replicas[id.0 as usize].shrink_to_fit();
         id
     }
 
@@ -109,18 +132,42 @@ impl BlockStore {
     ///
     /// # Panics
     ///
-    /// Panics if the server is full or already holds the block.
+    /// Panics if the server is full or already holds the block, or if the
+    /// block already has 255 replicas.
     pub fn add_replica(&mut self, block: BlockId, server: ServerId) {
         let s = server.0 as usize;
         assert!(self.has_space(server), "server {server} is full");
         assert!(
-            !self.replicas[block.0 as usize].contains(&server.0),
+            !self.replicas(block).contains(&server.0),
             "server {server} already holds block {block:?}"
         );
-        self.replicas[block.0 as usize].push(server.0);
+        let b = block.0 as usize;
+        let n = self.n_replicas[b] as usize;
+        assert!(
+            n < u8::MAX as usize,
+            "block {block:?} has too many replicas"
+        );
+        if n == self.stride {
+            self.restride(n + 1);
+        }
+        self.slots[b * self.stride + n] = server.0;
+        self.n_replicas[b] += 1;
         self.server_blocks[s].push(block.0);
         self.server_used[s] += 1;
         self.tenant_free[self.server_tenant[s] as usize] -= 1;
+    }
+
+    /// Re-lays the forward map out at a wider `stride`, keeping every
+    /// block's replica order.
+    fn restride(&mut self, stride: usize) {
+        debug_assert!(stride > self.stride);
+        let mut slots = vec![0; self.n_replicas.len() * stride];
+        for (b, &n) in self.n_replicas.iter().enumerate() {
+            let n = n as usize;
+            slots[b * stride..][..n].copy_from_slice(&self.slots[b * self.stride..][..n]);
+        }
+        self.slots = slots;
+        self.stride = stride;
     }
 
     /// Destroys every replica on `server` (a disk reimage), returning the
@@ -132,23 +179,27 @@ impl BlockStore {
         let freed = blocks.len() as u32;
         self.server_used[s] -= freed;
         self.tenant_free[self.server_tenant[s] as usize] += freed as u64;
-        let mut affected = Vec::with_capacity(blocks.len());
-        for b in blocks {
-            let list = &mut self.replicas[b as usize];
-            if let Some(pos) = list.iter().position(|&x| x == server.0) {
-                list.swap_remove(pos);
+        for &b in &blocks {
+            let b = b as usize;
+            let n = self.n_replicas[b] as usize;
+            let row = &mut self.slots[b * self.stride..][..n];
+            // Swap-remove: the last replica fills the hole. Replica
+            // order feeds repair placement and source choice, so this
+            // order is part of the store's contract.
+            if let Some(pos) = row.iter().position(|&x| x == server.0) {
+                row[pos] = row[n - 1];
+                self.n_replicas[b] -= 1;
             }
-            if list.is_empty() {
+            if self.n_replicas[b] == 0 {
                 self.lost += 1;
             }
-            affected.push(BlockId(b));
         }
-        affected
+        blocks.into_iter().map(BlockId).collect()
     }
 
     /// Number of surviving replicas of a block.
     pub fn replica_count(&self, block: BlockId) -> usize {
-        self.replicas[block.0 as usize].len()
+        self.n_replicas[block.0 as usize] as usize
     }
 
     /// The tenant owning a server (placement helpers need this without a

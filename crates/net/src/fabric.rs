@@ -48,7 +48,8 @@
 //!    actually changes, and a superseded completion event is
 //!    *cancelled* in the queue rather than left to fire stale, so the
 //!    event heap stays O(active + scheduled) instead of
-//!    O(re-shares × flows).
+//!    O(re-shares × flows). The pass's buffers live on the fabric and
+//!    are reused, so a warmed pass makes no heap allocation.
 //!
 //! **Exactness.** Component filling is *bitwise* what filling over the
 //! whole population computes: a component's progressive-filling
@@ -255,6 +256,27 @@ pub struct Fabric {
     /// hot path pays exactly one `Option` check when off.
     rec: Recorder,
     obs: Option<FabricObs>,
+    /// Buffers reused by every re-share pass.
+    scratch: Scratch,
+}
+
+/// Re-share buffers, kept on the fabric so a warmed re-share allocates
+/// nothing. A pass takes them out (`mem::take`) and puts them back, so
+/// they are never borrowed alongside the fabric.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The component's flow ids, ascending.
+    flows: Vec<u64>,
+    /// The component's link ids, ascending.
+    links: Vec<u32>,
+    frontier: Vec<u32>,
+    /// Per component link (same order as `links`): capacity not yet
+    /// handed out, and unfrozen flows crossing it.
+    spare: Vec<f64>,
+    unfrozen_on: Vec<u32>,
+    /// Per component flow (same order as `flows`).
+    frozen: Vec<bool>,
+    rates: Vec<f64>,
 }
 
 /// Metric ids registered on [`Fabric::set_recorder`].
@@ -296,6 +318,7 @@ impl Fabric {
             completions: Vec::new(),
             rec: Recorder::off(),
             obs: None,
+            scratch: Scratch::default(),
         }
     }
 
@@ -1006,14 +1029,20 @@ impl Fabric {
     /// Collects the connected component of active flows transitively
     /// sharing a link with `seeds` (a changed flow's path): breadth-
     /// first over the inverted index, alternating link → flows and
-    /// flow → links. Returns (flow ids, link ids), both ascending — the
-    /// sort makes the filling order independent of discovery order.
-    fn component(&mut self, seeds: &[LinkId]) -> (Vec<u64>, Vec<u32>) {
+    /// flow → links. Leaves (flow ids, link ids) in `sc.flows` and
+    /// `sc.links`, both ascending — the sort makes the filling order
+    /// independent of discovery order.
+    fn component(&mut self, seeds: &[LinkId], sc: &mut Scratch) {
         self.epoch += 1;
         let epoch = self.epoch;
-        let mut flows: Vec<u64> = Vec::new();
-        let mut links: Vec<u32> = Vec::new();
-        let mut frontier: Vec<u32> = Vec::new();
+        let Scratch {
+            flows,
+            links,
+            frontier,
+            ..
+        } = sc;
+        flows.clear();
+        links.clear();
         for l in seeds {
             if self.link_seen[l.0 as usize] != epoch {
                 self.link_seen[l.0 as usize] = epoch;
@@ -1042,7 +1071,6 @@ impl Fabric {
         }
         flows.sort_unstable();
         links.sort_unstable();
-        (flows, links)
     }
 
     /// Recomputes max-min fair rates (progressive filling) for the
@@ -1077,11 +1105,27 @@ impl Fabric {
         if self.active.is_empty() {
             return;
         }
+        let mut sc = std::mem::take(&mut self.scratch);
+        self.fill_component(now, seeds, &mut sc);
+        self.scratch = sc;
+    }
 
+    /// The body of [`Fabric::reshare`], over buffers `sc` taken out of
+    /// the fabric.
+    fn fill_component(&mut self, now: SimTime, seeds: &[LinkId], sc: &mut Scratch) {
         // The candidate set: the component, both lists ascending so the
         // freeze order and the bottleneck tie-break are those of a
         // filling over the whole population.
-        let (ids, used) = self.component(seeds);
+        self.component(seeds, sc);
+        let Scratch {
+            flows: ids,
+            links: used,
+            spare,
+            unfrozen_on,
+            frozen,
+            rates,
+            ..
+        } = sc;
         if ids.is_empty() {
             return;
         }
@@ -1095,18 +1139,19 @@ impl Fabric {
 
         let slot_of =
             |link: LinkId| -> usize { used.binary_search(&link.0).expect("link in used set") };
-        let mut spare: Vec<f64> = used
-            .iter()
-            .map(|&l| self.effective_capacity(LinkId(l)))
-            .collect();
-        let mut unfrozen_on: Vec<u32> = vec![0; used.len()];
-        for id in &ids {
+        spare.clear();
+        spare.extend(used.iter().map(|&l| self.effective_capacity(LinkId(l))));
+        unfrozen_on.clear();
+        unfrozen_on.resize(used.len(), 0);
+        for id in ids.iter() {
             for l in &self.active[id].path {
                 unfrozen_on[slot_of(*l)] += 1;
             }
         }
-        let mut frozen: Vec<bool> = vec![false; ids.len()];
-        let mut rates: Vec<f64> = vec![0.0; ids.len()];
+        frozen.clear();
+        frozen.resize(ids.len(), false);
+        rates.clear();
+        rates.resize(ids.len(), 0.0);
         let mut left = ids.len();
         // The classifier rides the filling for free: remember the
         // first iteration's pick and how many iterations ran.
@@ -1162,7 +1207,7 @@ impl Fabric {
         // at 0).
         if let Some((share, bottleneck)) = first {
             if iterations == 1 && share > 0.0 && ids.len() >= 2 {
-                self.promote(now, &ids, &used, bottleneck, share);
+                self.promote(now, ids, used, bottleneck, share);
                 return;
             }
         }

@@ -882,6 +882,129 @@ proptest! {
     }
 }
 
+// --- block store: packed layout against a naive model ------------------
+
+/// The block store as plain nested vectors: what `BlockStore` computed
+/// before its forward map was packed.
+struct ModelStore {
+    replicas: Vec<Vec<u32>>,
+    server_blocks: Vec<Vec<u64>>,
+    free: Vec<u32>,
+    tenant: Vec<usize>,
+    tenant_free: Vec<u64>,
+    lost: u64,
+}
+
+impl ModelStore {
+    fn new(dc: &Datacenter) -> Self {
+        let mut tenant_free = vec![0u64; dc.n_tenants()];
+        for s in &dc.servers {
+            tenant_free[s.tenant.0 as usize] += s.harvest_blocks as u64;
+        }
+        ModelStore {
+            replicas: Vec::new(),
+            server_blocks: vec![Vec::new(); dc.n_servers()],
+            free: dc.servers.iter().map(|s| s.harvest_blocks).collect(),
+            tenant: dc.servers.iter().map(|s| s.tenant.0 as usize).collect(),
+            tenant_free,
+            lost: 0,
+        }
+    }
+
+    fn add_replica(&mut self, b: usize, s: u32) {
+        self.replicas[b].push(s);
+        self.server_blocks[s as usize].push(b as u64);
+        self.free[s as usize] -= 1;
+        self.tenant_free[self.tenant[s as usize]] -= 1;
+    }
+
+    fn reimage(&mut self, s: u32) -> Vec<u64> {
+        let blocks = std::mem::take(&mut self.server_blocks[s as usize]);
+        self.free[s as usize] += blocks.len() as u32;
+        self.tenant_free[self.tenant[s as usize]] += blocks.len() as u64;
+        for &b in &blocks {
+            let list = &mut self.replicas[b as usize];
+            if let Some(pos) = list.iter().position(|&x| x == s) {
+                list.swap_remove(pos);
+            }
+            if list.is_empty() {
+                self.lost += 1;
+            }
+        }
+        blocks
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The packed store answers every query exactly as the nested-vector
+    /// model does — replica order, counts, free space, losses, and the
+    /// order of the blocks a reimage returns — across creates of widths
+    /// 1–6 (so the stride grows mid-run), reimages and repairs.
+    #[test]
+    fn block_store_matches_nested_vector_model(
+        ops in prop::collection::vec((0u8..3, 0u32..10_000, 1usize..=6, 0u32..10_000), 1..150),
+    ) {
+        let dc = harvest::cluster::Datacenter::generate(
+            &harvest::trace::datacenter::DatacenterProfile::dc(9).scaled(0.02),
+            11,
+        );
+        let n = dc.n_servers() as u32;
+        let mut store = BlockStore::new(&dc);
+        let mut model = ModelStore::new(&dc);
+        for (kind, a, width, b) in ops {
+            match kind {
+                0 => {
+                    let step = 1 + b % 5;
+                    let locs: Vec<ServerId> =
+                        (0..width as u32).map(|k| ServerId((a + k * step) % n)).collect();
+                    if locs.iter().any(|s| model.free[s.0 as usize] == 0) {
+                        continue;
+                    }
+                    let id = store.create_block(&locs);
+                    prop_assert_eq!(id.0 as usize, model.replicas.len());
+                    model.replicas.push(Vec::new());
+                    for s in &locs {
+                        model.add_replica(id.0 as usize, s.0);
+                    }
+                }
+                1 => {
+                    let got: Vec<u64> =
+                        store.reimage_server(ServerId(a % n)).iter().map(|b| b.0).collect();
+                    prop_assert_eq!(got, model.reimage(a % n));
+                }
+                _ => {
+                    if model.replicas.is_empty() {
+                        continue;
+                    }
+                    let block = a as usize % model.replicas.len();
+                    let server = b % n;
+                    if model.free[server as usize] == 0 || model.replicas[block].contains(&server) {
+                        continue;
+                    }
+                    store.add_replica(harvest::dfs::store::BlockId(block as u64), ServerId(server));
+                    model.add_replica(block, server);
+                }
+            }
+            prop_assert_eq!(store.n_blocks(), model.replicas.len());
+            for (i, list) in model.replicas.iter().enumerate() {
+                let id = harvest::dfs::store::BlockId(i as u64);
+                prop_assert_eq!(store.replicas(id), list.as_slice(), "block {}", i);
+                prop_assert_eq!(store.replica_count(id), list.len());
+            }
+            for s in 0..n {
+                prop_assert_eq!(store.free_on(ServerId(s)), model.free[s as usize]);
+            }
+            for t in &dc.tenants {
+                prop_assert_eq!(store.tenant_free(t.id), model.tenant_free[t.id.0 as usize]);
+            }
+            prop_assert_eq!(store.total_free(), model.tenant_free.iter().sum::<u64>());
+            prop_assert_eq!(store.lost_blocks(), model.lost);
+        }
+    }
+}
+
 // --- calibration: bit-exact against the scale-then-mean bisection -------
 
 /// `calibrate`'s reference fleet mean: scale every trace, take each
