@@ -4,9 +4,10 @@
 //!
 //! After PRs 3/4 made single-simulation hot paths incremental, suite
 //! wall clock is dominated by the embarrassingly-parallel sweep matrix
-//! that `harvest_sim::par::par_map` now fans out. This bench times the
-//! sequential reference path (`jobs = 1`) against the parallel harness
-//! (`jobs = available cores`) on the same experiments and asserts the
+//! that the supervised worker loop (`harvest_sim::supervise`) fans
+//! out. This bench times the sequential reference path (`jobs = 1`)
+//! against the parallel harness (`jobs = available cores`) on the
+//! same experiments and asserts the
 //! rendered reports are *byte-identical* — the determinism contract the
 //! speedup must never buy anything with.
 //!

@@ -44,7 +44,7 @@ fn scale(smoke: bool) -> Scale {
 /// report, results restored from the journal).
 fn run(smoke: bool, write: Option<&str>, resume: Option<&str>) -> (f64, String, u64) {
     let mut s = scale(smoke);
-    let cp = Checkpoint::open(write, resume)
+    let cp = Checkpoint::open(write, resume, &s)
         .expect("journal opens")
         .map(|(cp, _, _)| Arc::new(cp));
     s.harness.checkpoint = cp.clone();

@@ -1,48 +1,14 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--full] [--net] [--disk] [--full-sweep]
-//!       [--faults PROFILE] [--jobs N] [--seed N] [--trace-out FILE]
-//!       [--metrics-out FILE] [--checkpoint FILE] [--resume FILE]
-//!       [--task-deadline SECS] [--explain] [EXPERIMENT...]
+//! repro [FLAG...] [EXPERIMENT...]
 //! repro analyze TRACE.json
-//!
-//!   EXPERIMENT    fig1..fig8, fig10..fig16, micro, or "all" (default)
-//!   --full        bigger clusters, the paper's five runs per data point
-//!                 (slower, tighter bands)
-//!   --net         run over the harvest-net fabric (repair, remote
-//!                 reads, and shuffles pay for bandwidth)
-//!   --disk        run over the harvest-disk model (the same bytes pay
-//!                 for platter bandwidth too; composes with --net)
-//!   --full-sweep  run the scheduling simulations with full-fleet tick
-//!                 sweeps instead of the change-driven default — the
-//!                 bitwise-identical reference mode (slower; for
-//!                 validation)
-//!   --faults PROFILE  arm a deterministic fault plan (rack power loss,
-//!                 uplink flaps, disk failures and brown-outs) in the
-//!                 experiments that take one — fig15 (durability) and
-//!                 fig16 (availability). Profiles: rack-loss,
-//!                 link-flap, disk-rot, correlated-storm. Without the
-//!                 flag every report is byte-identical to a build
-//!                 without the fault machinery
-//!   --jobs N      worker threads for the sweep matrices (default: all
-//!                 available cores; 1 = the sequential reference path;
-//!                 reports are byte-identical for any N)
-//!   --seed N      master seed (default 42)
-//!   --trace-out FILE    write a Chrome-trace/Perfetto JSON of the run
-//!   --metrics-out FILE  write a machine-readable metrics report (JSON)
-//!   --checkpoint FILE   append each completed sweep task to a crash-safe
-//!                 journal (checksummed lines, batched fsync)
-//!   --resume FILE       restore completed sweep tasks from a journal and
-//!                 compute only the remainder; combine with
-//!                 `--checkpoint FILE` (same path is fine) to keep
-//!                 journaling. Stdout is byte-identical to an
-//!                 uninterrupted run
-//!   --task-deadline SECS  flag sweep tasks running longer than SECS as
-//!                 stragglers and cancel them cooperatively
-//!   --explain     print a per-experiment blame table (wait-state and
-//!                 critical-path attribution) to stderr
 //! ```
+//!
+//! `EXPERIMENT` is `fig1`..`fig8`, `fig10`..`fig16`, `micro`, or `all`
+//! (the default). `repro --help` lists every flag with what it does;
+//! the parser, the usage line and that list are all generated from one
+//! table, [`FLAGS`].
 //!
 //! # Surviving failures
 //!
@@ -55,7 +21,8 @@
 //! to the run that was never killed (the determinism oracle pins this).
 //! A torn final journal line (from a crash mid-write) is detected by
 //! its length/checksum header and dropped; corruption anywhere else is
-//! a hard error.
+//! a hard error, and so is resuming under other settings than the ones
+//! that wrote the journal.
 //!
 //! # Inspecting a run
 //!
@@ -81,11 +48,225 @@
 //! byte-for-byte comparable across runs and `--jobs` settings.
 
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use harvest_core::{run_experiment_recorded, Checkpoint, Scale, SweepSnapshot, ALL_EXPERIMENTS};
 use harvest_sim::fault::FaultProfile;
 use harvest_sim::obs::Recorder;
+
+/// Everything the flags set. Flags only record here; the scale is built
+/// after parsing, so flag order never matters (`--seed 7 --full` keeps
+/// seed 7).
+#[derive(Default)]
+struct Opts {
+    help: bool,
+    full: bool,
+    net: bool,
+    disk: bool,
+    full_sweep: bool,
+    faults: Option<FaultProfile>,
+    jobs: Option<usize>,
+    seed: Option<u64>,
+    trace_out: Option<String>,
+    metrics_out: Option<String>,
+    checkpoint: Option<String>,
+    resume: Option<String>,
+    task_deadline: Option<u64>,
+    explain: bool,
+}
+
+/// Sets a flag's value (`None` when the command line ends first) or,
+/// when it is missing or bad, returns what a good one is.
+type Setter = fn(&mut Opts, Option<&str>) -> Result<(), String>;
+
+/// What a flag takes.
+enum Arg {
+    /// Nothing: the flag turns the returned field on.
+    Switch(fn(&mut Opts) -> &mut bool),
+    /// One value, shown as the placeholder.
+    Value(&'static str, Setter),
+}
+use Arg::{Switch, Value};
+
+/// One flag: its name (alternatives separated by ` | `), what it takes,
+/// and its `--help` text.
+struct Flag {
+    name: &'static str,
+    arg: Arg,
+    help: &'static str,
+}
+
+/// `v` parsed and accepted by `ok`, or `what` a good value is.
+fn need<T: FromStr>(v: Option<&str>, ok: fn(&T) -> bool, what: &str) -> Result<Option<T>, String> {
+    let v = v.and_then(|v| v.parse().ok()).filter(ok);
+    v.map(Some).ok_or_else(|| what.to_string())
+}
+
+/// A file path, or what one is.
+fn file(v: Option<&str>) -> Result<Option<String>, String> {
+    need(v, |_| true, "a file path")
+}
+
+/// Every flag `repro` accepts, in `--help` order.
+const FLAGS: &[Flag] = &[
+    Flag {
+        name: "--full",
+        arg: Switch(|o| &mut o.full),
+        help: "bigger clusters, longer horizons, the paper's five runs per data point",
+    },
+    Flag {
+        name: "--net",
+        arg: Switch(|o| &mut o.net),
+        help: "run over the harvest-net fabric: repairs, reads and shuffles pay for bandwidth",
+    },
+    Flag {
+        name: "--disk",
+        arg: Switch(|o| &mut o.disk),
+        help: "run over the harvest-disk model: the same bytes pay for disk bandwidth too",
+    },
+    Flag {
+        name: "--full-sweep",
+        arg: Switch(|o| &mut o.full_sweep),
+        help: "full-fleet scheduler tick sweeps: the bitwise-identical reference mode",
+    },
+    Flag {
+        name: "--faults",
+        arg: Value("PROFILE", |o, v| {
+            o.faults = v.and_then(FaultProfile::parse);
+            let names = FaultProfile::ALL.map(FaultProfile::name).join(" ");
+            let got = v.map(|v| format!(", not '{v}'")).unwrap_or_default();
+            o.faults
+                .map(|_| ())
+                .ok_or(format!("a profile name ({names}){got}"))
+        }),
+        help: "arm a fault plan (rack-loss, link-flap, disk-rot or correlated-storm) in \
+               fig15 and fig16; without it reports are as if faults did not exist",
+    },
+    Flag {
+        name: "--jobs",
+        arg: Value("N", |o, v| {
+            need(v, |&n| n >= 1, "an integer >= 1").map(|n| o.jobs = n)
+        }),
+        help: "sweep worker threads (default: all cores); reports are identical for any N",
+    },
+    Flag {
+        name: "--seed",
+        arg: Value("N", |o, v| {
+            need(v, |_| true, "an integer").map(|n| o.seed = n)
+        }),
+        help: "master seed (default 42)",
+    },
+    Flag {
+        name: "--trace-out",
+        arg: Value("FILE", |o, v| file(v).map(|p| o.trace_out = p)),
+        help: "write a Chrome-trace/Perfetto JSON of the run (turns recording on; micro \
+               then replays instrumented runs). Stdout is byte-identical either way",
+    },
+    Flag {
+        name: "--metrics-out",
+        arg: Value("FILE", |o, v| file(v).map(|p| o.metrics_out = p)),
+        help: "write counters, gauges and latency quantiles as JSON (turns recording on)",
+    },
+    Flag {
+        name: "--checkpoint",
+        arg: Value("FILE", |o, v| file(v).map(|p| o.checkpoint = p)),
+        help: "journal each finished sweep task, after the run's settings, to resume from",
+    },
+    Flag {
+        name: "--resume",
+        arg: Value("FILE", |o, v| file(v).map(|p| o.resume = p)),
+        help: "restore the tasks of a journal written under the same settings and compute \
+               the rest (stdout as if never killed); pair with --checkpoint FILE to go on",
+    },
+    Flag {
+        name: "--task-deadline",
+        arg: Value("SECS", |o, v| {
+            let what = "an integer number of seconds >= 1";
+            need(v, |&s| s >= 1, what).map(|s| o.task_deadline = s)
+        }),
+        help: "flag tasks running over SECS as stragglers and cancel them (default: \
+               flag, never cancel, tasks 8x over the running median)",
+    },
+    Flag {
+        name: "--explain",
+        arg: Switch(|o| &mut o.explain),
+        help: "print per-experiment blame tables (wait states, critical path) to stderr",
+    },
+    Flag {
+        name: "-h | --help",
+        arg: Switch(|o| &mut o.help),
+        help: "print this help",
+    },
+];
+
+/// Parses the arguments after the program name into options and
+/// experiment names, stopping at `--help`. An unknown `--` flag or a
+/// missing or bad value is a one-line error.
+fn parse(mut args: impl Iterator<Item = String>) -> Result<(Opts, Vec<String>), String> {
+    let mut opts = Opts::default();
+    let mut experiments = Vec::new();
+    while let Some(arg) = args.next().filter(|_| !opts.help) {
+        let Some(flag) = FLAGS.iter().find(|f| f.name.split(" | ").any(|n| n == arg)) else {
+            if arg.starts_with("--") {
+                return Err(format!("error: unknown flag '{arg}'"));
+            }
+            experiments.push(arg);
+            continue;
+        };
+        match flag.arg {
+            Switch(field) => *field(&mut opts) = true,
+            Value(_, set) => set(&mut opts, args.next().as_deref())
+                .map_err(|what| format!("{} requires {what}", flag.name))?,
+        }
+    }
+    Ok((opts, experiments))
+}
+
+/// A flag as the usage line and `--help` spell it.
+fn spelled(flag: &Flag) -> String {
+    match flag.arg {
+        Switch(_) => flag.name.to_string(),
+        Value(placeholder, _) => format!("{} {placeholder}", flag.name),
+    }
+}
+
+/// `words` filled into 78 columns, the first line starting and every
+/// later one indented at column `indent`.
+fn wrap<S: AsRef<str>>(words: impl IntoIterator<Item = S>, indent: usize) -> String {
+    let (mut out, mut col) = (String::new(), indent);
+    for word in words.into_iter().map(|w| w.as_ref().to_string()) {
+        if col > indent && col + 1 + word.len() > 78 {
+            out.push_str(&format!("\n{:indent$}", ""));
+            col = indent;
+        } else if col > indent {
+            out.push(' ');
+            col += 1;
+        }
+        out.push_str(&word);
+        col += word.len();
+    }
+    out
+}
+
+/// The `--help` text, generated from [`FLAGS`].
+fn help() -> String {
+    let usage = FLAGS.iter().map(|f| format!("[{}]", spelled(f)));
+    let mut text = format!(
+        "usage: repro {}\n       repro analyze TRACE.json\nexperiments: {} all\n\n",
+        wrap(usage.chain(["[EXPERIMENT...]".to_string()]), 13),
+        ALL_EXPERIMENTS.join(" "),
+    );
+    for flag in FLAGS {
+        let help = wrap(flag.help.split_whitespace(), 24);
+        text.push_str(&format!("  {:<21} {help}\n", spelled(flag)));
+    }
+    let analyze = "turn an exported trace into per-track busy time, the critical path, \
+                   and per-state blame tables with an exact conservation check";
+    let analyze = wrap(analyze.split_whitespace(), 24);
+    text.push_str(&format!("  {:<21} {analyze}\n", "analyze TRACE.json"));
+    text
+}
 
 /// One experiment's sweep outcomes as a short stderr summary, e.g.
 /// `"3 restored, 1 quarantined"`. Empty when nothing noteworthy
@@ -97,279 +278,86 @@ fn snapshot_summary(snap: &SweepSnapshot) -> String {
         (snap.journaled, "journaled"),
         (snap.retries, "retries"),
         (snap.quarantined, "quarantined"),
+        (snap.stragglers, "stragglers"),
     ] {
         if n > 0 {
             parts.push(format!("{n} {what}"));
         }
     }
-    if snap.stragglers > 0 {
-        if snap.cancelled > 0 {
-            parts.push(format!(
-                "{} stragglers ({} cancelled)",
-                snap.stragglers, snap.cancelled
-            ));
-        } else {
-            parts.push(format!("{} stragglers", snap.stragglers));
-        }
+    // Cancelled tasks are stragglers too, so the stragglers part is last.
+    if let (Some(stragglers), n @ 1..) = (parts.last_mut(), snap.cancelled) {
+        stragglers.push_str(&format!(" ({n} cancelled)"));
     }
     parts.join(", ")
 }
 
-/// The valid `--faults` names, space-separated, for error messages.
-fn profile_names() -> String {
-    FaultProfile::ALL
-        .iter()
-        .map(|p| p.name())
-        .collect::<Vec<_>>()
-        .join(" ")
+fn main() -> ExitCode {
+    run().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
 }
 
-fn main() -> ExitCode {
-    // Collect flags first, apply them to the scale afterwards, so flag
-    // order never matters (`--seed 7 --full` must keep seed 7).
-    let mut full = false;
-    let mut net = false;
-    let mut disk = false;
-    let mut full_sweep = false;
-    let mut explain = false;
-    let mut faults = None;
-    let mut seed = None;
-    let mut jobs = None;
-    let mut trace_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut checkpoint_path: Option<String> = None;
-    let mut resume_path: Option<String> = None;
-    let mut task_deadline: Option<u64> = None;
-    let mut experiments: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--full" => full = true,
-            "--net" => net = true,
-            "--disk" => disk = true,
-            "--full-sweep" => full_sweep = true,
-            "--explain" => explain = true,
-            "--faults" => match args.next() {
-                Some(name) => match FaultProfile::parse(&name) {
-                    Some(p) => faults = Some(p),
-                    None => {
-                        eprintln!("error: unknown fault profile '{name}'");
-                        eprintln!("valid profiles: {}", profile_names());
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => {
-                    eprintln!("--faults requires a profile name ({})", profile_names());
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--trace-out" => match args.next() {
-                Some(path) => trace_out = Some(path),
-                None => {
-                    eprintln!("--trace-out requires a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--metrics-out" => match args.next() {
-                Some(path) => metrics_out = Some(path),
-                None => {
-                    eprintln!("--metrics-out requires a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = Some(s),
-                None => {
-                    eprintln!("--seed requires an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => jobs = Some(n),
-                _ => {
-                    eprintln!("--jobs requires an integer >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--checkpoint" => match args.next() {
-                Some(path) => checkpoint_path = Some(path),
-                None => {
-                    eprintln!("--checkpoint requires a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--resume" => match args.next() {
-                Some(path) => resume_path = Some(path),
-                None => {
-                    eprintln!("--resume requires a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--task-deadline" => match args.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(secs) if secs >= 1 => task_deadline = Some(secs),
-                _ => {
-                    eprintln!("--task-deadline requires an integer number of seconds >= 1");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro [--full] [--net] [--disk] [--full-sweep] [--faults PROFILE] [--jobs N] [--seed N] \
-                     [--trace-out FILE] [--metrics-out FILE] [--checkpoint FILE] \
-                     [--resume FILE] [--task-deadline SECS] [--explain] \
-                     [EXPERIMENT...]"
-                );
-                println!("       repro analyze TRACE.json");
-                println!("experiments: {} all", ALL_EXPERIMENTS.join(" "));
-                println!(
-                    "--full runs the paper's five runs per sweep point; --jobs N sets \
-                     the sweep worker count (default: all cores, 1 = sequential \
-                     reference; output is byte-identical for any N)"
-                );
-                println!();
-                println!("inspecting a run:");
-                println!(
-                    "  --trace-out FILE    write a Chrome-trace/Perfetto JSON of the run \
-                     (open in chrome://tracing or ui.perfetto.dev): sim-time tracks per \
-                     subsystem (sched ticks, fabric flows, disk streams, dfs repairs) \
-                     plus wall-time tracks for the harness and parallel workers"
-                );
-                println!(
-                    "  --metrics-out FILE  write a machine-readable JSON report: counters, \
-                     gauge envelopes, and latency-sketch quantiles (p50/p90/p99)"
-                );
-                println!(
-                    "  either flag turns recording on (the `micro` experiment then replays \
-                     instrumented runs); stdout stays byte-identical with recording on or off"
-                );
-                println!(
-                    "  analyze TRACE.json  turn an exported trace into blame tables: \
-                     per-track busy time, critical path, and per-state wait breakdowns \
-                     with an exact conservation check (states tile each entity's lifetime)"
-                );
-                println!(
-                    "  --explain           compute the same blame tables in-process for \
-                     each experiment and print them to stderr (stdout is untouched)"
-                );
-                println!();
-                println!("injecting faults:");
-                println!(
-                    "  --faults PROFILE    arm a deterministic fault plan — rack power \
-                     loss, uplink flaps, disk failures and brown-outs — drawn from the \
-                     seed on a dedicated RNG stream and injected through the shared \
-                     event queue. fig15 (durability) and fig16 (availability) react: \
-                     heartbeat failure detection, repair retry with exponential \
-                     backoff, and bounded retry budgets whose exhaustion is counted \
-                     as permanent loss. Each armed report gains a fault-accounting \
-                     note; without the flag every report is byte-identical to a \
-                     build without the fault machinery"
-                );
-                println!("  profiles: {}", profile_names());
-                println!();
-                println!("surviving failures:");
-                println!(
-                    "  every sweep task runs under a supervisor: a panicking task is \
-                     retried on a jittered backoff and, if it keeps failing, \
-                     quarantined — its table cell degrades while every other result \
-                     stays bitwise identical to a clean run, and the report notes \
-                     the quarantined task"
-                );
-                println!(
-                    "  --checkpoint FILE   append each completed sweep task to a \
-                     crash-safe journal (checksummed lines, batched fsync); kill the \
-                     process at any point and resume without losing finished work"
-                );
-                println!(
-                    "  --resume FILE       restore completed tasks from a journal and \
-                     compute only the remainder; stdout is byte-identical to an \
-                     uninterrupted run at any --jobs. Pass the same path to both \
-                     flags to keep journaling into the same file; a torn final line \
-                     (crash mid-write) is detected and dropped"
-                );
-                println!(
-                    "  --task-deadline SECS  flag sweep tasks running longer than \
-                     SECS as stragglers and cancel them cooperatively; cancelled \
-                     tasks degrade like quarantined ones. Without the flag, tasks \
-                     8x slower than the running median are flagged (never \
-                     cancelled) in the stderr timing table"
-                );
-                return ExitCode::SUCCESS;
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("error: unknown flag '{flag}'");
-                return ExitCode::FAILURE;
-            }
-            other => experiments.push(other.to_string()),
-        }
+/// `repro analyze TRACE.json`, a pure post-processing mode: no
+/// experiments run, the blame tables go to stdout.
+fn analyze(args: &[String]) -> Result<ExitCode, String> {
+    let [path] = args else {
+        return Err("usage: repro analyze TRACE.json".to_string());
+    };
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("error: cannot read {path}: {e}"))?;
+    let analysis = harvest_sim::obs::analyze::analyze_trace_text(&text)
+        .map_err(|e| format!("error: {path} is not an analyzable trace: {e}"))?;
+    print!("{}", analysis.render());
+    if !analysis.conserved() {
+        eprintln!("warning: some entities failed the state-conservation check");
     }
-    // `repro analyze TRACE.json` is a pure post-processing mode: no
-    // experiments run, the blame tables go to stdout.
+    Ok(ExitCode::SUCCESS)
+}
+
+/// The whole run. An `Err` is a one-line message for stderr.
+fn run() -> Result<ExitCode, String> {
+    let (opts, mut experiments) = parse(std::env::args().skip(1))?;
+    if opts.help {
+        print!("{}", help());
+        return Ok(ExitCode::SUCCESS);
+    }
     if experiments.first().is_some_and(|e| e == "analyze") {
-        if experiments.len() != 2 {
-            eprintln!("usage: repro analyze TRACE.json");
-            return ExitCode::FAILURE;
-        }
-        let path = &experiments[1];
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match harvest_sim::obs::analyze::analyze_trace_text(&text) {
-            Ok(analysis) => {
-                print!("{}", analysis.render());
-                if !analysis.conserved() {
-                    eprintln!("warning: some entities failed the state-conservation check");
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {path} is not an analyzable trace: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        return analyze(&experiments[1..]);
     }
 
-    let mut scale = if full { Scale::full() } else { Scale::quick() };
-    if net {
+    let mut scale = if opts.full {
+        Scale::full()
+    } else {
+        Scale::quick()
+    };
+    if opts.net {
         scale.network = Some(harvest_net::NetworkConfig::datacenter());
     }
-    if disk {
+    if opts.disk {
         scale.disk = Some(harvest_disk::DiskConfig::datacenter());
     }
-    if full_sweep {
+    if opts.full_sweep {
         scale.tick_sweep = harvest_sched::TickSweep::Full;
     }
-    scale.faults = faults;
-    if let Some(jobs) = jobs {
-        scale.jobs = jobs;
-    }
-    if let Some(seed) = seed {
-        scale.seed = seed;
-    }
+    scale.faults = opts.faults;
+    scale.jobs = opts.jobs.unwrap_or(scale.jobs);
+    scale.seed = opts.seed.unwrap_or(scale.seed);
     // Open the journal before any experiment runs: an unreadable or
     // corrupt resume file must fail fast, not after an hour of sweeps.
-    let checkpoint = match Checkpoint::open(checkpoint_path.as_deref(), resume_path.as_deref()) {
-        Ok(cp) => cp.map(|(cp, torn, restored)| {
-            if resume_path.is_some() {
-                if torn > 0 {
-                    eprintln!("[resume: {restored} results restored, {torn} torn lines dropped]");
-                } else {
-                    eprintln!("[resume: {restored} results restored]");
-                }
+    let checkpoint = Checkpoint::open(opts.checkpoint.as_deref(), opts.resume.as_deref(), &scale)
+        .map_err(|e| format!("error: {e}"))?
+        .map(|(cp, torn, restored)| {
+            if opts.resume.is_some() {
+                let dropped = format!(", {torn} torn lines dropped");
+                let torn = if torn > 0 { dropped.as_str() } else { "" };
+                eprintln!("[resume: {restored} results restored{torn}]");
             }
             Arc::new(cp)
-        }),
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+        });
     scale.harness.checkpoint = checkpoint.clone();
-    scale.harness.deadline = task_deadline.map(std::time::Duration::from_secs);
-    let mut rec = if trace_out.is_some() || metrics_out.is_some() || explain {
+    scale.harness.deadline = opts.task_deadline.map(std::time::Duration::from_secs);
+    let mut rec = if opts.trace_out.is_some() || opts.metrics_out.is_some() || opts.explain {
         Recorder::new("repro")
     } else {
         Recorder::off()
@@ -384,11 +372,12 @@ fn main() -> ExitCode {
         .filter(|e| *e != "all" && !ALL_EXPERIMENTS.contains(&e.as_str()))
         .collect();
     if !unknown.is_empty() {
-        for e in unknown {
-            eprintln!("error: unknown experiment '{e}'");
-        }
-        eprintln!("valid experiments: {} all", ALL_EXPERIMENTS.join(" "));
-        return ExitCode::FAILURE;
+        let unknown: Vec<String> = unknown.iter().map(|e| format!("'{e}'")).collect();
+        return Err(format!(
+            "error: unknown experiment {} (valid experiments: {} all)",
+            unknown.join(", "),
+            ALL_EXPERIMENTS.join(" ")
+        ));
     }
     if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
         experiments = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
@@ -421,7 +410,7 @@ fn main() -> ExitCode {
         // With --explain each experiment records into its own child so
         // its blame tables cover exactly this experiment's runs; the
         // child is absorbed back, so exports still see everything.
-        let result = if explain {
+        let result = if opts.explain {
             let mut erec = rec.child();
             let r = run_experiment_recorded(id, &scale, &mut erec);
             if r.is_ok() {
@@ -497,33 +486,43 @@ fn main() -> ExitCode {
             Err(e) => {
                 eprintln!("error: {e}");
                 timing_table(&timings, suite_started.elapsed().as_secs_f64());
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
     timing_table(&timings, suite_started.elapsed().as_secs_f64());
     // Seal the journal: the final fsync and any latched write error.
     if let Some(cp) = &checkpoint {
-        if let Err(e) = cp.flush() {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        cp.flush().map_err(|e| format!("error: {e}"))?;
     }
     // Exports last, after the timing table: on stderr either way, and
     // a write failure fails the run.
-    if let Some(path) = trace_out {
-        if let Err(e) = std::fs::write(&path, rec.chrome_trace_json()) {
-            eprintln!("error: cannot write trace to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = opts.trace_out {
+        std::fs::write(&path, rec.chrome_trace_json())
+            .map_err(|e| format!("error: cannot write trace to {path}: {e}"))?;
         eprintln!("[trace written to {path}]");
     }
-    if let Some(path) = metrics_out {
-        if let Err(e) = std::fs::write(&path, rec.metrics_json()) {
-            eprintln!("error: cannot write metrics to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = opts.metrics_out {
+        std::fs::write(&path, rec.metrics_json())
+            .map_err(|e| format!("error: cannot write metrics to {path}: {e}"))?;
         eprintln!("[metrics written to {path}]");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn help_describes_every_flag() {
+        let text = help();
+        for flag in FLAGS.iter().map(spelled) {
+            assert!(text.contains(&format!("[{flag}]")), "usage lacks {flag}");
+            assert!(text.contains(&format!("\n  {flag} ")), "no help for {flag}");
+        }
+        for name in FaultProfile::ALL.map(FaultProfile::name) {
+            assert!(text.contains(name), "help lacks profile {name}");
+        }
+    }
 }

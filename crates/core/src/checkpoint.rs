@@ -17,6 +17,10 @@
 //!   task owns a `derive_seed_indexed` stream named by its key, a
 //!   killed-and-resumed run's stdout is **byte-identical** to an
 //!   uninterrupted one at any `--jobs`.
+//! * The journal's first line is a settings manifest under a
+//!   reserved key: a resume whose settings differ (say, `--net` added,
+//!   or another `--seed`) is refused instead of splicing results
+//!   computed under the old settings into the new report.
 //!
 //! # Exactness
 //!
@@ -61,6 +65,41 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Appends of `pending` lines are batched before each fsync.
 const FSYNC_BATCH: usize = 32;
+
+/// The journal key of the settings manifest. Task keys are
+/// `"{stream}/{task}"`, so a key without a `/` can never collide.
+const MANIFEST_KEY: &str = "manifest";
+
+/// Journal format version, recorded in the manifest. Bump it when a
+/// result encoding changes.
+const JOURNAL_VERSION: u64 = 1;
+
+/// Every [`Scale`] setting that shapes results, as one JSON object:
+/// seed, datacenter scale, runs, horizons, utilization points, and the
+/// network, disk and fault models. `jobs`, the task deadline, recording
+/// and the tick sweep are left out because reports do not depend on
+/// them.
+fn manifest(scale: &Scale) -> String {
+    let utils: Vec<String> = scale.utilizations.iter().map(|&u| hex_f64(u)).collect();
+    // `Debug` of the two configs prints every field (floats in exact
+    // round-trip form) and never a quote.
+    obj(&[
+        ("version", hex_u64(JOURNAL_VERSION)),
+        ("seed", hex_u64(scale.seed)),
+        ("dc_scale", hex_f64(scale.dc_scale)),
+        ("runs", hex_u64(scale.runs as u64)),
+        ("sched_hours", hex_u64(scale.sched_hours)),
+        ("durability_months", hex_u64(scale.durability_months as u64)),
+        ("availability_days", hex_u64(scale.availability_days)),
+        ("utilizations", format!("[{}]", utils.join(","))),
+        ("network", format!("\"{:?}\"", scale.network)),
+        ("disk", format!("\"{:?}\"", scale.disk)),
+        (
+            "faults",
+            format!("\"{}\"", scale.faults.map_or("none", |p| p.name())),
+        ),
+    ])
+}
 
 fn journal_line(key: &str, value_json: &str) -> String {
     let payload = format!("{{\"k\":\"{key}\",\"v\":{value_json}}}");
@@ -191,16 +230,21 @@ impl std::fmt::Debug for Checkpoint {
 }
 
 impl Checkpoint {
-    /// Opens a checkpoint from the `--checkpoint` / `--resume` paths.
-    /// Returns `Ok(None)` when neither is given; otherwise the
-    /// checkpoint plus `(torn lines dropped, results restored)`.
+    /// Opens a checkpoint from the `--checkpoint` / `--resume` paths
+    /// for a run at `scale`. Returns `Ok(None)` when neither is given;
+    /// otherwise the checkpoint plus `(torn lines dropped, results
+    /// restored)`. A resume journal whose settings manifest is missing or
+    /// differs from `scale`'s is refused; a fresh write journal starts
+    /// with `scale`'s manifest.
     pub fn open(
         write_path: Option<&str>,
         resume_path: Option<&str>,
+        scale: &Scale,
     ) -> Result<Option<(Checkpoint, u64, usize)>, String> {
         if write_path.is_none() && resume_path.is_none() {
             return Ok(None);
         }
+        let manifest = manifest(scale);
         let mut restored = HashMap::new();
         let mut torn = 0u64;
         let mut valid_len = 0u64;
@@ -209,8 +253,19 @@ impl Checkpoint {
             File::open(path)
                 .and_then(|mut f| f.read_to_string(&mut text))
                 .map_err(|e| format!("cannot read resume journal {path}: {e}"))?;
-            let data =
+            let mut data =
                 parse_journal(&text).map_err(|e| format!("corrupt resume journal {path}: {e}"))?;
+            let found = data
+                .map
+                .remove(MANIFEST_KEY)
+                .ok_or_else(|| format!("resume journal {path} has no settings manifest"))?;
+            if json::parse(&manifest).as_ref() != Ok(&found) {
+                return Err(format!(
+                    "resume journal {path} was written with other settings \
+                     (seed, scale, --full, --net, --disk or --faults); \
+                     resume with the settings that wrote it"
+                ));
+            }
             restored = data.map;
             torn = data.torn_dropped;
             valid_len = data.valid_len;
@@ -236,7 +291,13 @@ impl Checkpoint {
                     File::create(path)
                         .map_err(|e| format!("cannot create checkpoint journal {path}: {e}"))?
                 };
-                Some(JournalWriter { file, pending: 0 })
+                let mut w = JournalWriter { file, pending: 0 };
+                // A same-file resume already starts with the manifest.
+                if !same_file {
+                    w.append(MANIFEST_KEY, &manifest)
+                        .map_err(|e| format!("cannot write checkpoint journal {path}: {e}"))?;
+                }
+                Some(w)
             }
         };
         let n_restored = restored.len();
@@ -598,8 +659,8 @@ where
     )
 }
 
-/// [`sweep_plain`] with per-worker scratch (the
-/// [`harvest_sim::par::par_map_with`] shape).
+/// [`sweep_plain`] with per-worker scratch: `init` runs once per
+/// worker of [`harvest_sim::supervise::par_map_supervised_with`].
 pub fn sweep_plain_with<T, R, S, I, F, K>(
     scale: &Scale,
     stream: &str,
@@ -734,7 +795,7 @@ mod tests {
         let run = |jobs: usize, ck: Option<&str>, resume: Option<&str>| -> Vec<Option<Rec>> {
             let mut scale = Scale::quick();
             scale.jobs = jobs;
-            if let Some((cp, _, _)) = Checkpoint::open(ck, resume).unwrap() {
+            if let Some((cp, _, _)) = Checkpoint::open(ck, resume, &scale).unwrap() {
                 scale.harness.checkpoint = Some(Arc::new(cp));
             }
             let s = sweep(
@@ -759,7 +820,9 @@ mod tests {
         for jobs in [1, 3] {
             let mut scale = Scale::quick();
             scale.jobs = jobs;
-            let (cp, torn, restored) = Checkpoint::open(None, Some(&write_s)).unwrap().unwrap();
+            let (cp, torn, restored) = Checkpoint::open(None, Some(&write_s), &scale)
+                .unwrap()
+                .unwrap();
             assert_eq!(torn, 0);
             assert_eq!(restored, tasks.len());
             scale.harness.checkpoint = Some(Arc::new(cp));
@@ -780,11 +843,13 @@ mod tests {
     fn same_file_checkpoint_resume_truncates_torn_tail() {
         let path = tmp("torn-tail");
         let path_s = path.to_str().unwrap().to_string();
-        let mut text = journal_line("r/t0", &Rec { a: 1, b: 1.0 }.encode());
+        let scale = Scale::quick();
+        let mut text = journal_line(MANIFEST_KEY, &manifest(&scale));
+        text.push_str(&journal_line("r/t0", &Rec { a: 1, b: 1.0 }.encode()));
         let second = journal_line("r/t1", &Rec { a: 2, b: 2.0 }.encode());
         text.push_str(&second[..second.len() - 3]);
         std::fs::write(&path, &text).unwrap();
-        let (cp, torn, restored) = Checkpoint::open(Some(&path_s), Some(&path_s))
+        let (cp, torn, restored) = Checkpoint::open(Some(&path_s), Some(&path_s), &scale)
             .unwrap()
             .unwrap();
         assert_eq!(torn, 1);
@@ -793,16 +858,19 @@ mod tests {
         cp.flush().unwrap();
         drop(cp);
         // The torn tail was truncated before the append: the file now
-        // parses cleanly with both keys.
-        let data = parse_journal(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        // parses cleanly with both keys and its one manifest.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let data = parse_journal(&text).unwrap();
         assert_eq!(data.torn_dropped, 0);
-        assert_eq!(data.map.len(), 2);
+        assert_eq!(data.map.len(), 3);
+        assert_eq!(text.matches("\"k\":\"manifest\"").count(), 1);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn unreadable_resume_is_a_one_line_error() {
-        let err = Checkpoint::open(None, Some("/nonexistent/journal")).unwrap_err();
+        let err =
+            Checkpoint::open(None, Some("/nonexistent/journal"), &Scale::quick()).unwrap_err();
         assert!(err.contains("cannot read resume journal"), "{err}");
         assert!(!err.contains('\n'));
     }

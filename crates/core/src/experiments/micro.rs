@@ -29,7 +29,7 @@ use crate::scale::Scale;
 /// placement timings for a DC-9-like input. With a live `rec` this is
 /// also the observability showcase: it replays a recorded scheduling
 /// run (network + disks on), a recorded reimage storm, and a profiled
-/// `par_map` sweep, so one `repro micro --trace-out` run exercises
+/// supervised sweep, so one `repro micro --trace-out` run exercises
 /// every subsystem's track. The showcase prints nothing and does not
 /// touch the report.
 pub fn micro(scale: &Scale, rec: &mut harvest_sim::obs::Recorder) -> String {
@@ -139,8 +139,8 @@ pub fn micro(scale: &Scale, rec: &mut harvest_sim::obs::Recorder) -> String {
 /// subsystem: a scheduling simulation with the fabric and disks on
 /// (tick spans, flow and stream lifetimes, re-share sizes, per-stage
 /// wait states), a reimage storm (repair spans and wait states), a
-/// search-server run (per-request wait states), and a profiled
-/// [`par_map_profiled`] sweep (wall-time worker tracks). Only runs
+/// search-server run (per-request wait states), and a supervised
+/// [`par_map_supervised`] sweep (wall-time worker tracks). Only runs
 /// when recording is on — the microbenchmark report never depends on
 /// it.
 fn record_showcase(scale: &Scale, rec: &mut harvest_sim::obs::Recorder) {
@@ -148,7 +148,7 @@ fn record_showcase(scale: &Scale, rec: &mut harvest_sim::obs::Recorder) {
     use harvest_jobs::workload::Workload;
     use harvest_sched::policy::SchedPolicy;
     use harvest_sched::sim::{SchedSim, SchedSimConfig};
-    use harvest_sim::par::par_map_profiled;
+    use harvest_sim::supervise::{par_map_supervised, SuperviseConfig};
     use harvest_sim::SimDuration;
 
     let network = scale
@@ -198,10 +198,15 @@ fn record_showcase(scale: &Scale, rec: &mut harvest_sim::obs::Recorder) {
     let server = harvest_service::lucene::SearchServer::lucene_like();
     let _ = server.run_recorded(0.9, 2_000, scale.seed, rec);
 
-    // A profiled parallel sweep: per-worker busy/idle wall-time tracks.
+    // A parallel sweep: per-worker busy/idle wall-time tracks.
     let queries = tpcds_suite();
-    let (_, profiles) = par_map_profiled(scale.jobs, &queries, |q| q.critical_path());
-    rec.record_worker_profiles("micro", &profiles);
+    let sweep = par_map_supervised(
+        scale.jobs,
+        &queries,
+        &SuperviseConfig::default(),
+        |_, q, _| q.critical_path(),
+    );
+    rec.record_worker_profiles("micro", &sweep.profiles);
 }
 
 #[cfg(test)]

@@ -18,13 +18,15 @@
 //! read-only state (datacenters, utilization views), flatten the sweep
 //! — every `(point × run)`, or per-tenant unit — into a list of task
 //! descriptors each carrying its own derived seed stream, fan the list
-//! out with [`harvest_sim::par::par_map`] over `Scale::jobs` workers,
-//! then aggregate the returned results in input order. Because nothing
+//! out over `Scale::jobs` workers of the one supervised worker loop
+//! ([`harvest_sim::supervise`], reached through [`checkpoint::sweep`]
+//! for sweeps and [`harvest_sim::par::par_map`] for set-up), then
+//! aggregate the returned results in input order. Because nothing
 //! mutable is shared and aggregation order is fixed, a report is
 //! byte-identical at any `--jobs` value (`crates/core/tests/
-//! determinism.rs` pins this against the `--jobs 1` sequential
-//! reference path, the same oracle pattern as `TickSweep::Full` and
-//! the `harvest-oracle` reference allocators).
+//! determinism.rs` pins this against `--jobs 1`, where one worker runs
+//! the tasks in input order, the same oracle pattern as
+//! `TickSweep::Full` and the `harvest-oracle` reference allocators).
 //!
 //! # Surviving failures
 //!
@@ -58,7 +60,7 @@ pub fn run_experiment(id: &str, scale: &Scale) -> Result<String, String> {
 /// [`run_experiment`] with an observability [`Recorder`]
 /// (`harvest_sim::obs::Recorder`): recording-aware experiments
 /// (currently `micro`, which replays a recorded scheduling run, a
-/// recorded reimage storm, and a profiled `par_map` sweep) feed spans,
+/// recorded reimage storm, and a profiled supervised sweep) feed spans,
 /// counters, and histograms into `rec`; every other experiment ignores
 /// it. The returned report is byte-identical to [`run_experiment`]'s —
 /// recording is invisible on stdout.

@@ -43,9 +43,10 @@ pub struct Scale {
     /// cost) for validation.
     pub tick_sweep: TickSweep,
     /// Worker threads for the sweep matrices (`repro --jobs N`).
-    /// Defaults to every available core; `1` is the sequential
-    /// reference path. Reports are byte-identical at any value — the
-    /// experiments fan out over [`harvest_sim::par::par_map`], whose
+    /// Defaults to every available core; `1` runs every task on one
+    /// worker in input order, the sequential reference. Reports are
+    /// byte-identical at any value — the experiments fan out over the
+    /// supervised worker loop ([`harvest_sim::supervise`]), whose
     /// order-preserving writes make thread count unobservable.
     pub jobs: usize,
     /// Fault profile to arm (`repro --faults PROFILE`): experiments

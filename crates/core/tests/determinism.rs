@@ -5,9 +5,10 @@
 //! pin it the same way the `TickSweep::Full` oracle and the
 //! `harvest-oracle` reference allocators pin their incremental
 //! counterparts — run the reference path
-//! (`jobs = 1`, a plain sequential loop) and a contended parallel path
-//! (`jobs = 4`, forced even on fewer cores; threads do not need cores to
-//! interleave) and assert the rendered reports are byte-identical.
+//! (`jobs = 1`, one worker taking the tasks in input order) and a
+//! contended parallel path (`jobs = 4`, forced even on fewer cores;
+//! threads do not need cores to interleave) and assert the rendered
+//! reports are byte-identical.
 //!
 //! `micro` is the one deliberate exception: its report *is* a table of
 //! measured wall-clock times, so its stdout is not comparable across any
@@ -239,31 +240,42 @@ fn quarantined_task_degrades_only_its_cell() {
     );
 }
 
+/// Runs `repro` with `args`, asserting it fails with empty stdout and
+/// a one-line stderr error, which it returns.
+fn fails_with_one_line(args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro runs");
+    assert!(
+        !out.status.success(),
+        "repro {args:?} unexpectedly succeeded"
+    );
+    assert!(out.stdout.is_empty(), "error path wrote to stdout");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert_eq!(
+        stderr.trim_end().lines().count(),
+        1,
+        "want one-line error, got: {stderr}"
+    );
+    stderr
+}
+
 /// Malformed invocations die fast with a one-line error and a nonzero
 /// exit, before any experiment burns time.
 #[test]
 fn bad_arguments_fail_fast() {
-    let run = |args: &[&str]| {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(args)
-            .output()
-            .expect("repro runs");
-        assert!(
-            !out.status.success(),
-            "repro {args:?} unexpectedly succeeded"
-        );
-        assert!(out.stdout.is_empty(), "error path wrote to stdout");
-        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
-        assert_eq!(
-            stderr.trim_end().lines().count(),
-            1,
-            "want one-line error, got: {stderr}"
-        );
-        stderr
-    };
+    let run = fails_with_one_line;
     assert!(run(&["--jobs", "0", "fig7"]).contains("--jobs requires an integer >= 1"));
     assert!(run(&["--jobs", "x", "fig7"]).contains("--jobs requires an integer >= 1"));
     assert!(run(&["--task-deadline", "0", "fig7"]).contains("--task-deadline requires"));
+    assert!(run(&["--seed", "x", "fig7"]).contains("--seed requires an integer"));
+    assert!(run(&["fig7", "--trace-out"]).contains("--trace-out requires a file path"));
+    let faults = run(&["--faults", "nope", "fig7"]);
+    assert!(
+        faults.contains("'nope'") && faults.contains("rack-loss"),
+        "{faults}"
+    );
     // An unknown flag is rejected as a flag, before anything runs —
     // not misread as an experiment name (nor is its value).
     assert_eq!(
@@ -282,4 +294,40 @@ fn bad_arguments_fail_fast() {
         "corrupt journal not rejected: {stderr}"
     );
     let _ = std::fs::remove_file(&corrupt);
+}
+
+/// A journal records the settings that shaped its results: resuming it
+/// under another seed or another transfer model is refused up front,
+/// while a setting that cannot change a report (`--jobs`) is not.
+#[test]
+fn resume_under_other_settings_is_refused() {
+    let journal =
+        std::env::temp_dir().join(format!("harvest-settings-{}.journal", std::process::id()));
+    let journal = journal.to_str().expect("utf-8 temp path");
+    let repro = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("repro runs")
+    };
+    let written = repro(&["fig7", "--checkpoint", journal]);
+    assert!(written.status.success(), "journaling run failed");
+
+    for other in [["--seed", "7"].as_slice(), ["--net"].as_slice()] {
+        let args: Vec<&str> = other
+            .iter()
+            .copied()
+            .chain(["--resume", journal, "fig7"])
+            .collect();
+        let stderr = fails_with_one_line(&args);
+        assert!(stderr.contains("other settings"), "{other:?}: {stderr}");
+    }
+    let resumed = repro(&["fig7", "--jobs", "1", "--resume", journal]);
+    assert!(
+        resumed.status.success(),
+        "same-settings resume failed: {}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert_eq!(resumed.stdout, written.stdout);
+    let _ = std::fs::remove_file(journal);
 }

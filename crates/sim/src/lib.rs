@@ -17,7 +17,8 @@
 //!   components get decorrelated, reproducible random streams;
 //! * [`par`] — a deterministic, order-preserving `par_map` for
 //!   embarrassingly-parallel experiment matrices (byte-identical output
-//!   at any thread count);
+//!   at any thread count), a fail-fast adapter over [`supervise`]'s
+//!   worker loop;
 //! * [`obs`] — zero-cost-when-off observability: a [`Recorder`] facade
 //!   of counters, gauges, bounded quantile sketches, and sim-time
 //!   spans, with Chrome-trace/Perfetto and machine-readable JSON
@@ -30,10 +31,12 @@
 //!   [`FaultPlan`]s (crashes, rack power loss, link flaps, disk
 //!   brown-outs) plus retry/backoff knobs, with [`fault::FaultPlan::none`]
 //!   guaranteeing the no-fault path stays bitwise identical;
-//! * [`supervise`] — a supervised `par_map`: per-task panic isolation
-//!   (`catch_unwind` + bounded jittered retries + quarantine), a
-//!   watchdog with per-task deadlines and cooperative [`supervise::CancelToken`]
-//!   cancellation, so one bad task never aborts a long sweep.
+//! * [`supervise`] — the one worker loop behind every fan-out: per-task
+//!   panic isolation (`catch_unwind` + bounded jittered retries +
+//!   quarantine), a watchdog with per-task deadlines and cooperative
+//!   [`supervise::CancelToken`] cancellation, so one bad task never
+//!   aborts a long sweep, and per-worker task timings
+//!   ([`supervise::WorkerProfile`]) for the wall-time tracks.
 //!
 //! # Examples
 //!
@@ -64,5 +67,5 @@ pub use engine::{EventKey, EventQueue};
 pub use fairshare::FairShare;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultProfile};
 pub use obs::Recorder;
-pub use par::{default_jobs, par_map, par_map_profiled, par_map_with};
+pub use par::{default_jobs, par_map};
 pub use time::{SimDuration, SimTime};

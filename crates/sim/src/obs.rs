@@ -86,7 +86,7 @@ pub mod analyze;
 use std::collections::HashMap;
 
 use crate::metrics::QuantileSketch;
-use crate::par::WorkerProfile;
+use crate::supervise::WorkerProfile;
 use crate::time::SimTime;
 
 /// Gauge series point budget; a full series decimates keep-every-other
@@ -667,7 +667,7 @@ impl Recorder {
         });
     }
 
-    /// Records [`crate::par::par_map_profiled`] worker profiles as one
+    /// Records [`crate::supervise::Supervised::profiles`] as one
     /// wall track per worker (`{label}/w{worker}`), one span per task.
     /// A worker that ran no task still gets its (empty) track.
     pub fn record_worker_profiles(&mut self, label: &str, profiles: &[WorkerProfile]) {
@@ -1190,7 +1190,7 @@ mod tests {
         let mut r = Recorder::new("t");
         let busy = WorkerProfile {
             worker: 1,
-            tasks: vec![crate::par::TaskTiming {
+            tasks: vec![crate::supervise::TaskTiming {
                 task: 0,
                 start_us: 5,
                 end_us: 9,

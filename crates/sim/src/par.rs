@@ -4,10 +4,11 @@
 //! `(sweep point × run)` is an independent simulation whose inputs are a
 //! task descriptor plus shared read-only state (a [`crate::rng`] seed
 //! stream per task keeps the random streams decorrelated no matter which
-//! worker executes it). [`par_map`] fans such a matrix out over
-//! `std::thread::scope` workers pulling indices from one atomic cursor
-//! (work stealing without queues), and writes each result into its
-//! input slot of a pre-sized `Vec<Option<R>>`.
+//! worker executes it). [`par_map`] fans such a list out for trusted
+//! set-up work (building datacenters, utilization views) on the one
+//! worker loop in [`crate::supervise`]: `std::thread::scope` workers pull
+//! indices from one atomic cursor (work stealing without queues) and each
+//! result lands in its input slot.
 //!
 //! # Determinism contract
 //!
@@ -19,28 +20,25 @@
 //! caller performs over the returned `Vec` happens on the calling thread
 //! in input order, so even float reduction order is unchanged. That is
 //! why determinism is free — there is no reduction tree whose shape
-//! depends on `jobs`. `jobs == 1` short-circuits to a plain sequential
-//! loop with no threads spawned: the reference path (`repro --jobs 1`).
+//! depends on `jobs`. `jobs == 1` is not a thread-free path: it runs the
+//! same loop on one spawned worker, so `repro --jobs 1` is the sequential
+//! reference by task order, and the contract is unchanged.
 //!
 //! # Cost model
 //!
-//! * Task granularity: one claim is one `fetch_add` (~nanoseconds), so
-//!   tasks of ≥ tens of microseconds amortize it fully. The harness's
-//!   tasks are whole simulations (milliseconds to minutes); per-tenant
-//!   classification tasks (~100 µs) still amortize ~10⁴×.
+//! * Task granularity: one claim is one `fetch_add` (~nanoseconds) plus
+//!   the supervision bookkeeping of [`crate::supervise`] (a
+//!   `catch_unwind` frame and two uncontended mutex stores), so tasks of
+//!   ≥ tens of microseconds amortize it fully. The harness's tasks are
+//!   whole simulations (milliseconds to minutes); per-tenant
+//!   classification tasks (~100 µs) still amortize it ~10³×.
 //! * Imbalance: the atomic cursor is claim-by-one, so a convoy of cheap
 //!   tasks behind one expensive task costs at most
 //!   `max(task) + total/jobs` wall clock — no static partitioning
 //!   cliffs. Put the expensive axis (runs, tenants) in the task list
 //!   rather than inside one task when possible.
-//! * Memory: results are buffered per worker as `(index, R)` pairs and
-//!   merged after the join, so `R` should be a summary (statistics, a
-//!   report row), not a trace. Workers share nothing mutable; per-worker
-//!   scratch comes from [`par_map_with`]'s `init`, which runs once per
-//!   worker, not once per task.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use crate::supervise::{par_map_supervised, RetryBudget, SuperviseConfig};
 
 /// The default worker count for parallel sweeps: every core the OS
 /// grants us, or 1 if that cannot be determined.
@@ -53,224 +51,46 @@ pub fn default_jobs() -> usize {
 /// Maps `f` over `tasks` on up to `jobs` worker threads, returning the
 /// results in input order — byte-identical to the sequential map for
 /// any `jobs` (see the module docs for the contract).
+///
+/// Fail-fast: there are no retries, and a panicking task panics the
+/// caller — naming the worker, the task and the payload — once the
+/// other workers have drained.
 pub fn par_map<T, R, F>(jobs: usize, tasks: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_with(jobs, tasks, || (), |(), t| f(t))
-}
-
-/// [`par_map`] with per-worker scratch state: `init` runs once on each
-/// worker (and once total on the sequential path) and the resulting
-/// scratch is threaded through every task that worker claims.
-///
-/// This is how allocation-heavy inner loops (e.g. FFT spectra in tenant
-/// classification) reuse buffers without sharing anything mutable
-/// across threads. The scratch must not carry information between tasks
-/// that changes results, or the determinism contract breaks.
-pub fn par_map_with<T, R, S, I, F>(jobs: usize, tasks: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    let jobs = jobs.max(1).min(tasks.len().max(1));
-    if jobs == 1 {
-        let mut scratch = init();
-        return tasks.iter().map(|t| f(&mut scratch, t)).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    // Last task index each worker claimed, so a panicking worker's join
-    // failure can name the task it died on (see `join_named`).
-    let current: Vec<AtomicUsize> = (0..jobs).map(|_| AtomicUsize::new(usize::MAX)).collect();
-    let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let (cursor, current, init, f) = (&cursor, &current, &init, &f);
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut scratch = init();
-                    let mut claimed = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(task) = tasks.get(i) else { break };
-                        current[w].store(i, Ordering::Relaxed);
-                        claimed.push((i, f(&mut scratch, task)));
-                    }
-                    claimed
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(w, h)| join_named(w, current, h))
-            .collect()
-    });
-
-    // Pre-sized output; placement by input index makes order free.
-    let mut out: Vec<Option<R>> = Vec::with_capacity(tasks.len());
-    out.resize_with(tasks.len(), || None);
-    for bucket in buckets {
-        for (i, r) in bucket {
-            debug_assert!(out[i].is_none(), "slot {i} claimed twice");
-            out[i] = Some(r);
-        }
-    }
-    out.into_iter()
-        .map(|r| r.expect("par_map left a slot unclaimed"))
-        .collect()
-}
-
-/// Joins one worker, converting a worker panic into a panic that names
-/// the worker and the task it was executing — `par_map` itself does not
-/// isolate panics (that is [`crate::supervise`]'s job), but it must not
-/// hide *where* a sweep died.
-fn join_named<B>(w: usize, current: &[AtomicUsize], h: std::thread::ScopedJoinHandle<'_, B>) -> B {
-    match h.join() {
-        Ok(bucket) => bucket,
-        Err(payload) => {
-            let task = current[w].load(Ordering::Relaxed);
-            let on = if task == usize::MAX {
-                "before claiming any task".to_string()
-            } else {
-                format!("on task {task}")
-            };
-            panic!(
-                "par_map worker {w} panicked {on}: {}",
-                crate::supervise::panic_message(&*payload)
-            )
-        }
-    }
-}
-
-/// Wall-clock timing of one claimed task, as offsets from the
-/// [`par_map_profiled`] call's entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskTiming {
-    /// Input index of the task.
-    pub task: usize,
-    /// Start offset in microseconds.
-    pub start_us: u64,
-    /// End offset in microseconds.
-    pub end_us: u64,
-}
-
-/// Everything one worker did during a [`par_map_profiled`] call: which
-/// tasks it claimed and when. Gaps between consecutive spans are idle
-/// time (waiting on the claim cursor or starved of work).
-#[derive(Debug, Clone, Default)]
-pub struct WorkerProfile {
-    /// Worker index in `0..jobs`.
-    pub worker: usize,
-    /// Claimed tasks in claim order.
-    pub tasks: Vec<TaskTiming>,
-}
-
-impl WorkerProfile {
-    /// Total microseconds this worker spent inside task closures.
-    pub fn busy_us(&self) -> u64 {
-        self.tasks.iter().map(|t| t.end_us - t.start_us).sum()
-    }
-}
-
-/// [`par_map`] plus per-worker profiling: returns the same results (the
-/// determinism contract is unchanged — profiling only *observes* the
-/// schedule) along with one [`WorkerProfile`] per worker, suitable for
-/// [`crate::obs::Recorder::record_worker_profiles`].
-///
-/// The profiling clock is wall time, not sim time; timings vary run to
-/// run even though results never do.
-pub fn par_map_profiled<T, R, F>(jobs: usize, tasks: &[T], f: F) -> (Vec<R>, Vec<WorkerProfile>)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let epoch = Instant::now();
-    let stamp = |epoch: &Instant| epoch.elapsed().as_micros() as u64;
-    let jobs = jobs.max(1).min(tasks.len().max(1));
-    if jobs == 1 {
-        let mut profile = WorkerProfile {
-            worker: 0,
-            tasks: Vec::with_capacity(tasks.len()),
-        };
-        let out = tasks
+    let cfg = SuperviseConfig {
+        retry: RetryBudget {
+            max_retries: 0,
+            ..RetryBudget::default()
+        },
+        ..SuperviseConfig::default()
+    };
+    let sup = par_map_supervised(jobs, tasks, &cfg, |_, t, _| f(t));
+    if let Some(q) = sup.quarantined.first() {
+        let owner = sup
+            .profiles
             .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let start_us = stamp(&epoch);
-                let r = f(t);
-                profile.tasks.push(TaskTiming {
-                    task: i,
-                    start_us,
-                    end_us: stamp(&epoch),
-                });
-                r
-            })
-            .collect();
-        return (out, vec![profile]);
+            .find(|p| p.tasks.iter().any(|t| t.task == q.task));
+        let w = owner.expect("every claimed task is profiled").worker;
+        panic!(
+            "par_map worker {w} panicked on task {}: {}",
+            q.task, q.payload
+        );
     }
-
-    let cursor = AtomicUsize::new(0);
-    let current: Vec<AtomicUsize> = (0..jobs).map(|_| AtomicUsize::new(usize::MAX)).collect();
-    let buckets: Vec<(Vec<(usize, R)>, WorkerProfile)> = std::thread::scope(|scope| {
-        let (f, cursor, epoch, current) = (&f, &cursor, &epoch, &current);
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut claimed = Vec::new();
-                    let mut profile = WorkerProfile {
-                        worker: w,
-                        tasks: Vec::new(),
-                    };
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(task) = tasks.get(i) else { break };
-                        current[w].store(i, Ordering::Relaxed);
-                        let start_us = stamp(epoch);
-                        claimed.push((i, f(task)));
-                        profile.tasks.push(TaskTiming {
-                            task: i,
-                            start_us,
-                            end_us: stamp(epoch),
-                        });
-                    }
-                    (claimed, profile)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(w, h)| join_named(w, current, h))
-            .collect()
-    });
-
-    let mut out: Vec<Option<R>> = Vec::with_capacity(tasks.len());
-    out.resize_with(tasks.len(), || None);
-    let mut profiles = Vec::with_capacity(jobs);
-    for (bucket, profile) in buckets {
-        for (i, r) in bucket {
-            debug_assert!(out[i].is_none(), "slot {i} claimed twice");
-            out[i] = Some(r);
-        }
-        profiles.push(profile);
-    }
-    let out = out
+    sup.results
         .into_iter()
-        .map(|r| r.expect("par_map left a slot unclaimed"))
-        .collect();
-    (out, profiles)
+        .map(|r| r.expect("an uncancelled task that did not panic fills its slot"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use crate::supervise::{panic_message, par_map_supervised_with};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn empty_and_single_inputs() {
@@ -308,9 +128,11 @@ mod tests {
         let tasks: Vec<f64> = (0..257).map(|i| i as f64 * 0.37).collect();
         let f = |x: &f64| (x.sin() * 1e9).sqrt();
         let seq: Vec<f64> = tasks.iter().map(f).collect();
-        let par = par_map(5, &tasks, f);
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for jobs in [1, 5] {
+            let par = par_map(jobs, &tasks, f);
+            for (a, b) in seq.iter().zip(&par) {
+                assert_eq!(a.to_bits(), b.to_bits(), "jobs={jobs}");
+            }
         }
     }
 
@@ -331,15 +153,19 @@ mod tests {
         // Each worker's scratch counts the tasks it claimed; the counts
         // must sum to the task count (every init is a fresh scratch).
         let tasks: Vec<usize> = (0..64).collect();
-        let out = par_map_with(
+        let sup = par_map_supervised_with(
             4,
             &tasks,
+            &SuperviseConfig::default(),
             || 0usize,
-            |claimed, &i| {
+            |i| i.to_string(),
+            |_, _| {},
+            |claimed, _, &i, _| {
                 *claimed += 1;
                 (i, *claimed)
             },
         );
+        let out: Vec<(usize, usize)> = sup.results.into_iter().map(Option::unwrap).collect();
         // Input order preserved on the task ids.
         assert_eq!(out.iter().map(|&(i, _)| i).collect::<Vec<_>>(), tasks);
         // Scratch is per worker, not per task: with 64 tasks over at
@@ -349,18 +175,13 @@ mod tests {
         let max_claims = out.iter().map(|&(_, c)| c).max().unwrap();
         assert!(max_claims >= 16, "max scratch count {max_claims} < 16");
         assert!(out.iter().all(|&(_, c)| (1..=64).contains(&c)));
-    }
-
-    #[test]
-    fn jobs_one_never_spawns() {
-        // The sequential reference path must run on the calling thread.
-        let caller = std::thread::current().id();
-        let tasks = [1, 2, 3];
-        let out = par_map(1, &tasks, |&x| {
-            assert_eq!(std::thread::current().id(), caller);
-            x * 2
-        });
-        assert_eq!(out, vec![2, 4, 6]);
+        // Not shared: each worker's final count is the number of tasks
+        // its profile says it claimed.
+        for p in &sup.profiles {
+            if let Some(last) = p.tasks.last() {
+                assert_eq!(out[last.task].1, p.tasks.len(), "worker {}", p.worker);
+            }
+        }
     }
 
     #[test]
@@ -375,7 +196,7 @@ mod tests {
             })
         });
         let payload = caught.expect_err("worker panic must propagate");
-        let msg = crate::supervise::panic_message(&*payload);
+        let msg = panic_message(&*payload);
         assert!(msg.contains("par_map worker"), "message: {msg}");
         assert!(msg.contains("on task 3"), "message: {msg}");
         assert!(msg.contains("boom"), "message: {msg}");
@@ -383,19 +204,31 @@ mod tests {
 
     #[test]
     fn profiled_worker_panic_names_worker_and_task() {
+        // A quarantined task is still timed, by the worker that ran it.
         let tasks: Vec<u64> = (0..8).collect();
-        let caught = std::panic::catch_unwind(|| {
-            par_map_profiled(2, &tasks, |&i| {
-                if i == 5 {
-                    panic!("boom-profiled");
-                }
-                i
-            })
+        let cfg = SuperviseConfig {
+            retry: RetryBudget {
+                max_retries: 0,
+                ..RetryBudget::default()
+            },
+            ..SuperviseConfig::default()
+        };
+        let sup = par_map_supervised(2, &tasks, &cfg, |_, &i, _| {
+            if i == 5 {
+                panic!("boom-profiled");
+            }
+            i
         });
-        let payload = caught.expect_err("worker panic must propagate");
-        let msg = crate::supervise::panic_message(&*payload);
-        assert!(msg.contains("on task 5"), "message: {msg}");
-        assert!(msg.contains("boom-profiled"), "message: {msg}");
+        assert_eq!(sup.quarantined.len(), 1);
+        assert_eq!(sup.quarantined[0].task, 5);
+        assert!(sup.quarantined[0].payload.contains("boom-profiled"));
+        let owners: Vec<usize> = sup
+            .profiles
+            .iter()
+            .filter(|p| p.tasks.iter().any(|t| t.task == 5))
+            .map(|p| p.worker)
+            .collect();
+        assert_eq!(owners.len(), 1, "task 5 timed by workers {owners:?}");
     }
 
     #[test]
@@ -408,36 +241,24 @@ mod tests {
         let tasks: Vec<f64> = (0..257).map(|i| i as f64 * 0.37).collect();
         let f = |x: &f64| (x.sin() * 1e9).sqrt();
         let plain = par_map(5, &tasks, f);
-        let (profiled, profiles) = par_map_profiled(5, &tasks, f);
-        for (a, b) in plain.iter().zip(&profiled) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let sup = par_map_supervised(5, &tasks, &SuperviseConfig::default(), |_, x, _| f(x));
+        for (a, b) in plain.iter().zip(&sup.results) {
+            assert_eq!(a.to_bits(), b.unwrap().to_bits());
         }
-        assert_eq!(profiles.len(), 5);
+        assert_eq!(sup.profiles.len(), 5);
         // Every task timed exactly once, across all workers.
-        let mut seen: Vec<usize> = profiles
+        let mut seen: Vec<usize> = sup
+            .profiles
             .iter()
             .flat_map(|p| p.tasks.iter().map(|t| t.task))
             .collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..tasks.len()).collect::<Vec<_>>());
-        for p in &profiles {
+        for p in &sup.profiles {
             for t in &p.tasks {
                 assert!(t.end_us >= t.start_us);
             }
+            assert!(p.busy_us() <= p.tasks.last().map_or(0, |t| t.end_us));
         }
-    }
-
-    #[test]
-    fn profiled_sequential_path_runs_on_caller() {
-        let caller = std::thread::current().id();
-        let tasks = [1, 2, 3];
-        let (out, profiles) = par_map_profiled(1, &tasks, |&x| {
-            assert_eq!(std::thread::current().id(), caller);
-            x * 2
-        });
-        assert_eq!(out, vec![2, 4, 6]);
-        assert_eq!(profiles.len(), 1);
-        assert_eq!(profiles[0].tasks.len(), 3);
-        assert!(profiles[0].busy_us() <= profiles[0].tasks.last().unwrap().end_us);
     }
 }

@@ -1,11 +1,14 @@
-//! Supervised parallel map: panic isolation, bounded retries, and
-//! straggler detection on top of [`crate::par`].
+//! The harness's one worker loop: a supervised, deterministic,
+//! order-preserving parallel map with panic isolation, bounded retries,
+//! straggler detection, and per-worker profiling.
 //!
-//! [`crate::par::par_map`] is the right tool when every task is trusted:
-//! a panic anywhere aborts the whole sweep. Long sweeps (hours of
-//! simulation across thousands of tasks) need the opposite contract —
-//! one bad task must not cost the other 9 999. [`par_map_supervised`]
-//! provides it:
+//! Every fan-out in the workspace runs on [`par_map_supervised_with`]:
+//! the sweeps through `core::checkpoint`, the one-task calls of the
+//! end-to-end benchmark through [`par_map_supervised`], and trusted
+//! set-up fan-outs through [`crate::par::par_map`], a fail-fast adapter
+//! with an empty retry budget. Long sweeps (hours of simulation across
+//! thousands of tasks) need the contract that one bad task must not
+//! cost the other 9 999:
 //!
 //! * **Panic isolation.** Every task runs under
 //!   `std::panic::catch_unwind`. A panic consumes one attempt from a
@@ -15,42 +18,51 @@
 //!   task is *quarantined* — its slot in the result vector stays `None`
 //!   and a structured [`TaskFailure`] (task index, stable key, panic
 //!   payload) is surfaced instead of a process abort. Every other slot
-//!   is bitwise identical to a clean run, because results are still
-//!   placed by input index exactly as in `par_map`.
-//! * **Deadlines and stragglers.** A watchdog thread polls per-task
+//!   is bitwise identical to a clean run, because results are placed by
+//!   input index.
+//! * **Deadlines and stragglers.** A watchdog thread polls per-attempt
 //!   wall time against a deadline — fixed via
 //!   [`SuperviseConfig::deadline`], or derived as a multiple of the
 //!   running median task time once enough samples exist. Overdue tasks
-//!   are flagged as [`Straggler`]s; when [`SuperviseConfig::cancel_overdue`]
-//!   is set they are also cancelled cooperatively through the
-//!   [`CancelToken`] handed to each task (engines check it at tick
-//!   granularity). A *cancelled* task's result is discarded (slot
-//!   `None`) so a partial, timing-dependent result can never leak into
-//!   deterministic output; a merely *flagged* straggler keeps its
-//!   result.
+//!   are flagged as [`Straggler`]s, at most once per task however often
+//!   it is retried; when [`SuperviseConfig::cancel_overdue`] is set they
+//!   are also cancelled cooperatively through the [`CancelToken`]
+//!   handed to each task (engines check it at tick granularity). A task
+//!   keeps one token across its retries, so a *cancelled* task stays
+//!   cancelled and its result is discarded (slot `None`): a partial,
+//!   timing-dependent result can never leak into deterministic output.
+//!   A merely *flagged* straggler keeps its result.
+//! * **Profiling.** Each worker times every task it claims, from the
+//!   start of the first attempt to the end of the last, quarantined and
+//!   cancelled tasks included, and returns the timings as a
+//!   [`WorkerProfile`] for [`crate::obs::Recorder::record_worker_profiles`].
 //!
 //! # Determinism contract
 //!
 //! With no panics, no cancellations, and any deadline outcome that only
-//! *flags*, `par_map_supervised(...)` results are bitwise identical to
-//! `par_map` at any `jobs` — supervision observes the schedule, it does
-//! not participate in it. Wall-clock artifacts (retry delays, straggler
-//! timings) never enter the result vector.
+//! *flags*, the results are bitwise identical to `tasks.iter().map(f)`
+//! at any `jobs`: worker count and scheduling decide only *who*
+//! computes a slot, never what goes in it or where. Wall-clock artifacts
+//! (retry delays, straggler timings, profiles) never enter the result
+//! vector.
 //!
 //! # Cost model
 //!
-//! Per task: one `catch_unwind` frame (~no cost on the non-panic path),
-//! one `Instant::now()` pair, and one uncontended mutex store to
-//! publish the in-flight slot to the watchdog. The watchdog itself is
-//! one thread polling at 10 ms; it reads `jobs` mutexes per poll. For
-//! the harness's tasks (milliseconds to minutes each) this is noise —
-//! the suite bench pins the supervised path against the plain
-//! `par_map` baseline.
+//! Per task: one `fetch_add` claim, one `catch_unwind` frame (~no cost
+//! on the non-panic path), a few `Instant::now()` reads, and two
+//! uncontended mutex stores to publish and retire the in-flight slot.
+//! The watchdog is one thread that wakes every 10 ms to check deadlines
+//! (it reads `jobs` mutexes per poll) and at once when the last worker
+//! is joined, so a call returns as soon as its last task does. Results
+//! are buffered per worker as `(index, R)` pairs and merged after the
+//! join, so `R` should be a summary, not a trace. For the harness's
+//! tasks (milliseconds to minutes each) all of this is noise — the
+//! suite bench gates the sweeps against a recorded baseline.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::rng::splitmix64;
@@ -108,6 +120,37 @@ pub struct Straggler {
     /// Whether the task was cooperatively cancelled (result discarded)
     /// rather than merely flagged.
     pub cancelled: bool,
+}
+
+/// Wall-clock timing of one claimed task, as offsets from the
+/// supervised call's entry: from the start of its first attempt to the
+/// end of its last (retry delays included).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TaskTiming {
+    /// Input index of the task.
+    pub task: usize,
+    /// Start offset in microseconds.
+    pub start_us: u64,
+    /// End offset in microseconds.
+    pub end_us: u64,
+}
+
+/// Everything one worker did during a supervised call: which tasks it
+/// claimed and when. Gaps between consecutive spans are idle time
+/// (waiting on the claim cursor or starved of work).
+#[derive(Debug, Clone, Default)]
+pub struct WorkerProfile {
+    /// Worker index in `0..jobs`.
+    pub worker: usize,
+    /// Claimed tasks in claim order.
+    pub tasks: Vec<TaskTiming>,
+}
+
+impl WorkerProfile {
+    /// Total microseconds this worker spent inside task closures.
+    pub fn busy_us(&self) -> u64 {
+        self.tasks.iter().map(|t| t.end_us - t.start_us).sum()
+    }
 }
 
 /// Bounded retry budget for panicking tasks.
@@ -173,6 +216,9 @@ pub const AUTO_MULTIPLE: f64 = 8.0;
 /// Floor for the automatic deadline, in milliseconds.
 pub const AUTO_FLOOR_MS: u64 = 1000;
 
+/// How often the watchdog checks in-flight tasks against the deadline.
+const POLL: Duration = Duration::from_millis(10);
+
 /// The outcome of a supervised map.
 #[derive(Debug)]
 pub struct Supervised<R> {
@@ -185,6 +231,10 @@ pub struct Supervised<R> {
     pub stragglers: Vec<Straggler>,
     /// Total retry attempts consumed across all tasks.
     pub retries: u64,
+    /// One profile per worker, in worker order: every claimed task is
+    /// timed exactly once. Wall time, so it varies run to run even
+    /// though `results` never does.
+    pub profiles: Vec<WorkerProfile>,
 }
 
 /// Renders a caught panic payload as a string.
@@ -199,6 +249,7 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 }
 
 /// What one worker is currently executing, published for the watchdog.
+/// The token and the flag live as long as the task, across retries.
 struct InFlight {
     task: usize,
     started: Instant,
@@ -206,14 +257,30 @@ struct InFlight {
     flagged: bool,
 }
 
-/// [`par_map_supervised`] with per-worker scratch (the
-/// [`crate::par::par_map_with`] shape) plus per-result and key hooks:
+/// Locks supervision state. Caller code (tasks, `key_of`, `on_result`)
+/// runs outside every lock, so a caller panic can never poison one.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock()
+        .expect("supervision state is never locked across a panic")
+}
+
+/// The supervised map with per-worker scratch plus per-result and key
+/// hooks — the one worker loop behind every fan-out:
 ///
+/// * `init` runs once on each worker, and the resulting scratch is
+///   threaded through every task that worker claims (buffer reuse
+///   without sharing anything mutable across threads). The scratch must
+///   not carry information between tasks that changes results, or the
+///   determinism contract breaks.
 /// * `key_of(i)` names task `i`'s stable seed stream — it labels
 ///   [`TaskFailure`]s and lets a checkpointing caller journal by key.
 /// * `on_result(i, &r)` fires on the worker thread as soon as task `i`
 ///   completes un-cancelled (before the join), so a caller can stream
 ///   results to a journal; it must not mutate anything a task reads.
+///
+/// Up to `jobs` workers are spawned (never more than there are tasks,
+/// and at least one), plus the watchdog; the caller's thread only
+/// waits.
 #[allow(clippy::too_many_arguments)]
 pub fn par_map_supervised_with<T, R, S, I, F, K, C>(
     jobs: usize,
@@ -233,138 +300,128 @@ where
     C: Fn(usize, &R) + Sync,
 {
     let jobs = jobs.max(1).min(tasks.len().max(1));
+    let epoch = Instant::now();
+    let micros = || epoch.elapsed().as_micros() as u64;
 
     let cursor = AtomicUsize::new(0);
     let retries = AtomicU64::new(0);
-    let workers_done = AtomicUsize::new(0);
     let inflight: Vec<Mutex<Option<InFlight>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
     let durations_ms: Mutex<Vec<u64>> = Mutex::new(Vec::new());
     let quarantined: Mutex<Vec<TaskFailure>> = Mutex::new(Vec::new());
     let stragglers: Mutex<Vec<Straggler>> = Mutex::new(Vec::new());
+    // Set once every worker is joined; the condvar wakes the watchdog.
+    let done = Mutex::new(false);
+    let wake = Condvar::new();
 
-    // Even `jobs == 1` runs under the scope: the watchdog needs a
-    // thread of its own either way, and one code path keeps the
-    // supervision semantics identical at every thread count.
-    let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let refs = (
-            &cursor,
-            &retries,
-            &workers_done,
-            &inflight,
-            &durations_ms,
-            &quarantined,
-            &stragglers,
-            &init,
-            &f,
-            &key_of,
-            &on_result,
-        );
+    let joined: Vec<(Vec<(usize, R)>, WorkerProfile)> = std::thread::scope(|scope| {
+        let (cursor, retries, inflight) = (&cursor, &retries, &inflight);
+        let (durations_ms, quarantined, stragglers) = (&durations_ms, &quarantined, &stragglers);
+        let (done, wake) = (&done, &wake);
+        let (init, f, key_of, on_result) = (&init, &f, &key_of, &on_result);
         let handles: Vec<_> = (0..jobs)
             .map(|w| {
                 scope.spawn(move || {
-                    let (
-                        cursor,
-                        retries,
-                        workers_done,
-                        inflight,
-                        durations_ms,
-                        quarantined,
-                        _stragglers,
-                        init,
-                        f,
-                        key_of,
-                        on_result,
-                    ) = refs;
+                    let slot = &inflight[w];
                     let mut scratch = init();
                     let mut claimed: Vec<(usize, R)> = Vec::new();
+                    let mut profile = WorkerProfile {
+                        worker: w,
+                        tasks: Vec::new(),
+                    };
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(task) = tasks.get(i) else { break };
+                        let start_us = micros();
+                        let token = CancelToken::new();
+                        let mut fl = InFlight {
+                            task: i,
+                            started: Instant::now(),
+                            token: token.clone(),
+                            flagged: false,
+                        };
                         let mut attempt: u32 = 1;
-                        loop {
-                            let token = CancelToken::new();
-                            *inflight[w].lock().unwrap() = Some(InFlight {
-                                task: i,
-                                started: Instant::now(),
-                                token: token.clone(),
-                                flagged: false,
-                            });
+                        let result = loop {
+                            *lock(slot) = Some(fl);
                             let outcome =
                                 catch_unwind(AssertUnwindSafe(|| f(&mut scratch, i, task, &token)));
-                            let slot = inflight[w].lock().unwrap().take();
+                            fl = lock(slot).take().expect("only its worker retires a slot");
                             match outcome {
                                 Ok(r) => {
-                                    if let Some(fl) = &slot {
-                                        durations_ms
-                                            .lock()
-                                            .unwrap()
-                                            .push(fl.started.elapsed().as_millis() as u64);
-                                    }
-                                    if token.is_cancelled() {
-                                        // Discard: a cancelled task's
-                                        // result is timing-dependent.
-                                    } else {
-                                        on_result(i, &r);
-                                        claimed.push((i, r));
-                                    }
-                                    break;
+                                    lock(durations_ms)
+                                        .push(fl.started.elapsed().as_millis() as u64);
+                                    // Discard a cancelled task's result:
+                                    // it is timing-dependent.
+                                    break (!token.is_cancelled()).then_some(r);
+                                }
+                                Err(_) if attempt <= cfg.retry.max_retries => {
+                                    retries.fetch_add(1, Ordering::Relaxed);
+                                    let delay = cfg.retry.delay_ms(cfg.seed, i as u64, attempt);
+                                    std::thread::sleep(Duration::from_millis(delay));
+                                    attempt += 1;
+                                    fl.started = Instant::now();
                                 }
                                 Err(payload) => {
-                                    if attempt <= cfg.retry.max_retries {
-                                        retries.fetch_add(1, Ordering::Relaxed);
-                                        let delay = cfg.retry.delay_ms(cfg.seed, i as u64, attempt);
-                                        std::thread::sleep(Duration::from_millis(delay));
-                                        attempt += 1;
-                                    } else {
-                                        quarantined.lock().unwrap().push(TaskFailure {
-                                            task: i,
-                                            key: key_of(i),
-                                            attempts: attempt,
-                                            payload: panic_message(&*payload),
-                                        });
-                                        break;
-                                    }
+                                    // Built before locking: `key_of` is
+                                    // caller code.
+                                    let failure = TaskFailure {
+                                        task: i,
+                                        key: key_of(i),
+                                        attempts: attempt,
+                                        payload: panic_message(&*payload),
+                                    };
+                                    lock(quarantined).push(failure);
+                                    break None;
                                 }
                             }
+                        };
+                        if let Some(r) = result {
+                            on_result(i, &r);
+                            claimed.push((i, r));
                         }
+                        profile.tasks.push(TaskTiming {
+                            task: i,
+                            start_us,
+                            end_us: micros(),
+                        });
                     }
-                    workers_done.fetch_add(1, Ordering::Relaxed);
-                    claimed
+                    (claimed, profile)
                 })
             })
             .collect();
 
-        // The watchdog: poll in-flight tasks against the deadline until
-        // every worker has drained.
-        let watchdog = scope.spawn(|| {
-            while workers_done.load(Ordering::Relaxed) < jobs {
-                std::thread::sleep(Duration::from_millis(10));
+        // The watchdog: check in-flight tasks against the deadline every
+        // poll until the caller, having joined every worker, wakes it.
+        let watchdog = scope.spawn(move || {
+            let mut finished = lock(done);
+            loop {
+                finished = wake
+                    .wait_timeout_while(finished, POLL, |finished| !*finished)
+                    .expect("supervision state is never locked across a panic")
+                    .0;
+                if *finished {
+                    break;
+                }
                 let deadline_ms = match cfg.deadline {
-                    Some(d) => Some(d.as_millis() as u64),
+                    Some(d) => d.as_millis() as u64,
                     None => {
-                        let mut done = durations_ms.lock().unwrap().clone();
-                        if done.len() < AUTO_MIN_SAMPLES {
-                            None
-                        } else {
-                            done.sort_unstable();
-                            let median = done[done.len() / 2];
-                            Some(((median as f64 * AUTO_MULTIPLE) as u64).max(AUTO_FLOOR_MS))
+                        let mut samples = lock(durations_ms).clone();
+                        if samples.len() < AUTO_MIN_SAMPLES {
+                            continue;
                         }
+                        samples.sort_unstable();
+                        let median = samples[samples.len() / 2];
+                        ((median as f64 * AUTO_MULTIPLE) as u64).max(AUTO_FLOOR_MS)
                     }
                 };
-                let Some(deadline_ms) = deadline_ms else {
-                    continue;
-                };
                 for slot in inflight.iter() {
-                    let mut guard = slot.lock().unwrap();
-                    if let Some(fl) = guard.as_mut() {
+                    if let Some(fl) = lock(slot).as_mut() {
                         let elapsed_ms = fl.started.elapsed().as_millis() as u64;
                         if !fl.flagged && elapsed_ms > deadline_ms {
                             fl.flagged = true;
                             if cfg.cancel_overdue {
                                 fl.token.cancel();
                             }
-                            stragglers.lock().unwrap().push(Straggler {
+                            lock(stragglers).push(Straggler {
                                 task: fl.task,
                                 elapsed_ms,
                                 deadline_ms,
@@ -376,46 +433,52 @@ where
             }
         });
 
-        let buckets = handles
-            .into_iter()
-            .enumerate()
-            .map(|(w, h)| match h.join() {
-                Ok(bucket) => bucket,
-                Err(p) => panic!(
-                    "supervised worker {w} panicked outside a task: {}",
-                    panic_message(&*p)
-                ),
-            })
-            .collect();
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        *lock(done) = true;
+        wake.notify_one();
         if let Err(p) = watchdog.join() {
             panic!("supervision watchdog panicked: {}", panic_message(&*p));
         }
-        buckets
+        joined
+            .into_iter()
+            .enumerate()
+            .map(|(w, j)| {
+                j.unwrap_or_else(|p| {
+                    panic!(
+                        "supervised worker {w} panicked outside a task: {}",
+                        panic_message(&*p)
+                    )
+                })
+            })
+            .collect()
     });
 
     let mut results: Vec<Option<R>> = Vec::with_capacity(tasks.len());
     results.resize_with(tasks.len(), || None);
-    for bucket in buckets {
-        for (i, r) in bucket {
+    let mut profiles = Vec::with_capacity(jobs);
+    for (claimed, profile) in joined {
+        for (i, r) in claimed {
             debug_assert!(results[i].is_none(), "slot {i} claimed twice");
             results[i] = Some(r);
         }
+        profiles.push(profile);
     }
-    let mut quarantined = quarantined.into_inner().unwrap();
+    let mut quarantined = quarantined.into_inner().expect("workers are joined");
     quarantined.sort_by_key(|q| q.task);
-    let mut stragglers = stragglers.into_inner().unwrap();
+    let mut stragglers = stragglers.into_inner().expect("the watchdog is joined");
     stragglers.sort_by_key(|s| s.task);
     Supervised {
         results,
         quarantined,
         stragglers,
         retries: retries.into_inner(),
+        profiles,
     }
 }
 
 /// Supervised map without scratch or hooks: panic isolation, retries,
-/// and the watchdog over a plain task closure. Task keys default to the
-/// decimal index.
+/// the watchdog, and profiling over a plain task closure. Task keys
+/// default to the decimal index.
 pub fn par_map_supervised<T, R, F>(
     jobs: usize,
     tasks: &[T],
@@ -540,6 +603,30 @@ mod tests {
         assert_eq!(s.task, 1);
         assert!(!s.cancelled);
         assert!(s.elapsed_ms >= s.deadline_ms);
+    }
+
+    #[test]
+    fn retried_straggler_is_reported_once() {
+        // Overdue on both attempts: the first panics, the retry
+        // succeeds. One task, so one straggler entry, not one per
+        // attempt.
+        let cfg = SuperviseConfig {
+            deadline: Some(Duration::from_millis(20)),
+            ..quick_retry()
+        };
+        let attempts = AtomicUsize::new(0);
+        let sup = par_map_supervised(1, &[0u64], &cfg, |_, &t, _| {
+            std::thread::sleep(Duration::from_millis(100));
+            if attempts.fetch_add(1, Ordering::Relaxed) == 0 {
+                panic!("first attempt fails");
+            }
+            t + 7
+        });
+        assert_eq!(sup.results, vec![Some(7)]);
+        assert_eq!(sup.retries, 1);
+        assert_eq!(sup.stragglers.len(), 1, "{:?}", sup.stragglers);
+        assert_eq!(sup.stragglers[0].task, 0);
+        assert!(!sup.stragglers[0].cancelled);
     }
 
     #[test]

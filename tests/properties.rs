@@ -1158,12 +1158,14 @@ fn real_exports() -> [String; 2] {
     [rec.metrics_json(), rec.chrome_trace_json()]
 }
 
-/// A journal written through `Checkpoint`, holding three results.
+/// A journal written through `Checkpoint`, holding its settings
+/// manifest and three results.
 fn real_journal() -> String {
     use harvest::core::checkpoint::{hex_f64, hex_u64, obj, Checkpoint};
+    use harvest::core::Scale;
     let path = std::env::temp_dir().join(format!("harvest-props-{}.journal", std::process::id()));
     let path = path.to_str().expect("utf-8 temp path");
-    let (cp, _, _) = Checkpoint::open(Some(path), None)
+    let (cp, _, _) = Checkpoint::open(Some(path), None, &Scale::quick())
         .expect("journal opens")
         .expect("a write path gives a checkpoint");
     for (i, key) in [
@@ -1219,7 +1221,7 @@ proptest! {
             let _ = json::parse(&flipped);
         }
         let journal = real_journal();
-        prop_assert_eq!(parse_journal(&journal)?.map.len(), 3);
+        prop_assert_eq!(parse_journal(&journal)?.map.len(), 4);
         for damaged in [truncate_bytes(&journal, cut), flip_bytes(&journal, &flips)] {
             let _ = parse_journal(&damaged);
         }
