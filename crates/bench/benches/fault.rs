@@ -2,7 +2,7 @@
 //! cost nothing.
 //!
 //! Three configurations of the sched_tick workload (unscaled DC-9,
-//! incremental ticks, disks on):
+//! change-driven ticks, disks on):
 //!
 //! * `none` — `FaultPlan::none()`, the default. This is byte-for-byte
 //!   the configuration `BENCH_sched.json`'s incremental baseline
@@ -34,7 +34,7 @@ use harvest_disk::DiskConfig;
 use harvest_jobs::tpcds::{scale_job, tpcds_suite};
 use harvest_jobs::workload::Workload;
 use harvest_sched::policy::SchedPolicy;
-use harvest_sched::sim::{SchedSim, SchedSimConfig, TickSweep};
+use harvest_sched::sim::{SchedSim, SchedSimConfig};
 use harvest_sched::SimStats;
 use harvest_sim::fault::{FaultEvent, FaultKind, FaultPlan};
 use harvest_sim::rng::stream_rng;
@@ -80,7 +80,6 @@ fn config(faults: FaultPlan) -> SchedSimConfig {
     cfg.horizon = HORIZON;
     cfg.drain = DRAIN;
     cfg.disk = Some(DiskConfig::datacenter());
-    cfg.sweep = TickSweep::Incremental;
     cfg.faults = faults;
     cfg
 }
@@ -157,8 +156,7 @@ fn main() {
 
     // The measured runs are milliseconds; warm the clocks and caches
     // first so the comparison against a baseline recorded mid-session
-    // (sched_tick times its incremental run after ~0.2s of full
-    // sweeps) is like-for-like.
+    // (sched_tick times its run after a warm-up run) is like-for-like.
     for _ in 0..5 {
         run_once(&dc, &view, &workload, &none);
     }

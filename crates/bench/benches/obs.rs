@@ -33,7 +33,7 @@ use harvest_disk::DiskConfig;
 use harvest_jobs::tpcds::{scale_job, tpcds_suite};
 use harvest_jobs::workload::Workload;
 use harvest_sched::policy::SchedPolicy;
-use harvest_sched::sim::{SchedSim, SchedSimConfig, TickSweep};
+use harvest_sched::sim::{SchedSim, SchedSimConfig};
 use harvest_sched::SimStats;
 use harvest_sim::obs::Recorder;
 use harvest_sim::rng::stream_rng;
@@ -51,7 +51,6 @@ fn config() -> SchedSimConfig {
     cfg.horizon = HORIZON;
     cfg.drain = DRAIN;
     cfg.disk = Some(DiskConfig::datacenter());
-    cfg.sweep = TickSweep::Incremental;
     cfg
 }
 

@@ -18,16 +18,18 @@
 //!   server count), so the precompute is O(samples × tenants) — a few
 //!   milliseconds even for an unscaled datacenter — instead of
 //!   O(samples × servers), and a tick pays one lookup instead of an
-//!   O(servers) sweep. [`UtilizationView::fleet_util_scan`] keeps the
-//!   per-call recomputation of the same quantity as the
-//!   bitwise-identical reference (same tenant-order accumulation); it
-//!   differs from the naive per-server sum only by float-rounding ulps
-//!   (well inside the 1e-9 the tests allow).
+//!   O(servers) sweep. [`UtilizationView::fleet_util_scan`] recomputes
+//!   the same quantity per call (same tenant-order accumulation, so
+//!   bitwise identical): it is the fallback for views whose traces
+//!   share no sampling grid, and the oracle that tests and the
+//!   scheduler's debug-build tick postconditions check the lookup
+//!   against. It differs from the naive per-server sum only by
+//!   float-rounding ulps (well inside the 1e-9 the tests allow).
 //! * [`UtilizationView::slot_of`], [`UtilizationView::tenant_sample_changed`],
 //!   and [`UtilizationView::server_sample_changed`] expose the sampling
-//!   grid so change-driven callers (the scheduler's incremental tick
-//!   sweep) can skip tenants and servers whose sample did not move
-//!   across a tick boundary, instead of re-reading the whole fleet.
+//!   grid so change-driven callers (the scheduler's tick) can skip
+//!   tenants and servers whose sample did not move across a tick
+//!   boundary, instead of re-reading the whole fleet.
 //!
 //! Everything stays deterministic: jitter is a hash of (seed, server,
 //! slot), and "changed" compares samples bitwise, so a change-driven
@@ -187,12 +189,12 @@ impl UtilizationView {
         }
     }
 
-    /// Fleet-average utilization at `t` recomputed on the fly: the
-    /// reference path, bitwise identical to
-    /// [`UtilizationView::fleet_util`] (the precompute runs exactly
-    /// this tenant-order accumulation per slot). Kept for the
-    /// full-sweep reference tick mode and the oracle tests that pin
-    /// the two paths together.
+    /// Fleet-average utilization at `t` recomputed on the fly, bitwise
+    /// identical to [`UtilizationView::fleet_util`] (the precompute
+    /// runs exactly this tenant-order accumulation per slot). It is
+    /// `fleet_util`'s fallback for traces without a shared grid, and
+    /// the oracle the tests and the scheduler's debug-build tick
+    /// postconditions check the precomputed series against.
     pub fn fleet_util_scan(&self, t: SimTime) -> f64 {
         if self.server_tenant.is_empty() {
             return 0.0;

@@ -64,7 +64,6 @@ struct Opts {
     full: bool,
     net: bool,
     disk: bool,
-    full_sweep: bool,
     faults: Option<FaultProfile>,
     jobs: Option<usize>,
     seed: Option<u64>,
@@ -103,9 +102,16 @@ fn need<T: FromStr>(v: Option<&str>, ok: fn(&T) -> bool, what: &str) -> Result<O
     v.map(Some).ok_or_else(|| what.to_string())
 }
 
-/// A file path, or what one is.
+/// A file path, or what one is. A value spelled like a flag is
+/// refused, so a forgotten path cannot swallow the next flag.
 fn file(v: Option<&str>) -> Result<Option<String>, String> {
-    need(v, |_| true, "a file path")
+    match v {
+        Some(path) if !path.starts_with("--") => Ok(Some(path.to_string())),
+        _ => Err(format!(
+            "a file path{}",
+            v.map(|v| format!(", not '{v}'")).unwrap_or_default()
+        )),
+    }
 }
 
 /// Every flag `repro` accepts, in `--help` order.
@@ -124,11 +130,6 @@ const FLAGS: &[Flag] = &[
         name: "--disk",
         arg: Switch(|o| &mut o.disk),
         help: "run over the harvest-disk model: the same bytes pay for disk bandwidth too",
-    },
-    Flag {
-        name: "--full-sweep",
-        arg: Switch(|o| &mut o.full_sweep),
-        help: "full-fleet scheduler tick sweeps: the bitwise-identical reference mode",
     },
     Flag {
         name: "--faults",
@@ -336,9 +337,6 @@ fn run() -> Result<ExitCode, String> {
     }
     if opts.disk {
         scale.disk = Some(harvest_disk::DiskConfig::datacenter());
-    }
-    if opts.full_sweep {
-        scale.tick_sweep = harvest_sched::TickSweep::Full;
     }
     scale.faults = opts.faults;
     scale.jobs = opts.jobs.unwrap_or(scale.jobs);

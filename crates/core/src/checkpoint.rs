@@ -76,9 +76,8 @@ const JOURNAL_VERSION: u64 = 1;
 
 /// Every [`Scale`] setting that shapes results, as one JSON object:
 /// seed, datacenter scale, runs, horizons, utilization points, and the
-/// network, disk and fault models. `jobs`, the task deadline, recording
-/// and the tick sweep are left out because reports do not depend on
-/// them.
+/// network, disk and fault models. `jobs`, the task deadline and
+/// recording are left out because reports do not depend on them.
 fn manifest(scale: &Scale) -> String {
     let utils: Vec<String> = scale.utilizations.iter().map(|&u| hex_f64(u)).collect();
     // `Debug` of the two configs prints every field (floats in exact

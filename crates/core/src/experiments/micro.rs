@@ -175,7 +175,6 @@ fn record_showcase(scale: &Scale, rec: &mut harvest_sim::obs::Recorder) {
     cfg.drain = SimDuration::from_hours(2);
     cfg.network = Some(network);
     cfg.disk = Some(disk);
-    cfg.sweep = scale.tick_sweep;
     let _ = SchedSim::new(&dc, &view, &workload, cfg).run_recorded(rec);
 
     // A recorded reimage storm: repair spans plus the fabric and disk

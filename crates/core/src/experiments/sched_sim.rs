@@ -12,7 +12,7 @@ use harvest_cluster::{Datacenter, UtilizationView};
 use harvest_jobs::tpcds::{scale_job, tpcds_suite};
 use harvest_jobs::workload::Workload;
 use harvest_sched::policy::SchedPolicy;
-use harvest_sched::sim::{SchedSim, SchedSimConfig, TickSweep};
+use harvest_sched::sim::{SchedSim, SchedSimConfig};
 use harvest_sim::obs::json;
 use harvest_sim::par::par_map;
 use harvest_sim::rng::stream_rng;
@@ -129,33 +129,37 @@ fn sweep_inputs(
     (view, workload)
 }
 
-/// Runs one (datacenter, scaling, utilization, run) comparison point.
+/// The scheduler configuration of one sweep-point run: `scale`'s
+/// horizon and transfer models, with as long again to drain so every
+/// job can finish.
+fn sweep_config(scale: &Scale, policy: SchedPolicy, seed: u64) -> SchedSimConfig {
+    let horizon = SimDuration::from_hours(scale.sched_hours);
+    let mut cfg = SchedSimConfig::testbed(policy, seed);
+    cfg.horizon = horizon;
+    cfg.drain = horizon;
+    cfg.network = scale.network;
+    cfg.disk = scale.disk;
+    cfg
+}
+
+/// Runs one (datacenter, scaling, utilization, run) comparison point
+/// over `scale.sched_hours`.
 ///
 /// `cancel` is the supervising harness's cooperative cancellation
 /// token, polled by the scheduling event loop at tick granularity; a
 /// cancelled point returns early with a partial (discarded) result.
-#[allow(clippy::too_many_arguments)]
 pub fn sweep_point(
     dc: &Datacenter,
+    scale: &Scale,
     scaling: ScalingKind,
     utilization: f64,
-    hours: u64,
     seed: u64,
-    network: Option<harvest_net::NetworkConfig>,
-    disk: Option<harvest_disk::DiskConfig>,
-    sweep: TickSweep,
     cancel: &CancelToken,
 ) -> SweepPoint {
-    let (view, workload) = sweep_inputs(dc, scaling, utilization, hours, seed);
-    let horizon = SimDuration::from_hours(hours);
+    let (view, workload) = sweep_inputs(dc, scaling, utilization, scale.sched_hours, seed);
 
     let run = |policy: SchedPolicy| -> (f64, u64, usize) {
-        let mut cfg = SchedSimConfig::testbed(policy, seed);
-        cfg.horizon = horizon;
-        cfg.drain = horizon; // generous drain so every job can finish
-        cfg.network = network;
-        cfg.disk = disk;
-        cfg.sweep = sweep;
+        let mut cfg = sweep_config(scale, policy, seed);
         cfg.cancel = cancel.clone();
         let stats = SchedSim::new(dc, &view, &workload, cfg).run();
         let stale = stats.fabric.map_or(0, |f| f.stale_events_dropped)
@@ -185,25 +189,15 @@ pub fn sweep_point(
 /// The split is pure sim time, so the line is identical at any `--jobs`
 /// setting and whether or not the caller records — figure notes can
 /// embed it without breaking stdout byte-comparability.
-#[allow(clippy::too_many_arguments)]
 pub fn stage_blame(
     dc: &Datacenter,
+    scale: &Scale,
     scaling: ScalingKind,
     utilization: f64,
-    hours: u64,
     seed: u64,
-    network: Option<harvest_net::NetworkConfig>,
-    disk: Option<harvest_disk::DiskConfig>,
-    sweep: TickSweep,
 ) -> Option<String> {
-    let (view, workload) = sweep_inputs(dc, scaling, utilization, hours, seed);
-    let horizon = SimDuration::from_hours(hours);
-    let mut cfg = SchedSimConfig::testbed(SchedPolicy::PrimaryAware, seed);
-    cfg.horizon = horizon;
-    cfg.drain = horizon;
-    cfg.network = network;
-    cfg.disk = disk;
-    cfg.sweep = sweep;
+    let (view, workload) = sweep_inputs(dc, scaling, utilization, scale.sched_hours, seed);
+    let cfg = sweep_config(scale, SchedPolicy::PrimaryAware, seed);
     let mut rec = harvest_sim::obs::Recorder::new("blame");
     let _ = SchedSim::new(dc, &view, &workload, cfg).run_recorded(&mut rec);
     let analysis = harvest_sim::obs::analyze::analyze_recorder(&rec).ok()?;
@@ -261,13 +255,10 @@ pub fn fig13(scale: &Scale) -> String {
         |t, cancel| {
             sweep_point(
                 &dc,
+                scale,
                 t.scaling,
                 t.util,
-                scale.sched_hours,
                 scale.run_seed("fig13", t.r),
-                scale.network,
-                scale.disk,
-                scale.tick_sweep,
                 cancel,
             )
         },
@@ -326,13 +317,10 @@ pub fn fig13(scale: &Scale) -> String {
     let mid = scale.utilizations[scale.utilizations.len() / 2];
     if let Some(line) = stage_blame(
         &dc,
+        scale,
         ScalingKind::Linear,
         mid,
-        scale.sched_hours,
         scale.run_seed("fig13", 0),
-        scale.network,
-        scale.disk,
-        scale.tick_sweep,
     ) {
         table.note(format!(
             "stage blame (YARN-PT, linear @ {} utilization): {line}",
@@ -395,13 +383,10 @@ pub fn fig14(scale: &Scale) -> String {
         |t, cancel| {
             sweep_point(
                 &dcs[t.dc_id],
+                scale,
                 t.scaling,
                 t.util,
-                scale.sched_hours,
                 scale.run_seed("fig14", t.dc_id * 100 + t.r),
-                scale.network,
-                scale.disk,
-                scale.tick_sweep,
                 cancel,
             )
         },
@@ -485,13 +470,10 @@ mod tests {
         let dc = Datacenter::generate(&profile, 42);
         let p = sweep_point(
             &dc,
+            &Scale::quick(),
             ScalingKind::Linear,
             0.45,
-            8,
             7,
-            None,
-            None,
-            TickSweep::Incremental,
             &CancelToken::new(),
         );
         assert!(p.pt_secs > 0.0 && p.h_secs > 0.0);

@@ -64,7 +64,6 @@ fn run_testbed_recorded(
     cfg.drain = SimDuration::from_hours(2);
     cfg.record_server_load = record;
     cfg.network = scale.network;
-    cfg.sweep = scale.tick_sweep;
     SchedSim::new(&dc, &view, &workload, cfg).run_recorded(rec)
 }
 

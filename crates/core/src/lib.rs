@@ -25,8 +25,8 @@
 //! mutable is shared and aggregation order is fixed, a report is
 //! byte-identical at any `--jobs` value (`crates/core/tests/
 //! determinism.rs` pins this against `--jobs 1`, where one worker runs
-//! the tasks in input order, the same oracle pattern as
-//! `TickSweep::Full` and the `harvest-oracle` reference allocators).
+//! the tasks in input order, the same oracle pattern as the
+//! `harvest-oracle` reference allocators).
 //!
 //! # Surviving failures
 //!

@@ -9,7 +9,6 @@
 
 use harvest_disk::DiskConfig;
 use harvest_net::NetworkConfig;
-use harvest_sched::TickSweep;
 use harvest_sim::fault::{ClusterShape, FaultPlan, FaultProfile};
 use harvest_sim::SimDuration;
 
@@ -37,11 +36,6 @@ pub struct Scale {
     pub availability_days: u64,
     /// Utilization sweep points for Figures 13/14/16.
     pub utilizations: Vec<f64>,
-    /// How the scheduling simulations' tick visits the fleet:
-    /// change-driven by default; `repro --full-sweep` switches to the
-    /// full-fleet reference sweeps (bitwise-identical results, pre-index
-    /// cost) for validation.
-    pub tick_sweep: TickSweep,
     /// Worker threads for the sweep matrices (`repro --jobs N`).
     /// Defaults to every available core; `1` runs every task on one
     /// worker in input order, the sequential reference. Reports are
@@ -84,7 +78,6 @@ impl Scale {
             durability_months: 6,
             availability_days: 5,
             utilizations: vec![0.30, 0.45, 0.60],
-            tick_sweep: TickSweep::Incremental,
             jobs: harvest_sim::par::default_jobs(),
             faults: None,
             harness: crate::checkpoint::Harness::default(),
@@ -108,7 +101,6 @@ impl Scale {
             durability_months: 12,
             availability_days: 15,
             utilizations: vec![0.25, 0.35, 0.45, 0.55, 0.65],
-            tick_sweep: TickSweep::Incremental,
             jobs: harvest_sim::par::default_jobs(),
             faults: None,
             harness: crate::checkpoint::Harness::default(),

@@ -2,13 +2,16 @@
 //!
 //! The contract behind `repro --jobs N`: thread count decides only *who*
 //! computes each sweep task, never what any report contains. These tests
-//! pin it the same way the `TickSweep::Full` oracle and the
-//! `harvest-oracle` reference allocators pin their incremental
-//! counterparts — run the reference path
+//! pin it the same way the `harvest-oracle` reference allocators pin
+//! their incremental counterparts — run the reference path
 //! (`jobs = 1`, one worker taking the tasks in input order) and a
 //! contended parallel path (`jobs = 4`, forced even on fewer cores;
 //! threads do not need cores to interleave) and assert the rendered
 //! reports are byte-identical.
+//!
+//! Test builds keep debug assertions on, so every scheduling run here
+//! (fig10, fig11, fig13) also checks the scheduler tick's whole-fleet
+//! postconditions (see `harvest_sched::sim`) on real experiment inputs.
 //!
 //! `micro` is the one deliberate exception: its report *is* a table of
 //! measured wall-clock times, so its stdout is not comparable across any
@@ -271,6 +274,16 @@ fn bad_arguments_fail_fast() {
     assert!(run(&["--task-deadline", "0", "fig7"]).contains("--task-deadline requires"));
     assert!(run(&["--seed", "x", "fig7"]).contains("--seed requires an integer"));
     assert!(run(&["fig7", "--trace-out"]).contains("--trace-out requires a file path"));
+    // A missing path must not swallow the next flag as a file name.
+    assert!(run(&["--trace-out", "--net", "fig7"])
+        .contains("--trace-out requires a file path, not '--net'"));
+    assert!(run(&["--checkpoint", "--resume", "J", "fig7"])
+        .contains("--checkpoint requires a file path, not '--resume'"));
+    // The full-fleet tick mode is gone, not silently accepted.
+    assert_eq!(
+        run(&["--full-sweep", "fig7"]).trim_end(),
+        "error: unknown flag '--full-sweep'"
+    );
     let faults = run(&["--faults", "nope", "fig7"]);
     assert!(
         faults.contains("'nope'") && faults.contains("rack-loss"),

@@ -393,6 +393,12 @@ impl DiskPool {
         self.channels[chan(server, dir) as usize].streams.len()
     }
 
+    /// The primary utilization a server's disk demand was last derived
+    /// from (NaN before the first [`DiskPool::set_primary_util`]).
+    pub fn primary_util(&self, server: ServerId) -> f64 {
+        self.primary_util[server.0 as usize]
+    }
+
     /// The primary's current demand fraction on a server's disk.
     pub fn primary_fraction(&self, server: ServerId) -> f64 {
         self.primary_fraction[server.0 as usize]

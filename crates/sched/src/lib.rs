@@ -23,10 +23,10 @@
 //! counts, and utilization — the quantities behind Figures 10, 11, 13,
 //! and 14. With a [`harvest_net::NetworkConfig`] the simulator also
 //! carries inter-stage shuffles over the shared fabric, so stage
-//! runtimes stretch under network contention. Its tick path is
-//! change-driven ([`sim::TickSweep`], backed by the indices in
-//! [`roster`]): a tick costs O(changed + occupied) rather than
-//! O(fleet), with the full-sweep reference pinned bitwise identical.
+//! runtimes stretch under network contention. It has one tick path,
+//! change-driven and backed by the indices in [`roster`]: a tick costs
+//! O(changed + occupied) rather than O(fleet). Debug builds check every
+//! tick against whole-fleet postconditions (see [`sim`]'s cost model).
 
 pub mod classes;
 pub mod headroom;
@@ -38,5 +38,5 @@ pub mod stats;
 
 pub use classes::{ClusteringService, TenantClass};
 pub use policy::SchedPolicy;
-pub use sim::{SchedSim, SchedSimConfig, TickSweep};
+pub use sim::{SchedSim, SchedSimConfig};
 pub use stats::{JobResult, SimStats};

@@ -99,9 +99,8 @@ impl ContainerRoster {
     }
 
     /// Servers currently hosting at least one alive container,
-    /// ascending — matching a full 0..n sweep's visit order, so a
-    /// change-driven caller sees servers in the same order the
-    /// full-sweep reference does.
+    /// ascending — the order a whole-fleet 0..n scan would visit them
+    /// in, so kills land in the same order whichever walks the fleet.
     pub fn occupied(&self) -> impl Iterator<Item = ServerId> + '_ {
         self.occupied.iter().map(|&s| ServerId(s))
     }

@@ -35,10 +35,8 @@ pub struct LoadSample {
 
 /// Aggregate results of one scheduling simulation.
 ///
-/// `PartialEq` compares everything, floats by value — the tick-sweep
-/// oracle tests assert [`crate::TickSweep::Incremental`] and
-/// [`crate::TickSweep::Full`] runs are indistinguishable, stats
-/// included.
+/// `PartialEq` compares everything, floats by value, so determinism
+/// tests can assert two runs are indistinguishable, stats included.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimStats {
     /// Per-job outcomes, in submission order.

@@ -748,8 +748,7 @@ proptest! {
     }
 }
 
-/// A small, fixed DC-9 scale-down for the scheduler tick-sweep oracle
-/// (the properties are over the random *workloads*, not the cluster).
+/// A small, fixed DC-9 scale-down for the scheduler tick scenarios.
 fn sched_dc() -> (
     harvest::cluster::Datacenter,
     harvest::cluster::UtilizationView,
@@ -762,77 +761,68 @@ fn sched_dc() -> (
     (dc, view)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+/// The scheduler tick on a scaled DC-9 with both transfer models on,
+/// across workloads and policies. Each run checks every tick against
+/// the whole-fleet postconditions (debug builds: the fleet lookup
+/// equals the per-tenant scan bitwise, no server holds more than its
+/// secondary capacity after enforcement, every disk with in-flight
+/// streams holds the last tick's sample bitwise), and its outcome —
+/// per-job results and makespans, kill counts and per-server kill
+/// attribution, placements, utilization bits, fabric and disk stats —
+/// matches the fingerprint pinned when a full-fleet sweep was still a
+/// run mode and agreed with this path bitwise.
+#[test]
+fn sched_tick_meets_fleet_postconditions_and_pinned_outcomes() {
+    use harvest::jobs::workload::Workload;
+    use harvest::sched::policy::SchedPolicy;
+    use harvest::sched::sim::{SchedSim, SchedSimConfig};
+    use harvest::sim::rng::stream_rng;
 
-    /// The tick-sweep oracle: the change-driven tick
-    /// ([`harvest::sched::TickSweep::Incremental`] — occupied-server
-    /// index, active-disk index + sample-change filtering, precomputed
-    /// fleet series) must be *bitwise* indistinguishable from the
-    /// full-fleet reference sweeps — identical per-job results
-    /// (makespans included), kill counts and per-server kill
-    /// attribution, task placements, utilization accounting down to the
-    /// float bits, and fabric/disk stats — across randomized workloads
-    /// and policies on a scaled DC-9 with both transfer models on.
-    #[test]
-    fn sched_incremental_tick_matches_full_sweep_oracle(
-        seed in 0u64..1_000,
-        gap_secs in 120u64..900,
-        policy_pick in 0u64..2,
-    ) {
-        use harvest::sched::policy::SchedPolicy;
-        use harvest::sched::sim::{SchedSim, SchedSimConfig, TickSweep};
-        use harvest::jobs::workload::Workload;
-        use harvest::sim::rng::stream_rng;
-
-        let (dc, view) = sched_dc();
-        let policy = if policy_pick == 0 {
-            SchedPolicy::PrimaryAware
-        } else {
-            SchedPolicy::History
-        };
-        let horizon = harvest::sim::SimDuration::from_hours(1);
+    let (dc, view) = sched_dc();
+    let horizon = SimDuration::from_hours(1);
+    // (workload seed, mean arrival gap in seconds, policy, fingerprint)
+    let scenarios = [
+        (3, 150, SchedPolicy::PrimaryAware, 0x7008_1730_02b7_286f),
+        (58, 200, SchedPolicy::History, 0x69a5_381e_f08d_b67b),
+        (404, 420, SchedPolicy::History, 0x6a22_95d8_811d_046a),
+        (617, 600, SchedPolicy::PrimaryAware, 0xa726_1586_93fc_cc44),
+        (832, 840, SchedPolicy::History, 0xc5f3_d6e9_9cbb_0cca),
+        (12, 130, SchedPolicy::PrimaryAware, 0x298b_acf4_c546_3dba),
+    ];
+    for (seed, gap_secs, policy, pinned) in scenarios {
         let mut wl_rng = stream_rng(seed, "tick-oracle-wl");
         let workload = Workload::poisson(
             &mut wl_rng,
             harvest::jobs::tpcds::tpcds_suite(),
-            harvest::sim::SimDuration::from_secs(gap_secs),
+            SimDuration::from_secs(gap_secs),
             horizon,
         );
-        let run = |sweep: TickSweep| {
-            let mut cfg = SchedSimConfig::testbed(policy, seed);
-            cfg.horizon = horizon;
-            cfg.drain = harvest::sim::SimDuration::from_hours(2);
-            cfg.network = Some(NetworkConfig::datacenter());
-            cfg.disk = Some(DiskConfig::datacenter());
-            cfg.sweep = sweep;
-            SchedSim::new(&dc, &view, &workload, cfg).run()
-        };
-        let inc = run(TickSweep::Incremental);
-        let full = run(TickSweep::Full);
-        prop_assert_eq!(inc.total_kills, full.total_kills, "kill counts diverged");
-        prop_assert_eq!(inc.tasks_started, full.tasks_started, "placements diverged");
-        let makespans = |s: &harvest::sched::SimStats| -> Vec<Option<u64>> {
-            s.jobs
-                .iter()
-                .map(|j| j.execution_time.map(|d| d.as_millis()))
-                .collect()
-        };
-        prop_assert_eq!(makespans(&inc), makespans(&full), "makespans diverged");
-        prop_assert_eq!(
-            inc.avg_total_utilization.to_bits(),
-            full.avg_total_utilization.to_bits(),
-            "total-utilization bits diverged"
+        let mut cfg = SchedSimConfig::testbed(policy, seed);
+        cfg.horizon = horizon;
+        cfg.drain = SimDuration::from_hours(2);
+        cfg.network = Some(NetworkConfig::datacenter());
+        cfg.disk = Some(DiskConfig::datacenter());
+        let stats = SchedSim::new(&dc, &view, &workload, cfg).run();
+        let at = format!("seed {seed}, gap {gap_secs}s, {policy}");
+        assert!(stats.tasks_started > 0, "{at}: nothing placed");
+        assert!(
+            stats.disks.expect("disks on").completed > 0,
+            "{at}: no disk streams ran"
         );
-        prop_assert_eq!(
-            inc.avg_primary_utilization.to_bits(),
-            full.avg_primary_utilization.to_bits(),
-            "primary-utilization bits diverged"
-        );
-        // Belt and braces: everything else (per-job results, per-server
-        // kills, fabric and disk stats) via the derived equality.
-        prop_assert_eq!(inc, full, "sweep trajectories diverged");
+        assert!(stats.total_kills > 0, "{at}: no kills exercised");
+        // FNV-1a over the `Debug` rendering, which prints every field
+        // and every float in exact round-trip form.
+        let fingerprint = format!("{stats:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(fingerprint, pinned, "{at}: outcome moved");
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The precomputed fleet-utilization series serves exactly what the
     /// per-server sweep it replaced computes, bitwise, at any instant.
@@ -1002,6 +992,76 @@ proptest! {
             prop_assert_eq!(store.total_free(), model.tenant_free.iter().sum::<u64>());
             prop_assert_eq!(store.lost_blocks(), model.lost);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The container roster — the index reserve enforcement walks —
+    /// answers exactly as a naive model does: per-server lists of the
+    /// alive containers in placement order, with liveness owned by the
+    /// caller. Random places, releases of any alive container
+    /// (tombstoning mid-list, so long lists compact) and youngest-first
+    /// kills on three servers: `occupied()` stays ascending and names
+    /// exactly the servers with alive containers, `live_on` counts
+    /// them, and `youngest` is the model's last alive container across
+    /// compactions.
+    #[test]
+    fn container_roster_matches_naive_model(
+        ops in prop::collection::vec((0u8..5, 0u32..1_000, 0u32..1_000), 1..400),
+    ) {
+        use harvest::sched::roster::ContainerRoster;
+        const N: usize = 3;
+        let mut roster = ContainerRoster::new(N);
+        let mut model: Vec<Vec<usize>> = vec![Vec::new(); N];
+        let mut alive: Vec<bool> = Vec::new();
+        for (kind, a, b) in ops {
+            let s = a as usize % N;
+            match kind {
+                // Place a new container (the most likely op, so lists
+                // grow long enough to compact).
+                0..=2 => {
+                    roster.place(ServerId(s as u32), alive.len());
+                    model[s].push(alive.len());
+                    alive.push(true);
+                }
+                // A container anywhere in the list finishes.
+                3 if !model[s].is_empty() => {
+                    let i = b as usize % model[s].len();
+                    let cid = model[s].remove(i);
+                    alive[cid] = false;
+                    roster.release(ServerId(s as u32), |c| alive[c]);
+                }
+                // Reserve enforcement kills the youngest.
+                _ => {
+                    let youngest = roster.youngest(ServerId(s as u32), |c| alive[c]);
+                    prop_assert_eq!(youngest, model[s].last().copied());
+                    if let Some(cid) = model[s].pop() {
+                        alive[cid] = false;
+                        roster.release(ServerId(s as u32), |c| alive[c]);
+                    }
+                }
+            }
+            let occupied: Vec<u32> = roster.occupied().map(|s| s.0).collect();
+            let expect: Vec<u32> = (0..N as u32).filter(|&s| !model[s as usize].is_empty()).collect();
+            prop_assert_eq!(occupied, expect);
+            prop_assert_eq!(roster.n_occupied(), roster.occupied().count());
+            for (s, list) in model.iter().enumerate() {
+                prop_assert_eq!(roster.live_on(ServerId(s as u32)) as usize, list.len());
+            }
+        }
+        // Drain every server youngest-first: the roster must hand the
+        // survivors back in reverse placement order.
+        for (s, list) in model.iter_mut().enumerate() {
+            while let Some(cid) = list.pop() {
+                prop_assert_eq!(roster.youngest(ServerId(s as u32), |c| alive[c]), Some(cid));
+                alive[cid] = false;
+                roster.release(ServerId(s as u32), |c| alive[c]);
+            }
+            prop_assert_eq!(roster.youngest(ServerId(s as u32), |c| alive[c]), None);
+        }
+        prop_assert_eq!(roster.n_occupied(), 0);
     }
 }
 
