@@ -5,6 +5,18 @@
 //! and re-starting any killed tasks." [`JobExecution`] is that state
 //! machine: it knows which stages are ready (all dependencies complete),
 //! hands out tasks, and returns killed tasks to the pending pool.
+//!
+//! # Cost model
+//!
+//! The scheduler asks every runnable job for its ready-task count on
+//! every scheduling pass — millions of times per datacenter-scale run,
+//! nearly always to hear "none". The count is therefore kept as a field
+//! and answered in O(1): starting a task takes one away, a kill gives
+//! one back (a running task's stage is always ready), and only a task
+//! that completes its stage — the one event that can make other stages
+//! ready — rescans the DAG. Whole-job completion is a count of finished
+//! stages. Debug builds check the cached count against the full scan on
+//! every read.
 
 use harvest_sim::{SimDuration, SimTime};
 
@@ -17,6 +29,11 @@ pub struct JobExecution {
     pending: Vec<u32>,
     running: Vec<u32>,
     done: Vec<u32>,
+    /// Σ pending tasks over ready stages (what [`Self::ready_task_count`]
+    /// returns), maintained incrementally.
+    ready: u32,
+    /// Stages whose every task has finished.
+    stages_done: usize,
     submitted: SimTime,
     finished: Option<SimTime>,
     kills: u64,
@@ -27,15 +44,19 @@ impl JobExecution {
     pub fn new(job: DagJob, submitted: SimTime) -> Self {
         let pending: Vec<u32> = job.stages.iter().map(|s| s.tasks).collect();
         let n = job.stages.len();
-        JobExecution {
+        let mut exec = JobExecution {
             job,
             pending,
             running: vec![0; n],
             done: vec![0; n],
+            ready: 0,
+            stages_done: 0,
             submitted,
             finished: None,
             kills: 0,
-        }
+        };
+        exec.ready = exec.scan_ready_count();
+        exec
     }
 
     /// The job being executed.
@@ -76,17 +97,36 @@ impl JobExecution {
             .all(|d| self.done[d.0] == self.job.stages[d.0].tasks)
     }
 
-    /// Stages that are ready and still have unstarted tasks, in DAG order.
-    pub fn ready_stages(&self) -> Vec<StageId> {
-        (0..self.job.stages.len())
+    /// The first stage at index `from` or later that is ready and still
+    /// has unstarted tasks. Walking `next_ready_stage(0)`,
+    /// `next_ready_stage(s + 1)`, … visits every such stage in DAG
+    /// order without collecting them.
+    pub fn next_ready_stage(&self, from: usize) -> Option<StageId> {
+        (from..self.job.stages.len())
             .map(StageId)
-            .filter(|&s| self.pending[s.0] > 0 && self.stage_ready(s))
-            .collect()
+            .find(|&s| self.pending[s.0] > 0 && self.stage_ready(s))
     }
 
-    /// Total tasks that could start right now.
+    /// Total tasks that could start right now. O(1): the count is
+    /// maintained by every state change (see the module docs).
     pub fn ready_task_count(&self) -> u32 {
-        self.ready_stages().iter().map(|s| self.pending[s.0]).sum()
+        debug_assert_eq!(
+            self.ready,
+            self.scan_ready_count(),
+            "cached ready-task count of {} diverged from the scan",
+            self.job.name
+        );
+        self.ready
+    }
+
+    /// The ready-task count recomputed from the DAG: pending tasks
+    /// summed over every stage whose dependencies are complete.
+    fn scan_ready_count(&self) -> u32 {
+        (0..self.job.stages.len())
+            .map(StageId)
+            .filter(|&s| self.stage_ready(s))
+            .map(|s| self.pending[s.0])
+            .sum()
     }
 
     /// Tasks of `stage` not yet started.
@@ -103,7 +143,7 @@ impl JobExecution {
     /// running. Returns the stage it came from, or `None` if nothing is
     /// ready.
     pub fn start_next_task(&mut self) -> Option<StageId> {
-        let stage = *self.ready_stages().first()?;
+        let stage = self.next_ready_stage(0)?;
         self.start_task(stage);
         Some(stage)
     }
@@ -122,6 +162,7 @@ impl JobExecution {
         );
         self.pending[stage.0] -= 1;
         self.running[stage.0] += 1;
+        self.ready -= 1;
     }
 
     /// The per-task duration of `stage`.
@@ -142,14 +183,13 @@ impl JobExecution {
         );
         self.running[stage.0] -= 1;
         self.done[stage.0] += 1;
-        let all_done = self
-            .job
-            .stages
-            .iter()
-            .enumerate()
-            .all(|(i, s)| self.done[i] == s.tasks);
-        if all_done {
-            self.finished = Some(now);
+        if self.done[stage.0] == self.job.stages[stage.0].tasks {
+            // Only a completed stage can make dependents ready.
+            self.stages_done += 1;
+            self.ready = self.scan_ready_count();
+            if self.stages_done == self.job.stages.len() {
+                self.finished = Some(now);
+            }
         }
     }
 
@@ -167,6 +207,8 @@ impl JobExecution {
         );
         self.running[stage.0] -= 1;
         self.pending[stage.0] += 1;
+        // The task ran, so its stage was (and stays) ready.
+        self.ready += 1;
         self.kills += 1;
     }
 }
@@ -186,7 +228,8 @@ mod tests {
     #[test]
     fn executes_in_dependency_order() {
         let mut e = JobExecution::new(job(), SimTime::ZERO);
-        assert_eq!(e.ready_stages(), vec![StageId(0)]);
+        assert_eq!(e.next_ready_stage(0), Some(StageId(0)));
+        assert_eq!(e.next_ready_stage(1), None);
         assert_eq!(e.ready_task_count(), 2);
         // Reducer blocked until both mappers finish.
         e.start_task(StageId(0));
@@ -196,7 +239,8 @@ mod tests {
         assert!(!e.stage_ready(StageId(1)));
         e.finish_task(StageId(0), SimTime::from_secs(10));
         assert!(e.stage_ready(StageId(1)));
-        assert_eq!(e.ready_stages(), vec![StageId(1)]);
+        assert_eq!(e.next_ready_stage(0), Some(StageId(1)));
+        assert_eq!(e.ready_task_count(), 1);
         e.start_task(StageId(1));
         assert!(!e.is_complete());
         e.finish_task(StageId(1), SimTime::from_secs(30));
@@ -209,8 +253,10 @@ mod tests {
         let mut e = JobExecution::new(job(), SimTime::ZERO);
         e.start_task(StageId(0));
         assert_eq!(e.pending_tasks(StageId(0)), 1);
+        assert_eq!(e.ready_task_count(), 1);
         e.kill_task(StageId(0));
         assert_eq!(e.pending_tasks(StageId(0)), 2);
+        assert_eq!(e.ready_task_count(), 2);
         assert_eq!(e.running_tasks(StageId(0)), 0);
         assert_eq!(e.kills(), 1);
         // The killed task can start again.
@@ -224,6 +270,9 @@ mod tests {
             vec![stage("a", 1, 5, vec![]), stage("b", 1, 5, vec![])],
         );
         let mut e = JobExecution::new(two_roots, SimTime::ZERO);
+        assert_eq!(e.next_ready_stage(0), Some(StageId(0)));
+        assert_eq!(e.next_ready_stage(1), Some(StageId(1)));
+        assert_eq!(e.next_ready_stage(2), None);
         assert_eq!(e.start_next_task(), Some(StageId(0)));
         assert_eq!(e.start_next_task(), Some(StageId(1)));
         assert_eq!(e.start_next_task(), None);

@@ -10,16 +10,34 @@
 //!
 //! For DC-9 the paper's clustering produces 23 classes (13 periodic, 5
 //! constant, 5 unpredictable) — the default `k` per pattern here.
+//!
+//! Each tenant's trace is read once: one pass through
+//! [`classify_with_features`] computes its mean, peak, standard
+//! deviation and one spectrum (through one [`SpectrumScratch`] reused
+//! across tenants), and the pattern, the K-Means features and the
+//! class's utilization tags all come from those values. The FFT
+//! dominates the build; a second spectrum per tenant would double it.
 
 use harvest_cluster::{Datacenter, ServerId, TenantId, UtilizationView};
-use harvest_signal::classify::{classify, ClassifierConfig, UtilizationPattern};
+use harvest_signal::classify::{classify_with_features, ClassifierConfig, UtilizationPattern};
 use harvest_signal::features::{normalize_features, TraceFeatures};
 use harvest_signal::kmeans::kmeans;
+use harvest_signal::SpectrumScratch;
 use harvest_sim::rng::stream_rng;
 
 /// Default K-Means `k` for [periodic, constant, unpredictable] (the class
 /// counts the paper reports for DC-9).
 pub const DEFAULT_K: [usize; 3] = [13, 5, 5];
+
+/// A pattern's index in [`UtilizationPattern::ALL`], the order classes
+/// are clustered and numbered in (and the order of `k_per_pattern`).
+fn pattern_slot(pattern: UtilizationPattern) -> usize {
+    match pattern {
+        UtilizationPattern::Periodic => 0,
+        UtilizationPattern::Constant => 1,
+        UtilizationPattern::Unpredictable => 2,
+    }
+}
 
 /// One utilization class: a group of tenants with similar patterns.
 #[derive(Debug, Clone)]
@@ -89,41 +107,39 @@ impl ClusteringService {
         seed: u64,
         k_per_pattern: [usize; 3],
     ) -> Self {
+        // One pass per tenant: moments and one spectrum give both the
+        // pattern and the K-Means features.
         let classifier = ClassifierConfig::default();
+        let mut scratch = SpectrumScratch::new();
         let mut by_pattern: [Vec<TenantId>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for t in &dc.tenants {
-            let trace = view.tenant_trace(t.id);
-            let pattern = classify(trace.values(), &classifier);
-            let slot = match pattern {
-                UtilizationPattern::Periodic => 0,
-                UtilizationPattern::Constant => 1,
-                UtilizationPattern::Unpredictable => 2,
-            };
-            by_pattern[slot].push(t.id);
-        }
+        let features: Vec<TraceFeatures> = dc
+            .tenants
+            .iter()
+            .map(|t| {
+                let trace = view.tenant_trace(t.id);
+                let (pattern, features) =
+                    classify_with_features(trace.values(), &classifier, &mut scratch);
+                by_pattern[pattern_slot(pattern)].push(t.id);
+                features
+            })
+            .collect();
+        let features_of = |tid: TenantId| features[tid.0 as usize];
 
         let mut rng = stream_rng(seed, "clustering-service");
         let mut classes = Vec::new();
         let mut tenant_class = vec![usize::MAX; dc.n_tenants()];
 
-        for (slot, pattern) in [
-            UtilizationPattern::Periodic,
-            UtilizationPattern::Constant,
-            UtilizationPattern::Unpredictable,
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        for (slot, pattern) in UtilizationPattern::ALL.into_iter().enumerate() {
             let members = &by_pattern[slot];
             if members.is_empty() {
                 continue;
             }
             let k = k_per_pattern[slot].max(1);
-            let features: Vec<Vec<f64>> = members
+            let member_features: Vec<Vec<f64>> = members
                 .iter()
-                .map(|&tid| TraceFeatures::extract(view.tenant_trace(tid).values(), 720.0).to_vec())
+                .map(|&tid| features_of(tid).to_vec())
                 .collect();
-            let normalized = normalize_features(&features);
+            let normalized = normalize_features(&member_features);
             let result = kmeans(&mut rng, &normalized, k.min(members.len()), 50);
 
             for cluster in 0..result.k() {
@@ -143,10 +159,10 @@ impl ClusteringService {
                 let mut total_servers = 0usize;
                 for &tid in &tenant_ids {
                     let tenant = dc.tenant(tid);
-                    let trace = view.tenant_trace(tid);
+                    let f = features_of(tid);
                     let n = tenant.n_servers();
-                    weighted_avg += trace.mean() * n as f64;
-                    weighted_peak += trace.peak() * n as f64;
+                    weighted_avg += f.mean * n as f64;
+                    weighted_peak += f.peak * n as f64;
                     total_servers += n;
                     servers.extend(tenant.server_ids());
                     tenant_class[tid.0 as usize] = class_id;
@@ -193,6 +209,7 @@ impl ClusteringService {
 mod tests {
     use super::*;
     use harvest_trace::datacenter::DatacenterProfile;
+    use harvest_trace::scaling::ScalingKind;
 
     fn dc() -> Datacenter {
         Datacenter::generate(&DatacenterProfile::dc(9).scaled(0.1), 42)
@@ -265,5 +282,46 @@ mod tests {
         for (ca, cb) in a.classes().iter().zip(b.classes()) {
             assert_eq!(ca.tenants, cb.tenants);
         }
+    }
+
+    /// FNV-1a over every class's pattern, members, servers and the
+    /// bits of its utilization tags.
+    fn service_fingerprint(svc: &ClusteringService) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for c in svc.classes() {
+            eat(c.id as u64);
+            eat(c.pattern as u64);
+            eat(c.avg_util.to_bits());
+            eat(c.peak_util.to_bits());
+            eat(c.tenants.len() as u64);
+            for t in &c.tenants {
+                eat(t.0 as u64);
+            }
+            eat(c.servers.len() as u64);
+            for s in &c.servers {
+                eat(s.0 as u64);
+            }
+        }
+        h
+    }
+
+    /// The service's output on DC-9 ×0.1 — unscaled with the paper's
+    /// `k`, and linearly scaled with the adaptive `k` YARN-H uses —
+    /// pinned to the values recorded when classification and feature
+    /// extraction still took separate spectra per tenant.
+    #[test]
+    fn clustering_output_is_pinned() {
+        let dc = dc();
+        let view = UtilizationView::scaled(&dc, ScalingKind::Linear, 1.6);
+        let got = [
+            service_fingerprint(&ClusteringService::build(&dc, 42)),
+            service_fingerprint(&ClusteringService::build_adaptive(&dc, &view, 42)),
+        ];
+        assert_eq!(got, [0x058c_9ba6_9019_b6f2, 0x846f_321f_37e2_def8]);
     }
 }

@@ -70,7 +70,14 @@
 //! Within an event, per-container work is O(1) amortized: releases
 //! tombstone instead of splicing the per-server lists, kills invalidate
 //! exactly the killed task's shuffle-source slot, and a scheduling pass
-//! iterates the runnable list in place instead of cloning it.
+//! iterates the runnable list in place instead of cloning it. A pass
+//! visits every runnable job, so the visit is O(1): the job's
+//! ready-task count is a cached field of its [`JobExecution`], and
+//! nearly every visit ends there. A placement attempt walks the ready
+//! stages in place and probes servers into buffers the runner owns, so
+//! it allocates nothing.
+
+use std::time::{Duration, Instant};
 
 use harvest_cluster::reserve::{secondary_capacity, SERVER_CAPACITY};
 use harvest_cluster::{Datacenter, Resources, ServerId, UtilizationView};
@@ -344,9 +351,13 @@ impl<'a> SchedSim<'a> {
     /// wait states land on the `sched/stage` state track (see
     /// [`SchedObs::stages`]), and the fabric and disk pool record into
     /// child recorders that are absorbed back into `rec` at the end,
-    /// along with `sched/*` counters mirroring the run's totals. Recording never changes the trajectory: the
-    /// returned [`SimStats`] is bitwise identical to [`SchedSim::run`]'s
-    /// (pinned by tests), and nothing is printed.
+    /// along with `sched/*` counters mirroring the run's totals. Two
+    /// host-time measurements attribute the call's wall time: a
+    /// `clustering` span on the `sched` wall track around YARN-H's
+    /// clustering build, and the `sched/schedule_pass_wall_us` counter
+    /// summed over every scheduling pass. Recording never changes the
+    /// trajectory: the returned [`SimStats`] is bitwise identical to
+    /// [`SchedSim::run`]'s (pinned by tests), and nothing is printed.
     pub fn run_recorded(&self, rec: &mut Recorder) -> SimStats {
         let runner = Runner::new(self, std::mem::take(rec));
         let (stats, r) = runner.run();
@@ -372,6 +383,9 @@ struct SchedObs {
     /// Stages currently marked `running`, so only the first placed task
     /// (or the first after an eviction) records a transition.
     stage_running: std::collections::HashSet<u64>,
+    /// Host wall time spent in `schedule_pass`, reported at the end of
+    /// the run as the `sched/schedule_pass_wall_us` counter.
+    pass_wall: Duration,
 }
 
 struct Runner<'a> {
@@ -393,6 +407,10 @@ struct Runner<'a> {
     in_runnable: Vec<bool>,
     /// Reusable per-pass "could not place" flags for `schedule_pass`.
     blocked_scratch: Vec<bool>,
+    /// Reusable probe buffers for `find_server`: the sampled servers
+    /// and their placement weights.
+    probe_servers: Vec<ServerId>,
+    probe_weights: Vec<f64>,
     results: Vec<Option<JobResult>>,
     total_kills: u64,
     tasks_started: u64,
@@ -444,14 +462,18 @@ impl<'a> Runner<'a> {
             tick_occupied: rec.histogram("sched/tick_occupied_servers"),
             stages: rec.state_track("sched/stage"),
             stage_running: std::collections::HashSet::new(),
+            pass_wall: Duration::ZERO,
         });
         let n_servers = sim.dc.n_servers();
         let svc = if sim.cfg.policy.uses_history() {
-            Some(ClusteringService::build_adaptive(
-                sim.dc,
-                sim.view,
-                sim.cfg.seed,
-            ))
+            let start = rec.is_on().then(Instant::now);
+            let svc = ClusteringService::build_adaptive(sim.dc, sim.view, sim.cfg.seed);
+            if let Some(start) = start {
+                // The run's wall-time epoch is the start of the build.
+                let end = start.elapsed().as_micros() as u64;
+                rec.wall_span("sched", "clustering", 0, end);
+            }
+            Some(svc)
         } else {
             None
         };
@@ -501,6 +523,8 @@ impl<'a> Runner<'a> {
             runnable: Vec::new(),
             in_runnable: Vec::new(),
             blocked_scratch: Vec::new(),
+            probe_servers: Vec::with_capacity(4 * PLACEMENT_PROBES),
+            probe_weights: Vec::with_capacity(4 * PLACEMENT_PROBES),
             results: vec![None; sim.workload.n_jobs()],
             total_kills: 0,
             tasks_started: 0,
@@ -637,6 +661,10 @@ impl<'a> Runner<'a> {
             self.rec.counter_set(id, self.tasks_started);
             let id = self.rec.counter("sched/kills");
             self.rec.counter_set(id, self.total_kills);
+            if let Some(obs) = &self.obs {
+                let id = self.rec.counter("sched/schedule_pass_wall_us");
+                self.rec.counter_set(id, obs.pass_wall.as_micros() as u64);
+            }
             if self.fault_armed {
                 let id = self.rec.counter("sched/fault_kills");
                 self.rec.counter_set(id, self.fault_kills);
@@ -1215,8 +1243,21 @@ impl<'a> Runner<'a> {
     /// the runnable list in place (placement never mutates it — only
     /// arrivals, kills, and shuffle completions do, none of which can
     /// fire mid-pass), so a pass allocates nothing beyond the reused
-    /// blocked-flag scratch buffer.
+    /// blocked-flag scratch buffer. With recording on, the pass's host
+    /// wall time accumulates into [`SchedObs::pass_wall`].
     fn schedule_pass(&mut self, now: SimTime) {
+        if self.obs.is_none() {
+            return self.place_ready(now);
+        }
+        let start = Instant::now();
+        self.place_ready(now);
+        if let Some(obs) = &mut self.obs {
+            obs.pass_wall += start.elapsed();
+        }
+    }
+
+    /// The body of [`Self::schedule_pass`].
+    fn place_ready(&mut self, now: SimTime) {
         // Jobs submitted but not finished, with ready tasks.
         let (runnable, in_runnable, jobs) = (&mut self.runnable, &mut self.in_runnable, &self.jobs);
         runnable.retain(|&j| {
@@ -1258,9 +1299,10 @@ impl<'a> Runner<'a> {
     /// A ready stage whose shuffle is still crossing the fabric is
     /// skipped (and its shuffle is started if it has not been).
     fn try_place_one(&mut self, j: usize, now: SimTime) -> bool {
-        let ready = self.jobs[j].exec.ready_stages();
         let mut target = None;
-        for stage in ready {
+        let mut next = self.jobs[j].exec.next_ready_stage(0);
+        while let Some(stage) = next {
+            next = self.jobs[j].exec.next_ready_stage(stage.0 + 1);
             // A stage waiting out a fault backoff is invisible to the
             // scheduler until its retry fires.
             if self.fault_armed
@@ -1453,7 +1495,8 @@ impl<'a> Runner<'a> {
             }
         };
 
-        let mut candidates: Vec<ServerId> = Vec::with_capacity(PLACEMENT_PROBES.min(pool_len));
+        let mut candidates = std::mem::take(&mut self.probe_servers);
+        candidates.clear();
         if pool_len <= 4 * PLACEMENT_PROBES {
             candidates.extend((0..pool_len).map(|i| server_at(self, i)));
         } else {
@@ -1467,32 +1510,35 @@ impl<'a> Runner<'a> {
         // extension (Table 1); stock YARN and YARN-PT place on whichever
         // heartbeating server fits first — uniform among fitting probes.
         let proportional = self.sim.cfg.policy.uses_history();
-        let weights: Vec<f64> = candidates
-            .iter()
-            .map(|&sid| {
-                // A crashed server stops heartbeating, so the RM never
-                // offers it (fault plans only; the mask is all-false —
-                // and unread — otherwise).
-                if self.fault_armed && self.down[sid.0 as usize] {
-                    return 0.0;
-                }
-                let free = self.free_capacity(sid, now);
-                if free.fits(CONTAINER) {
-                    if proportional {
-                        free.cores as f64
-                    } else {
-                        1.0
-                    }
+        let mut weights = std::mem::take(&mut self.probe_weights);
+        weights.clear();
+        weights.extend(candidates.iter().map(|&sid| {
+            // A crashed server stops heartbeating, so the RM never
+            // offers it (fault plans only; the mask is all-false —
+            // and unread — otherwise).
+            if self.fault_armed && self.down[sid.0 as usize] {
+                return 0.0;
+            }
+            let free = self.free_capacity(sid, now);
+            if free.fits(CONTAINER) {
+                if proportional {
+                    free.cores as f64
                 } else {
-                    0.0
+                    1.0
                 }
-            })
-            .collect();
-        if weights.iter().all(|&w| w == 0.0) {
-            return None;
-        }
-        let pick = harvest_sim::dist::weighted_index(&mut self.rng, &weights)?;
-        Some(candidates[pick])
+            } else {
+                0.0
+            }
+        }));
+        let pick = if weights.iter().all(|&w| w == 0.0) {
+            None
+        } else {
+            harvest_sim::dist::weighted_index(&mut self.rng, &weights)
+        };
+        let server = pick.map(|i| candidates[i]);
+        self.probe_servers = candidates;
+        self.probe_weights = weights;
+        server
     }
 
     /// Draws the destination server for one shuffle part from the

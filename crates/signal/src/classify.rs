@@ -5,6 +5,7 @@
 //! tend to be periodic (diurnal), crawlers/scrubbers roughly constant, and
 //! development/testing tenants unpredictable.
 
+use crate::features::{moments, TraceFeatures};
 use crate::spectrum::{periodicity_strength_with, SpectrumScratch};
 
 /// A primary tenant's utilization trend class (paper §3.2).
@@ -89,20 +90,53 @@ pub fn classify_with(
     config: &ClassifierConfig,
     scratch: &mut SpectrumScratch,
 ) -> UtilizationPattern {
-    if values.len() < 8 {
+    let (mean, _, std_dev) = moments(values);
+    decide(values.len(), mean, std_dev, config, || {
+        periodicity_strength_with(values, config.period_samples, scratch)
+    })
+}
+
+/// Classifies a trace and extracts its K-Means features (at the
+/// classifier's period) from one set of moments and one spectrum.
+///
+/// Returns exactly `classify_with(values, config, _)` and
+/// `TraceFeatures::extract(values, config.period_samples)`, bit for
+/// bit; the clustering service needs both per tenant, and each alone
+/// would take its own FFT of the same trace.
+pub fn classify_with_features(
+    values: &[f64],
+    config: &ClassifierConfig,
+    scratch: &mut SpectrumScratch,
+) -> (UtilizationPattern, TraceFeatures) {
+    let f = TraceFeatures::extract_with(values, config.period_samples, scratch);
+    let pattern = decide(values.len(), f.mean, f.std_dev, config, || {
+        f.diurnal_strength
+    });
+    (pattern, f)
+}
+
+/// The classifier's thresholds applied to a trace's length, moments and
+/// (only when the variation test leaves it open) periodicity strength.
+fn decide(
+    len: usize,
+    mean: f64,
+    std_dev: f64,
+    config: &ClassifierConfig,
+    strength: impl FnOnce() -> f64,
+) -> UtilizationPattern {
+    if len < 8 {
         return UtilizationPattern::Unpredictable;
     }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-    let std = var.sqrt();
     // An all-idle tenant is trivially constant; guard the division.
-    let cv = if mean.abs() < 1e-9 { 0.0 } else { std / mean };
+    let cv = if mean.abs() < 1e-9 {
+        0.0
+    } else {
+        std_dev / mean
+    };
     if cv <= config.constant_cv_max {
         return UtilizationPattern::Constant;
     }
-    let strength = periodicity_strength_with(values, config.period_samples, scratch);
-    if strength >= config.periodic_strength_min {
+    if strength() >= config.periodic_strength_min {
         UtilizationPattern::Periodic
     } else {
         UtilizationPattern::Unpredictable
@@ -164,6 +198,49 @@ mod tests {
             classify(&[0.1, 0.2], &cfg()),
             UtilizationPattern::Unpredictable
         );
+    }
+
+    #[test]
+    fn one_pass_matches_classify_and_extract_bitwise() {
+        let diurnal: Vec<f64> = (0..30 * SPD)
+            .map(|i| {
+                let phase = 2.0 * std::f64::consts::PI * i as f64 / SPD as f64;
+                0.4 + 0.25 * phase.sin() + 0.03 * noise(i)
+            })
+            .collect();
+        let mut level = 0.5f64;
+        let walk: Vec<f64> = (0..30 * SPD)
+            .map(|i| {
+                level = (level + 0.02 * noise(i * 7 + 3)).clamp(0.05, 0.95);
+                level
+            })
+            .collect();
+        let flat: Vec<f64> = (0..30 * SPD).map(|i| 0.45 + 0.01 * noise(i)).collect();
+        use UtilizationPattern::{Constant, Periodic, Unpredictable};
+        let traces: [(&str, Vec<f64>, UtilizationPattern); 6] = [
+            ("empty", Vec::new(), Unpredictable),
+            ("short", vec![0.1, 0.7, 0.3], Unpredictable),
+            ("idle", vec![0.0; 4 * SPD], Constant),
+            ("constant", flat, Constant),
+            ("periodic", diurnal, Periodic),
+            ("unpredictable", walk, Unpredictable),
+        ];
+        // One scratch through every trace, as the clustering service
+        // uses it.
+        let mut scratch = SpectrumScratch::new();
+        for (name, trace, expect) in &traces {
+            let (pattern, features) = classify_with_features(trace, &cfg(), &mut scratch);
+            assert_eq!(pattern, classify(trace, &cfg()), "{name}");
+            assert_eq!(pattern, *expect, "{name}");
+            let reference = TraceFeatures::extract(trace, cfg().period_samples);
+            let bits =
+                |f: TraceFeatures| f.to_vec().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(features), bits(reference), "{name}");
+            assert!(
+                features.to_vec().iter().all(|x| !x.is_nan()),
+                "{name}: NaN feature {features:?}"
+            );
+        }
     }
 
     #[test]

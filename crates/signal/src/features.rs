@@ -7,7 +7,7 @@
 //! the periodicity strength so diurnal tenants with different phases or
 //! amplitudes separate cleanly.
 
-use crate::spectrum::periodicity_strength;
+use crate::spectrum::{periodicity_strength_with, SpectrumScratch};
 
 /// Summary features of one tenant's utilization trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,23 +26,22 @@ impl TraceFeatures {
     /// Extracts features from a trace sampled with `period_samples` as the
     /// candidate diurnal period (720 for two-minute sampling).
     pub fn extract(values: &[f64], period_samples: f64) -> Self {
-        if values.is_empty() {
-            return TraceFeatures {
-                mean: 0.0,
-                peak: 0.0,
-                std_dev: 0.0,
-                diurnal_strength: 0.0,
-            };
-        }
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        let peak = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
+        Self::extract_with(values, period_samples, &mut SpectrumScratch::new())
+    }
+
+    /// [`TraceFeatures::extract`] with caller-owned spectrum scratch;
+    /// identical bit for bit.
+    pub fn extract_with(
+        values: &[f64],
+        period_samples: f64,
+        scratch: &mut SpectrumScratch,
+    ) -> Self {
+        let (mean, peak, std_dev) = moments(values);
         TraceFeatures {
             mean,
             peak,
-            std_dev: var.sqrt(),
-            diurnal_strength: periodicity_strength(values, period_samples),
+            std_dev,
+            diurnal_strength: periodicity_strength_with(values, period_samples, scratch),
         }
     }
 
@@ -50,6 +49,19 @@ impl TraceFeatures {
     pub fn to_vec(self) -> Vec<f64> {
         vec![self.mean, self.peak, self.std_dev, self.diurnal_strength]
     }
+}
+
+/// Mean, peak and (population) standard deviation of a trace, all 0
+/// for an empty one.
+pub(crate) fn moments(values: &[f64]) -> (f64, f64, f64) {
+    if values.is_empty() {
+        return (0.0, 0.0, 0.0);
+    }
+    let n = values.len() as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    let peak = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
+    (mean, peak, var.sqrt())
 }
 
 /// Z-score normalizes each dimension across a set of feature vectors.

@@ -52,20 +52,29 @@ fn transform(data: &mut [Complex], inverse: bool) {
         }
     }
 
-    // Butterfly passes.
+    // Butterfly passes. Each stage's twiddles come from one run of the
+    // `w *= wlen` recurrence: the sequence every block would compute
+    // for itself, so results match the per-block reference bitwise.
     let sign = if inverse { 1.0 } else { -1.0 };
+    let mut twiddles: Vec<Complex> = Vec::with_capacity(n / 2);
     let mut len = 2;
     while len <= n {
+        let half = len / 2;
         let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
         let wlen = Complex::from_polar_unit(ang);
-        for start in (0..n).step_by(len) {
-            let mut w = Complex::ONE;
-            for k in 0..len / 2 {
-                let a = data[start + k];
-                let b = data[start + k + len / 2] * w;
-                data[start + k] = a + b;
-                data[start + k + len / 2] = a - b;
-                w *= wlen;
+        twiddles.clear();
+        let mut w = Complex::ONE;
+        for _ in 0..half {
+            twiddles.push(w);
+            w *= wlen;
+        }
+        for block in data.chunks_exact_mut(len) {
+            let (lo, hi) = block.split_at_mut(half);
+            for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(&twiddles) {
+                let x = *a;
+                let y = *b * w;
+                *a = x + y;
+                *b = x - y;
             }
         }
         len <<= 1;
@@ -109,6 +118,81 @@ pub fn magnitude_spectrum(signal: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The textbook transform, restarting the twiddle recurrence in
+    /// every block: the bitwise oracle for [`transform`].
+    fn reference_transform(data: &mut [Complex], inverse: bool) {
+        let n = data.len();
+        if n <= 1 {
+            return;
+        }
+        let levels = n.trailing_zeros();
+        for i in 0..n {
+            let j = (i.reverse_bits() >> (usize::BITS - levels)) & (n - 1);
+            if j > i {
+                data.swap(i, j);
+            }
+        }
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut len = 2;
+        while len <= n {
+            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let wlen = Complex::from_polar_unit(ang);
+            for start in (0..n).step_by(len) {
+                let mut w = Complex::ONE;
+                for k in 0..len / 2 {
+                    let a = data[start + k];
+                    let b = data[start + k + len / 2] * w;
+                    data[start + k] = a + b;
+                    data[start + k + len / 2] = a - b;
+                    w *= wlen;
+                }
+            }
+            len <<= 1;
+        }
+    }
+
+    fn bits(data: &[Complex]) -> Vec<(u64, u64)> {
+        data.iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn transforms_match_the_per_block_reference_bitwise() {
+        // xorshift64*: lengths 2^0..2^14 and values in [-1, 1).
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        for _ in 0..40 {
+            let n = 1usize << (next() % 15);
+            let input: Vec<Complex> = (0..n)
+                .map(|_| {
+                    let mut unit = || (next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+                    Complex::new(unit(), unit())
+                })
+                .collect();
+            let mut fwd = input.clone();
+            let mut fwd_ref = input.clone();
+            fft_in_place(&mut fwd);
+            reference_transform(&mut fwd_ref, false);
+            assert_eq!(bits(&fwd), bits(&fwd_ref), "forward, n = {n}");
+
+            let mut inv = input.clone();
+            let mut inv_ref = input;
+            ifft_in_place(&mut inv);
+            reference_transform(&mut inv_ref, true);
+            let scale = 1.0 / n as f64;
+            for z in &mut inv_ref {
+                *z = z.scale(scale);
+            }
+            assert_eq!(bits(&inv), bits(&inv_ref), "inverse, n = {n}");
+        }
+    }
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} != {b} (tol {tol})");

@@ -22,7 +22,9 @@ pub mod fft;
 pub mod kmeans;
 pub mod spectrum;
 
-pub use classify::{classify, classify_with, ClassifierConfig, UtilizationPattern};
+pub use classify::{
+    classify, classify_with, classify_with_features, ClassifierConfig, UtilizationPattern,
+};
 pub use complex::Complex;
 pub use kmeans::{kmeans, KMeansResult};
 pub use spectrum::SpectrumScratch;

@@ -12,15 +12,19 @@ use crate::fft::fft_in_place;
 /// Reusable buffers for spectral analysis.
 ///
 /// One spectrum costs two allocations (the complex FFT workspace and
-/// the power vector); a classification sweep over thousands of tenant
-/// traces costs thousands — unless each worker carries one scratch and
-/// threads it through every call. The scratch carries no information
-/// between calls (both buffers are fully overwritten), so reuse never
-/// changes a result.
+/// the power vector) and one Hann window (a `sin` per sample); a
+/// classification sweep over thousands of tenant traces costs
+/// thousands — unless each worker carries one scratch and threads it
+/// through every call. The workspace and powers are fully overwritten
+/// by every call; the window is kept for the last truncated length and
+/// rebuilt whenever the length changes, from the same formula, so reuse
+/// never changes a result.
 #[derive(Debug, Default)]
 pub struct SpectrumScratch {
     data: Vec<Complex>,
     powers: Vec<f64>,
+    /// The Hann window of the last truncated length (`window.len()`).
+    window: Vec<f64>,
 }
 
 impl SpectrumScratch {
@@ -58,13 +62,19 @@ pub fn power_spectrum_truncated_into(signal: &[f64], scratch: &mut SpectrumScrat
     };
     let n = n.max(1);
     let mean = signal[..n].iter().sum::<f64>() / n as f64;
+    if scratch.window.len() != n {
+        scratch.window.clear();
+        scratch.window.extend((0..n).map(|i| hann(i, n)));
+    }
     let data = &mut scratch.data;
     data.clear();
     data.reserve(n);
-    data.extend((0..n).map(|i| {
-        let w = hann(i, n);
-        Complex::from_real((signal[i] - mean) * w)
-    }));
+    data.extend(
+        signal[..n]
+            .iter()
+            .zip(&scratch.window)
+            .map(|(&x, &w)| Complex::from_real((x - mean) * w)),
+    );
     fft_in_place(data);
     let half = n / 2;
     scratch.powers.clear();
@@ -238,13 +248,32 @@ mod tests {
     #[test]
     fn scratch_reuse_is_bitwise_identical_across_mixed_lengths() {
         // One scratch over signals of different truncated lengths must
-        // reproduce the allocating path bit for bit (no stale state).
+        // reproduce the allocating path bit for bit (no stale state —
+        // in particular no Hann window cached for another length).
+        // The sequence shrinks, grows, repeats a truncated length with
+        // a different raw length (1000 and 700 both truncate to 512),
+        // and interleaves signals too short to analyze.
         let mut scratch = SpectrumScratch::new();
-        for len in [4_096usize, 1_000, 21_600, 64] {
-            let sig: Vec<f64> = (0..len).map(|i| (i as f64 * 0.011).sin() + 0.5).collect();
+        let lens = [
+            4_096usize, 1_000, 5, 21_600, 64, 3, 700, 512, 8, 0, 16_383, 4_096, 7, 9, 1_000,
+        ];
+        for (k, len) in lens.into_iter().enumerate() {
+            let sig: Vec<f64> = (0..len)
+                .map(|i| (i as f64 * (0.011 + 0.003 * k as f64)).sin() + 0.5)
+                .collect();
             let fresh = periodicity_strength(&sig, 720.0);
             let reused = periodicity_strength_with(&sig, 720.0, &mut scratch);
             assert_eq!(fresh.to_bits(), reused.to_bits(), "len {len}");
+            if len >= 8 {
+                let period = len as f64 / 6.0;
+                let fresh = periodicity_strength(&sig, period);
+                let reused = periodicity_strength_with(&sig, period, &mut scratch);
+                assert_eq!(
+                    fresh.to_bits(),
+                    reused.to_bits(),
+                    "len {len}, period {period}"
+                );
+            }
         }
     }
 }

@@ -1065,6 +1065,85 @@ proptest! {
     }
 }
 
+// --- job execution: the cached ready-task count -------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `JobExecution` keeps its ready-task count as a field that starts,
+    /// finishes and kills update in O(1) (a finish that completes its
+    /// stage rescans). On random DAGs under random starts, finishes and
+    /// kills, the count equals a from-scratch sum over a model that
+    /// tracks per-stage pending/running/done counts on its own: pending
+    /// tasks of every stage whose dependencies are all done. The
+    /// `next_ready_stage` walk and completion agree with the model too.
+    #[test]
+    fn cached_ready_count_matches_model(
+        shape in prop::collection::vec((1u32..5, 0u8..255), 1..8),
+        ops in prop::collection::vec((0u8..3, 0u16..60_000), 0..200),
+    ) {
+        use harvest::jobs::dag::{stage, DagJob, StageId};
+        use harvest::jobs::exec::JobExecution;
+        // Stage i depends on the earlier stages set in its bit mask.
+        let deps: Vec<Vec<usize>> = shape
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, mask))| (0..i.min(8)).filter(|d| mask & (1 << d) != 0).collect())
+            .collect();
+        let stages = shape
+            .iter()
+            .zip(&deps)
+            .enumerate()
+            .map(|(i, (&(tasks, _), d))| stage(format!("s{i}"), tasks, 10, d.clone()))
+            .collect();
+        let mut exec = JobExecution::new(DagJob::new("prop", stages), SimTime::ZERO);
+        let n = shape.len();
+        let tasks: Vec<u32> = shape.iter().map(|&(t, _)| t).collect();
+        let mut pending = tasks.clone();
+        let mut running = vec![0u32; n];
+        let mut done = vec![0u32; n];
+        for (step, (kind, pick)) in ops.into_iter().enumerate() {
+            let ready =
+                |s: usize, done: &[u32]| deps[s].iter().all(|&d| done[d] == tasks[d]);
+            let candidates: Vec<usize> = match kind {
+                0 => (0..n).filter(|&s| pending[s] > 0 && ready(s, &done)).collect(),
+                _ => (0..n).filter(|&s| running[s] > 0).collect(),
+            };
+            if let Some(&s) = candidates.get(pick as usize % candidates.len().max(1)) {
+                let at = SimTime::from_secs(step as u64);
+                match kind {
+                    0 => {
+                        exec.start_task(StageId(s));
+                        pending[s] -= 1;
+                        running[s] += 1;
+                    }
+                    1 => {
+                        exec.finish_task(StageId(s), at);
+                        running[s] -= 1;
+                        done[s] += 1;
+                    }
+                    _ => {
+                        exec.kill_task(StageId(s));
+                        running[s] -= 1;
+                        pending[s] += 1;
+                    }
+                }
+            }
+            let expect: u32 = (0..n).filter(|&s| ready(s, &done)).map(|s| pending[s]).sum();
+            prop_assert_eq!(exec.ready_task_count(), expect, "after op {}", step);
+            let stages: Vec<usize> =
+                (0..n).filter(|&s| pending[s] > 0 && ready(s, &done)).collect();
+            let walked: Vec<usize> = std::iter::successors(exec.next_ready_stage(0), |s| {
+                exec.next_ready_stage(s.0 + 1)
+            })
+            .map(|s| s.0)
+            .collect();
+            prop_assert_eq!(walked, stages);
+            prop_assert_eq!(exec.is_complete(), done == tasks);
+        }
+    }
+}
+
 // --- calibration: bit-exact against the scale-then-mean bisection -------
 
 /// `calibrate`'s reference fleet mean: scale every trace, take each
