@@ -23,7 +23,8 @@
 //!
 //! Modes:
 //! * default — measures everything and (re)writes `BENCH_reshare.json`
-//!   at the workspace root with per-path wall clock and per-event cost;
+//!   at the workspace root with per-path wall clock and per-event cost,
+//!   the machine's core count and the source revision measured;
 //! * `RESHARE_SMOKE=1` — runs the 2 000- and 10 000-flow clique convoys
 //!   and the 100 000-flow rack-pair convoy once each, asserting
 //!   wall-clock ceilings sized far above the recorded baselines but far
@@ -57,6 +58,20 @@ const PINS: [(u64, u64, u64); 4] = [
     (10_000, 15_678, 351),
     (100_000, 195_860, 345),
 ];
+
+/// The measured source revision, as `git describe --always --dirty`
+/// prints it in the workspace root (`-dirty`: uncommitted changes on
+/// top of that commit); `none` without git.
+fn revision() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "none".into(), |s| s.trim().to_string())
+}
 
 /// One convoy under measurement.
 #[derive(Clone, Copy, PartialEq)]
@@ -258,8 +273,9 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"reshare\",\n  \"cores\": {},\n  \"topology\": {{ \"profile\": \"{}\", \"servers\": {}, \"racks\": {}, \"links\": {} }},\n  \"workload\": \"64 MiB flows; analytic and global: rack-pair convoy, {}-flow groups, starts staggered over 97 ms; component: clique convoy, {}-rack clusters, every flow NIC-bound, waves {} ms apart\",\n  \"paths\": \"analytic = product fabric on the rack-pair convoy (classifier promotes every component), component = product fabric on the clique convoy (classifier promotes nothing), global = harvest-oracle progressive filling over every flow on every event\",\n  \"convoys\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"reshare\",\n  \"cores\": {},\n  \"rev\": \"{}\",\n  \"topology\": {{ \"profile\": \"{}\", \"servers\": {}, \"racks\": {}, \"links\": {} }},\n  \"workload\": \"64 MiB flows; analytic and global: rack-pair convoy, {}-flow groups, starts staggered over 97 ms; component: clique convoy, {}-rack clusters, every flow NIC-bound, waves {} ms apart\",\n  \"paths\": \"analytic = product fabric on the rack-pair convoy (classifier promotes every component), component = product fabric on the clique convoy (classifier promotes nothing), global = harvest-oracle progressive filling over every flow on every event\",\n  \"convoys\": {{\n{}\n  }}\n}}\n",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
+        revision(),
         profile.name(),
         topo.n_servers(),
         topo.n_racks(),

@@ -404,7 +404,7 @@ fn run() -> Result<ExitCode, String> {
     };
     for id in &experiments {
         let started = std::time::Instant::now();
-        let t0_us = suite_started.elapsed().as_micros() as u64;
+        let t0_us = rec.wall_us(started);
         // With --explain each experiment records into its own child so
         // its blame tables cover exactly this experiment's runs; the
         // child is absorbed back, so exports still see everything.
@@ -450,12 +450,8 @@ fn run() -> Result<ExitCode, String> {
             Ok(report) => {
                 println!("{report}");
                 let secs = started.elapsed().as_secs_f64();
-                rec.wall_span(
-                    "harness",
-                    id,
-                    t0_us,
-                    suite_started.elapsed().as_micros() as u64,
-                );
+                let t1_us = rec.wall_us(std::time::Instant::now());
+                rec.wall_span("harness", id, t0_us, t1_us);
                 // Drain this experiment's sweep outcomes so the next
                 // experiment's snapshot starts clean.
                 let snap = scale.harness.stats.take();

@@ -205,7 +205,7 @@ fn record_showcase(scale: &Scale, rec: &mut harvest_sim::obs::Recorder) {
         &SuperviseConfig::default(),
         |_, q, _| q.critical_path(),
     );
-    rec.record_worker_profiles("micro", &sweep.profiles);
+    rec.record_worker_profiles("micro", sweep.epoch, &sweep.profiles);
 }
 
 #[cfg(test)]

@@ -15,11 +15,12 @@
 //! scenario, with each re-replication a real 256 MB flow through a
 //! [`harvest_net::Fabric`] when a [`NetworkConfig`] is given.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use harvest_cluster::{Datacenter, ServerId, TenantId};
 use harvest_disk::{DiskConfig, DiskPool, IoDir};
 use harvest_net::NetworkConfig;
+use harvest_sim::idmap::IdMap;
 use harvest_sim::obs::{HistogramId, Recorder, StateTrackId, TrackId};
 use harvest_sim::rng::stream_rng;
 use harvest_sim::{SimDuration, SimTime};
@@ -383,10 +384,10 @@ pub fn simulate_reimage_storm_recorded(
     }
     let modeled = fabric.is_some() || disks.is_some();
     // In-flight repairs, by repair id.
-    let mut in_flight: HashMap<u64, TransferParts> = HashMap::new();
+    let mut in_flight: IdMap<TransferParts> = IdMap::default();
     // Obs-only: each in-flight repair's outstanding components, named
     // by the wait state a lone straggler would put the repair in.
-    let mut tail: HashMap<u64, Vec<&'static str>> = HashMap::new();
+    let mut tail: IdMap<Vec<&'static str>> = IdMap::default();
     let mut next_rid = 0u64;
     let mut repairs = 0u64;
     let mut recovered_at = t0;

@@ -1,18 +1,21 @@
-//! Heap-allocation guard for the reimage-storm data path.
+//! Heap-allocation guards for the reimage-storm data path.
 //!
-//! A counting global allocator tallies the allocations made on the test
-//! thread. Filling a store through Algorithm 2 must cost about one
+//! A counting global allocator tallies the allocations made on each
+//! test's own thread, so tests running side by side do not see each
+//! other's. Filling a store through Algorithm 2 must cost about one
 //! allocation per block (the returned `Placement`'s server list) plus
-//! amortized growth of the store's vectors, and a re-share of a warmed
-//! fabric must allocate nothing. One test only, so nothing else runs in
-//! the process while it counts.
+//! amortized growth of the store's vectors, a re-share of a warmed
+//! fabric must allocate nothing, and moving a repair through the fabric
+//! and the disks must cost a few allocations, not one per table touch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use harvest_cluster::{Datacenter, ServerId};
 use harvest_dfs::placement::{PlacementPolicy, Placer};
+use harvest_dfs::repair::{simulate_reimage_storm, StormConfig};
 use harvest_dfs::store::BlockStore;
+use harvest_disk::DiskConfig;
 use harvest_net::{Fabric, NetworkConfig};
 use harvest_sim::rng::stream_rng;
 use harvest_sim::SimTime;
@@ -125,5 +128,51 @@ fn storm_data_path_does_not_allocate_per_block_or_per_reshare() {
     assert!(
         reshare_allocs[40..].iter().all(|&a| a == 0),
         "warmed re-shares allocated: {reshare_allocs:?}"
+    );
+}
+
+/// One storm on DC-9 ×0.1 (1.4k servers), shaped like the end-to-end
+/// benchmark's: the largest tenant reimaged at once, the throttle
+/// lifted, 256 repair streams. Returns (allocations, repairs).
+fn storm_allocations(transfers: bool) -> (u64, u64) {
+    let dc = Datacenter::generate(&DatacenterProfile::dc(9).scaled(0.1), 42);
+    let tenant = dc
+        .tenants
+        .iter()
+        .max_by_key(|t| t.n_servers())
+        .expect("a generated datacenter has tenants")
+        .id;
+    let mut cfg = StormConfig::new(tenant, 42);
+    cfg.policy = PlacementPolicy::History;
+    cfg.fill_fraction = 0.1;
+    cfg.repair.blocks_per_server_per_hour = 1_000_000.0;
+    cfg.max_repair_streams = Some(256);
+    if transfers {
+        cfg.network = Some(NetworkConfig::datacenter());
+        cfg.disk = Some(DiskConfig::datacenter());
+    }
+    let before = allocs();
+    let r = simulate_reimage_storm(&dc, &cfg);
+    (allocs() - before, r.repairs)
+}
+
+#[test]
+fn storm_repair_transfers_allocate_a_few_times_per_repair() {
+    // The two storms fill and place identically; the difference is what
+    // moving each repair as one flow plus a source read and a
+    // destination write costs.
+    let (with, repairs) = storm_allocations(true);
+    let (without, repairs_without) = storm_allocations(false);
+    assert_eq!(repairs, repairs_without, "storms diverged");
+    assert!(repairs > 10_000, "only {repairs} repairs");
+    let per_repair = (with as f64 - without as f64) / repairs as f64;
+    // 3.30 per repair here, against 6.75 while flows and streams sat in
+    // B-trees and every disk channel built a fresh engine per
+    // occupancy period. What is left is mostly the per-`pump` result
+    // vectors (one flow and two stream completions per repair) and the
+    // fabric's group engines.
+    assert!(
+        per_repair < 4.0,
+        "{per_repair:.2} allocations per repair ({with} with transfers, {without} without, {repairs} repairs)"
     );
 }

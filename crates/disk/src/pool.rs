@@ -26,8 +26,11 @@
 //! stream start, finish, or capacity change (throttle transition,
 //! brown-out — absorbed via [`FairShare::set_capacity`]) costs
 //! O(log n) in the channel's occupancy and touches no other channel.
-//! The engine is created at a channel's first stream and dropped at
-//! its last. The channel holds exactly one live completion event, for
+//! Each channel owns one engine for the pool's lifetime: the first
+//! stream of every occupancy period resets it to exactly the state a
+//! fresh engine would have ([`FairShare::reset`]), so a channel that
+//! drains and refills keeps its allocations instead of rebuilding
+//! them. The channel holds exactly one live completion event, for
 //! the engine's next finisher; every change re-predicts it and
 //! *cancels* the superseded one in the queue, so the event heap stays
 //! O(channels) instead of O(re-shares). A fully parked channel keeps
@@ -41,8 +44,11 @@
 //! independent equal-split reference in the dev-only `harvest-oracle`
 //! crate pins rates bitwise and completion schedules exactly.
 //!
+//! Streams are looked up by id in [`IdMap`] tables (one multiply per
+//! hash); the fault paths that scan them take their ids from
+//! [`sorted_ids`], so every abort runs in ascending id order.
 //! Everything is exact integer time plus deterministic `f64`
-//! arithmetic over deterministically ordered collections, so a replay
+//! arithmetic over deterministically ordered walks, so a replay
 //! is bit-identical for identical inputs.
 //!
 //! The pool also serves change-driven callers: [`DiskPool::active_servers`]
@@ -52,12 +58,13 @@
 //! runs — so a utilization replay over a mostly-idle fleet costs
 //! O(disks with in-flight streams) per tick, not O(fleet).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use harvest_cluster::ServerId;
 use harvest_signal::classify::UtilizationPattern;
 use harvest_sim::engine::{EventKey, EventQueue};
 use harvest_sim::fairshare::FairShare;
+use harvest_sim::idmap::{sorted_ids, IdMap};
 use harvest_sim::obs::{CounterId, GaugeId, HistogramId, Recorder, StateTrackId, TrackId};
 use harvest_sim::{SimDuration, SimTime};
 
@@ -122,15 +129,27 @@ enum DiskEvent {
 }
 
 /// One direction of one disk.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Channel {
     /// Active stream ids in start order (deterministic iteration).
     streams: Vec<u64>,
-    /// The sharing engine, live while the channel has streams.
-    engine: Option<FairShare>,
+    /// The sharing engine. Empty exactly while `streams` is; reset to
+    /// a fresh engine's state at the start of each occupancy period,
+    /// so its allocations outlive the period.
+    engine: FairShare,
     /// The channel's single live completion event (a far-future
     /// placeholder while fully parked), `None` while empty.
     event: Option<EventKey>,
+}
+
+impl Default for Channel {
+    fn default() -> Self {
+        Channel {
+            streams: Vec::new(),
+            engine: FairShare::new(0.0, SimTime::ZERO),
+            event: None,
+        }
+    }
 }
 
 /// Aggregate pool counters.
@@ -154,8 +173,9 @@ pub struct DiskStats {
     /// High-water mark of the event heap (including not-yet-collected
     /// tombstones).
     pub peak_queue_len: usize,
-    /// [`FairShare`] engines created: one per channel occupancy period
-    /// (a channel that drains and refills counts again).
+    /// Channel occupancy periods served by a [`FairShare`] engine: a
+    /// channel that drains and refills counts again (its engine is
+    /// reset to a fresh one's state, not rebuilt).
     pub analytic_channels: u64,
     /// Completions served by the channel engines in O(log n) — every
     /// completion.
@@ -192,8 +212,8 @@ pub struct DiskPool {
     /// `2 * server + dir` — read and write channels of every disk.
     channels: Vec<Channel>,
     queue: EventQueue<DiskEvent>,
-    pending: BTreeMap<u64, PendingStream>,
-    active: BTreeMap<u64, Stream>,
+    pending: IdMap<PendingStream>,
+    active: IdMap<Stream>,
     next_id: u64,
     stats: DiskStats,
     completions: Vec<StreamCompletion>,
@@ -262,8 +282,8 @@ impl DiskPool {
             active_servers: BTreeSet::new(),
             channels: vec![Channel::default(); 2 * n],
             queue: EventQueue::new(),
-            pending: BTreeMap::new(),
-            active: BTreeMap::new(),
+            pending: IdMap::default(),
+            active: IdMap::default(),
             next_id: 0,
             stats: DiskStats::default(),
             completions: Vec::new(),
@@ -347,13 +367,15 @@ impl DiskPool {
     /// The current rate of a stream in bytes/s, if it is active.
     pub fn stream_rate(&self, stream: StreamId) -> Option<f64> {
         let s = self.active.get(&stream.0)?;
-        let engine = self.channels[s.chan as usize].engine.as_ref();
-        Some(engine.expect("occupied channel has an engine").rate())
+        Some(self.channels[s.chan as usize].engine.rate())
     }
 
     /// Ids of the currently active streams, ascending.
     pub fn active_stream_ids(&self) -> Vec<StreamId> {
-        self.active.keys().map(|&id| StreamId(id)).collect()
+        sorted_ids(&self.active, |_| true)
+            .into_iter()
+            .map(StreamId)
+            .collect()
     }
 
     /// The disk and channel an active stream runs on.
@@ -382,10 +404,8 @@ impl DiskPool {
 
     /// Sum of active secondary stream rates on a channel, in bytes/s.
     pub fn channel_load(&self, server: ServerId, dir: IoDir) -> f64 {
-        self.channels[chan(server, dir) as usize]
-            .engine
-            .as_ref()
-            .map_or(0.0, |e| e.rate() * e.n() as f64)
+        let engine = &self.channels[chan(server, dir) as usize].engine;
+        engine.rate() * engine.n() as f64
     }
 
     /// Active secondary streams on a channel.
@@ -564,12 +584,7 @@ impl DiskPool {
                 self.reshare(c, now);
             }
         }
-        let pend: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.server == server)
-            .map(|(&id, _)| id)
-            .collect();
+        let pend = sorted_ids(&self.pending, |p| p.server == server);
         for id in pend {
             let p = self.pending.remove(&id).expect("collected above");
             self.stats.streams_aborted += 1;
@@ -587,12 +602,7 @@ impl DiskPool {
         now: SimTime,
         tags: &std::collections::HashSet<u64>,
     ) -> usize {
-        let ids: Vec<u64> = self
-            .active
-            .iter()
-            .filter(|(_, s)| tags.contains(&s.tag))
-            .map(|(&id, _)| id)
-            .collect();
+        let ids = sorted_ids(&self.active, |s| tags.contains(&s.tag));
         let mut n = 0;
         for id in ids {
             if let Some((_, c)) = self.abort_active(StreamId(id), now) {
@@ -600,12 +610,7 @@ impl DiskPool {
                 self.reshare(c, now);
             }
         }
-        let pend: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| tags.contains(&p.tag))
-            .map(|(&id, _)| id)
-            .collect();
+        let pend = sorted_ids(&self.pending, |p| tags.contains(&p.tag));
         for id in pend {
             self.pending.remove(&id);
             self.stats.streams_aborted += 1;
@@ -622,11 +627,7 @@ impl DiskPool {
     fn abort_active(&mut self, id: StreamId, now: SimTime) -> Option<(u64, u32)> {
         let stream = self.active.remove(&id.0)?;
         let c = stream.chan;
-        self.channels[c as usize]
-            .engine
-            .as_mut()
-            .expect("occupied channel has an engine")
-            .remove(now, id.0);
+        self.channels[c as usize].engine.remove(now, id.0);
         self.cancel_event(c);
         self.unlist(id.0, c);
         self.stats.streams_aborted += 1;
@@ -673,12 +674,11 @@ impl DiskPool {
         // one seek.
         let seek_bytes = self.config.seek_ms / 1_000.0 * self.capacity(p.dir);
         let cap = self.secondary_capacity(p.server, p.dir);
-        let ch = &mut self.channels[c as usize];
-        if ch.engine.is_none() {
-            ch.engine = Some(FairShare::new(cap, now));
+        let engine = &mut self.channels[c as usize].engine;
+        if engine.is_empty() {
+            engine.reset(cap, now);
             self.stats.analytic_channels += 1;
         }
-        let engine = ch.engine.as_mut().expect("just ensured");
         engine.insert(now, id.0, p.bytes as f64 + seek_bytes);
         let (n, parked) = (engine.n(), engine.rate() == 0.0);
         if parked {
@@ -693,13 +693,13 @@ impl DiskPool {
     fn on_complete(&mut self, c: u32, now: SimTime) {
         let ch = &mut self.channels[c as usize];
         ch.event = None;
-        let engine = ch.engine.as_mut().expect("a live event implies streams");
+        let engine = &mut ch.engine;
         let id = match engine.pop(now) {
             Some(id) => id,
             None => {
                 // A parked channel's placeholder reached its far-future
                 // instant: its lowest-id stream completes then.
-                let (id, _) = engine.members().next().expect("occupied channel");
+                let (id, _) = engine.members()[0];
                 engine.remove(now, id);
                 id
             }
@@ -732,9 +732,7 @@ impl DiskPool {
             dir,
         });
         let left = self.channels[c as usize].streams.len();
-        if left == 0 {
-            self.channels[c as usize].engine = None;
-        } else {
+        if left > 0 {
             self.alloc_pass_obs(left, now);
             self.repredict(c, now);
         }
@@ -743,26 +741,22 @@ impl DiskPool {
     /// Brings a channel current after a membership or capacity change:
     /// refreshes its engine's capacity (throttle, brown-out), records
     /// park/rescue transitions, and re-predicts its completion event.
-    /// An emptied channel drops its engine instead.
+    /// An emptied channel only loses its event; the next occupancy
+    /// period resets the engine to the capacity of its day.
     fn reshare(&mut self, c: u32, now: SimTime) {
         if self.channels[c as usize].streams.is_empty() {
-            self.channels[c as usize].engine = None;
             self.cancel_event(c);
             return;
         }
         let (server, dir) = unchan(c);
         let cap = self.secondary_capacity(server, dir);
-        let engine = self.channels[c as usize]
-            .engine
-            .as_mut()
-            .expect("occupied channel has an engine");
+        let engine = &mut self.channels[c as usize].engine;
         let was = engine.rate();
         engine.set_capacity(now, cap);
         let rate = engine.rate();
         let n = engine.n();
         if (was == 0.0) != (rate == 0.0) {
-            let ids: Vec<u64> = engine.members().map(|(id, _)| id).collect();
-            for id in ids {
+            for (id, _) in engine.members() {
                 if rate == 0.0 {
                     self.park_obs(id, now);
                 } else if let Some(obs) = &self.obs {
@@ -782,7 +776,7 @@ impl DiskPool {
     fn repredict(&mut self, c: u32, now: SimTime) {
         self.cancel_event(c);
         let ch = &mut self.channels[c as usize];
-        let eta = match ch.engine.as_mut().expect("occupied channel").peek(now) {
+        let eta = match ch.engine.peek(now) {
             Some((_, eta)) => SimDuration::from_secs_f64(eta),
             None => PARKED,
         };

@@ -70,6 +70,13 @@
 //! event is visible: `analytic_components` / `analytic_events` /
 //! `fallback_migrations` in [`FabricStats`] and as `net/*` counters.
 //!
+//! Every flow touch — a start, a completion, a rate lookup — finds its
+//! flow by id in an [`IdMap`] (one multiply per hash). Nothing reads
+//! those tables in their own order: the fault scans (`set_link_down`,
+//! `fail_endpoint`, `abort_flows_with_tags`) and
+//! [`Fabric::active_flow_ids`] take their ids from [`sorted_ids`], so
+//! aborts and listings run in ascending id order.
+//!
 //! The worst case is a genuinely multi-bottleneck workload whose every
 //! flow shares a link with every other (one giant component that never
 //! classifies single-bottleneck): then a re-share touches the whole
@@ -80,11 +87,12 @@
 //! for the repair-path backpressure).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 use harvest_cluster::ServerId;
 use harvest_sim::engine::{EventKey, EventQueue};
 use harvest_sim::fairshare::FairShare;
+use harvest_sim::idmap::{sorted_ids, IdMap};
 use harvest_sim::obs::{GaugeId, HistogramId, Recorder, StateTrackId, TrackId};
 use harvest_sim::{SimDuration, SimTime};
 
@@ -216,8 +224,8 @@ pub struct FabricStats {
 pub struct Fabric {
     topo: Topology,
     queue: EventQueue<NetEvent>,
-    pending: BTreeMap<u64, PendingFlow>,
-    active: BTreeMap<u64, Flow>,
+    pending: IdMap<PendingFlow>,
+    active: IdMap<Flow>,
     /// Inverted index: `flows_on[link]` holds the active flows crossing
     /// `link`, ascending by id. This is what makes re-shares
     /// component-scoped and `link_load` O(flows-on-link).
@@ -301,8 +309,8 @@ impl Fabric {
         Fabric {
             topo,
             queue: EventQueue::new(),
-            pending: BTreeMap::new(),
-            active: BTreeMap::new(),
+            pending: IdMap::default(),
+            active: IdMap::default(),
             flows_on: vec![Vec::new(); n_links],
             link_seen: vec![0; n_links],
             epoch: 0,
@@ -430,7 +438,10 @@ impl Fabric {
 
     /// Ids of the currently active flows, ascending.
     pub fn active_flow_ids(&self) -> Vec<FlowId> {
-        self.active.keys().map(|&id| FlowId(id)).collect()
+        sorted_ids(&self.active, |_| true)
+            .into_iter()
+            .map(FlowId)
+            .collect()
     }
 
     /// The links a flow traverses, if it is active.
@@ -568,17 +579,10 @@ impl Fabric {
                 tags.push(tag);
             }
         }
-        let crossing: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| {
-                self.topo
-                    .path_links(p.src, p.dst)
-                    .as_slice()
-                    .contains(&link)
-            })
-            .map(|(&id, _)| id)
-            .collect();
+        let topo = &self.topo;
+        let crossing = sorted_ids(&self.pending, |p| {
+            topo.path_links(p.src, p.dst).as_slice().contains(&link)
+        });
         for id in crossing {
             let p = self.pending.remove(&id).expect("collected above");
             self.stats.flows_aborted += 1;
@@ -606,12 +610,7 @@ impl Fabric {
     pub fn fail_endpoint(&mut self, now: SimTime, server: ServerId) -> Vec<u64> {
         let mut tags = self.set_link_down(now, self.topo.server_tx(server));
         tags.extend(self.set_link_down(now, self.topo.server_rx(server)));
-        let touching: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.src == server || p.dst == server)
-            .map(|(&id, _)| id)
-            .collect();
+        let touching = sorted_ids(&self.pending, |p| p.src == server || p.dst == server);
         for id in touching {
             let p = self.pending.remove(&id).expect("collected above");
             self.stats.flows_aborted += 1;
@@ -634,12 +633,7 @@ impl Fabric {
         now: SimTime,
         tags: &std::collections::HashSet<u64>,
     ) -> usize {
-        let ids: Vec<u64> = self
-            .active
-            .iter()
-            .filter(|(_, f)| tags.contains(&f.tag))
-            .map(|(&id, _)| id)
-            .collect();
+        let ids = sorted_ids(&self.active, |f| tags.contains(&f.tag));
         let mut n = 0;
         let mut seeds: Vec<LinkId> = Vec::new();
         for id in ids {
@@ -647,12 +641,7 @@ impl Fabric {
                 n += 1;
             }
         }
-        let pend: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| tags.contains(&p.tag))
-            .map(|(&id, _)| id)
-            .collect();
+        let pend = sorted_ids(&self.pending, |p| tags.contains(&p.tag));
         for id in pend {
             self.pending.remove(&id);
             self.stats.flows_aborted += 1;

@@ -469,9 +469,8 @@ impl<'a> Runner<'a> {
             let start = rec.is_on().then(Instant::now);
             let svc = ClusteringService::build_adaptive(sim.dc, sim.view, sim.cfg.seed);
             if let Some(start) = start {
-                // The run's wall-time epoch is the start of the build.
-                let end = start.elapsed().as_micros() as u64;
-                rec.wall_span("sched", "clustering", 0, end);
+                let (start, end) = (rec.wall_us(start), rec.wall_us(Instant::now()));
+                rec.wall_span("sched", "clustering", start, end);
             }
             Some(svc)
         } else {
@@ -2001,5 +2000,44 @@ mod tests {
         let report = rec.metrics_json();
         assert!(report.contains("\"sched/tick_changed_disks\""));
         assert!(report.contains("\"sched/tick_occupied_servers\""));
+    }
+
+    /// YARN-H's `clustering` wall span counts from the recorder's
+    /// epoch, like every other wall lane of the run, so it nests inside
+    /// the caller's spans instead of sitting at the trace's origin.
+    #[test]
+    fn clustering_span_counts_from_the_recorder_epoch() {
+        use harvest_sim::obs::json;
+
+        let (dc, view) = testbed();
+        let wl = small_workload(29, 1);
+        let mut cfg = SchedSimConfig::testbed(SchedPolicy::History, 29);
+        cfg.horizon = SimDuration::from_hours(1);
+        cfg.drain = SimDuration::from_hours(1);
+        let sim = SchedSim::new(&dc, &view, &wl, cfg);
+
+        let outer = Instant::now();
+        let mut rec = Recorder::new("epoch-test");
+        // Everything the run records happens at least this long after
+        // the recorder's epoch.
+        let lead = Duration::from_millis(20);
+        std::thread::sleep(lead);
+        sim.run_recorded(&mut rec);
+        let total_us = outer.elapsed().as_micros() as f64;
+
+        let doc = json::parse(&rec.chrome_trace_json()).expect("trace parses");
+        let events = doc.get("traceEvents").and_then(json::Value::as_arr);
+        let span = events
+            .expect("trace has events")
+            .iter()
+            .find(|e| e.get("name").and_then(json::Value::as_str) == Some("clustering"))
+            .expect("a YARN-H run records its clustering build");
+        let ts = span.get("ts").and_then(json::Value::as_f64).expect("ts");
+        let dur = span.get("dur").and_then(json::Value::as_f64).expect("dur");
+        assert!(
+            ts >= lead.as_micros() as f64,
+            "clustering starts at {ts} us, before the run began"
+        );
+        assert!(ts + dur <= total_us, "clustering ends after the run");
     }
 }

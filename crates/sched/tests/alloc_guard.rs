@@ -106,7 +106,10 @@ fn placement_does_not_allocate_per_attempt() {
     let sched = allocations_per_task(false);
     assert!(sched < 0.5, "{sched:.2} allocations per task started");
     // With shuffles the fabric and the disk pool add their per-transfer
-    // costs (2.71 per task started, against 8.30 before).
+    // costs: 1.66 per task started, against 2.71 while flows and
+    // streams sat in B-trees and disk channels rebuilt their engines
+    // per occupancy period, and 8.30 before placement stopped
+    // allocating.
     let io = allocations_per_task(true);
-    assert!(io < 4.0, "{io:.2} allocations per task started with I/O");
+    assert!(io < 2.0, "{io:.2} allocations per task started with I/O");
 }

@@ -16,11 +16,23 @@
 //! This is what lets re-predicting simulators (the `harvest-net` fabric,
 //! the `harvest-disk` pool) revoke superseded completion events instead
 //! of accumulating O(re-shares × population) stale entries.
+//!
+//! Live events are tracked by sequence number in a hash set under the
+//! fixed multiplicative [`crate::idmap::IdHasher`], not SipHash: every
+//! push, cancel and pop probes it, and a sequence number needs no
+//! protection against adversarial keys. Nothing iterates the set, so
+//! its order never shows. The heap, its tombstones and the compaction
+//! rule are what [`EventQueue::len`] and [`EventQueue::n_stale`]
+//! report, and callers print both (peak event heap, superseded-event
+//! counts), so they are part of the queue's observable behaviour:
+//! `tests/properties.rs` pins every counter, after every operation,
+//! against a reference copy of the queue.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::HashSet;
 
+use crate::idmap::IdBuildHasher;
 use crate::time::SimTime;
 
 /// A handle to a pushed event, for [`EventQueue::cancel`]. Keys are
@@ -86,7 +98,7 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     /// Sequence numbers of heap entries that have not been cancelled.
     /// `heap.len() - live.len()` is the current tombstone count.
-    live: HashSet<u64>,
+    live: HashSet<u64, IdBuildHasher>,
     next_seq: u64,
     now: SimTime,
     /// Cancels of keys that had already fired or been cancelled —
@@ -107,7 +119,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            live: HashSet::new(),
+            live: HashSet::default(),
             next_seq: 0,
             now: SimTime::ZERO,
             dead_cancels: 0,
@@ -118,7 +130,7 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
-            live: HashSet::with_capacity(cap),
+            live: HashSet::with_capacity_and_hasher(cap, IdBuildHasher::default()),
             next_seq: 0,
             now: SimTime::ZERO,
             dead_cancels: 0,

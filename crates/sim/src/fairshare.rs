@@ -47,9 +47,9 @@
 //! compared sorted by (time, id).
 
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
 
+use crate::idmap::IdMap;
 use crate::time::SimTime;
 
 /// A member's heap entry: (key bits, id). Keys are non-negative finite
@@ -76,7 +76,8 @@ pub struct FairShare {
     /// Simulation time at which `v` was last brought current.
     last: SimTime,
     /// id → completion key (`v` at entry + remaining work at entry).
-    members: BTreeMap<u64, f64>,
+    /// Nothing walks it in table order: [`FairShare::members`] sorts.
+    members: IdMap<f64>,
     heap: BinaryHeap<HeapEntry>,
 }
 
@@ -89,9 +90,29 @@ impl FairShare {
             rate: 0.0,
             v: 0.0,
             last: now,
-            members: BTreeMap::new(),
+            members: IdMap::default(),
             heap: BinaryHeap::new(),
         }
+    }
+
+    /// Puts an empty engine back into exactly the state
+    /// [`FairShare::new`]`(capacity, now)` builds — clock at zero and
+    /// anchored at `now`, no rate, no heap entries — keeping its table
+    /// and heap allocations. Everything it computes afterwards is bitwise what a
+    /// fresh engine would, so a resource that drains and refills can
+    /// keep one engine for its whole life.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if a flow is still enrolled.
+    pub fn reset(&mut self, capacity: f64, now: SimTime) {
+        debug_assert!(self.members.is_empty(), "reset with flows enrolled");
+        self.capacity = capacity;
+        self.rate = 0.0;
+        self.v = 0.0;
+        self.last = now;
+        self.members.clear();
+        self.heap.clear();
     }
 
     /// Number of member flows.
@@ -204,11 +225,16 @@ impl FairShare {
     }
 
     /// All members in ascending id order as `(id, remaining)`, for
-    /// migrating state back to progressive filling exactly.
-    pub fn members(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.members
+    /// migrating state back to progressive filling exactly. Allocates
+    /// the list; the per-event operations above never walk members.
+    pub fn members(&self) -> Vec<(u64, f64)> {
+        let mut all: Vec<(u64, f64)> = self
+            .members
             .iter()
             .map(|(&id, &key)| (id, (key - self.v).max(0.0)))
+            .collect();
+        all.sort_unstable_by_key(|&(id, _)| id);
+        all
     }
 }
 
@@ -305,8 +331,46 @@ mod tests {
         fs.insert(t(0), 8, 6.0);
         // 1 second at rate 2 each.
         fs.advance(t(1_000));
-        let snap: Vec<(u64, f64)> = fs.members().collect();
+        let snap = fs.members();
         assert_eq!(snap, vec![(2, 1.0), (5, 7.0), (8, 4.0)]);
+    }
+
+    #[test]
+    fn reset_engine_matches_a_fresh_one_bitwise() {
+        // Drive an engine through a busy occupancy period that leaves
+        // stale heap entries and a non-zero clock, drain it, reset it,
+        // then replay one script on it and on a fresh engine.
+        let mut reused = FairShare::new(7.0, t(0));
+        for id in 0..5u64 {
+            reused.insert(t(id * 10), id, 3.0 + id as f64);
+        }
+        reused.remove(t(60), 3);
+        reused.set_capacity(t(70), 2.5);
+        while reused.pop(t(100_000)).is_some() {}
+        assert!(reused.is_empty());
+
+        reused.reset(9.0, t(200_000));
+        let mut fresh = FairShare::new(9.0, t(200_000));
+        let script = |fs: &mut FairShare| {
+            let mut out = Vec::new();
+            fs.insert(t(200_000), 11, 1.0 / 3.0);
+            fs.insert(t(200_123), 2, 5.5);
+            fs.insert(t(200_123), 40, 0.125);
+            out.push(fs.remaining_of(11).map(f64::to_bits));
+            let mut now = t(200_400);
+            fs.set_capacity(now, 4.0);
+            while let Some((id, eta)) = fs.peek(now) {
+                out.push(Some(id));
+                out.push(Some(eta.to_bits()));
+                out.push(Some(fs.rate().to_bits()));
+                now += SimDuration::from_secs_f64(eta);
+                fs.pop(now);
+            }
+            out
+        };
+        assert_eq!(script(&mut reused), script(&mut fresh));
+        assert_eq!(reused.rate().to_bits(), fresh.rate().to_bits());
+        assert_eq!(reused.capacity().to_bits(), fresh.capacity().to_bits());
     }
 
     #[test]

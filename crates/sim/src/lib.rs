@@ -8,6 +8,9 @@
 //!   deterministic and reproducible;
 //! * [`engine`] — a deterministic event queue ([`EventQueue`]) with
 //!   FIFO tie-breaking for simultaneous events;
+//! * [`idmap`] — a fixed multiplicative hasher and the [`idmap::IdMap`]
+//!   alias for the engines' `u64`-id tables (no SipHash, no random
+//!   state);
 //! * [`dist`] — random distributions (exponential, Poisson, normal,
 //!   log-normal, Pareto, weighted choice) implemented in-tree on top of
 //!   [`rand`], since only the base `rand` crate is available offline;
@@ -56,6 +59,7 @@ pub mod dist;
 pub mod engine;
 pub mod fairshare;
 pub mod fault;
+pub mod idmap;
 pub mod metrics;
 pub mod obs;
 pub mod par;

@@ -84,6 +84,7 @@
 pub mod analyze;
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use crate::metrics::QuantileSketch;
 use crate::supervise::WorkerProfile;
@@ -269,7 +270,7 @@ impl Gauge {
     }
 }
 
-/// One wall-time span (µs from an arbitrary per-run epoch).
+/// One wall-time span (µs from the recorder's epoch).
 #[derive(Debug, Clone)]
 struct WallSpan {
     label: String,
@@ -334,6 +335,10 @@ impl<T> Registry<T> {
 #[derive(Debug)]
 struct Inner {
     name: String,
+    /// Wall-time origin of every wall span: taken by
+    /// [`Recorder::new`] and inherited by [`Recorder::child`], so the
+    /// harness, sweep-worker and engine lanes of one run share a clock.
+    epoch: Instant,
     counters: Registry<u64>,
     gauges: Registry<Gauge>,
     hists: Registry<QuantileSketch>,
@@ -347,9 +352,10 @@ struct Inner {
 }
 
 impl Inner {
-    fn new(name: &str) -> Self {
+    fn new(name: &str, epoch: Instant) -> Self {
         Inner {
             name: name.to_string(),
+            epoch,
             counters: Registry::new(),
             gauges: Registry::new(),
             hists: Registry::new(),
@@ -388,10 +394,10 @@ impl Recorder {
     }
 
     /// An active recorder named `name` (the name heads the metrics
-    /// report).
+    /// report). Its wall-time epoch is now.
     pub fn new(name: &str) -> Self {
         Recorder {
-            inner: Some(Box::new(Inner::new(name))),
+            inner: Some(Box::new(Inner::new(name, Instant::now()))),
         }
     }
 
@@ -402,13 +408,24 @@ impl Recorder {
     }
 
     /// A child recorder for an engine to own during a run: on iff
-    /// `self` is on. Hand it back through [`Recorder::absorb`].
+    /// `self` is on, sharing its wall-time epoch (so wall spans merge
+    /// unchanged). Hand it back through [`Recorder::absorb`].
     pub fn child(&self) -> Recorder {
-        if self.is_on() {
-            Recorder::new("")
-        } else {
-            Recorder::off()
+        Recorder {
+            inner: self
+                .inner
+                .as_ref()
+                .map(|i| Box::new(Inner::new("", i.epoch))),
         }
+    }
+
+    /// Microseconds from the recorder's wall-time epoch to `at` (0 when
+    /// off, or when `at` precedes the epoch): the clock every
+    /// [`Recorder::wall_span`] should be stated in.
+    pub fn wall_us(&self, at: Instant) -> u64 {
+        self.inner.as_ref().map_or(0, |i| {
+            at.saturating_duration_since(i.epoch).as_micros() as u64
+        })
     }
 
     /// Merges a child recorder's contents: counters add, gauges merge,
@@ -656,8 +673,8 @@ impl Recorder {
         self.span_args(id, name, at, at, &[]);
     }
 
-    /// Records one wall-time span on the named wall track (µs from any
-    /// fixed per-run epoch).
+    /// Records one wall-time span on the named wall track, in µs from
+    /// the recorder's epoch (see [`Recorder::wall_us`]).
     pub fn wall_span(&mut self, track: &str, label: &str, start_us: u64, end_us: u64) {
         let Some(inner) = &mut self.inner else { return };
         inner.wall_track_mut(track).spans.push(WallSpan {
@@ -669,15 +686,24 @@ impl Recorder {
 
     /// Records [`crate::supervise::Supervised::profiles`] as one
     /// wall track per worker (`{label}/w{worker}`), one span per task.
-    /// A worker that ran no task still gets its (empty) track.
-    pub fn record_worker_profiles(&mut self, label: &str, profiles: &[WorkerProfile]) {
+    /// A worker that ran no task still gets its (empty) track. The
+    /// profiles count from the call's own `epoch`
+    /// ([`crate::supervise::Supervised::epoch`]); their spans are moved
+    /// onto the recorder's epoch, so they nest under the caller's lanes.
+    pub fn record_worker_profiles(
+        &mut self,
+        label: &str,
+        epoch: Instant,
+        profiles: &[WorkerProfile],
+    ) {
+        let offset = self.wall_us(epoch);
         let Some(inner) = &mut self.inner else { return };
         for p in profiles {
             let track = inner.wall_track_mut(&format!("{label}/w{}", p.worker));
             track.spans.extend(p.tasks.iter().map(|t| WallSpan {
                 label: format!("task {}", t.task),
-                start_us: t.start_us,
-                end_us: t.end_us,
+                start_us: offset + t.start_us,
+                end_us: offset + t.end_us,
             }));
         }
     }
@@ -1200,12 +1226,43 @@ mod tests {
             worker: 0,
             tasks: Vec::new(),
         };
-        r.record_worker_profiles("sweep", &[idle, busy]);
+        r.record_worker_profiles("sweep", Instant::now(), &[idle, busy]);
         let trace = r.chrome_trace_json();
         json::parse(&trace).expect("trace parses");
         assert!(trace.contains("\"sweep/w0\""), "idle worker lost its track");
         assert!(trace.contains("\"sweep/w1\""));
         assert!(trace.contains("\"task 0\""));
+    }
+
+    /// A child measures wall time from its parent's epoch, and worker
+    /// profiles land shifted from their call's epoch onto it.
+    #[test]
+    fn wall_lanes_share_the_recorder_epoch() {
+        let mut r = Recorder::new("t");
+        let child = r.child();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let call = Instant::now();
+        assert!(r.wall_us(call) >= 2_000);
+        assert_eq!(child.wall_us(call), r.wall_us(call));
+        assert_eq!(Recorder::off().wall_us(call), 0);
+        let p = WorkerProfile {
+            worker: 0,
+            tasks: vec![crate::supervise::TaskTiming {
+                task: 3,
+                start_us: 10,
+                end_us: 20,
+            }],
+        };
+        let offset = r.wall_us(call) as f64;
+        r.record_worker_profiles("sweep", call, &[p]);
+        let doc = json::parse(&r.chrome_trace_json()).expect("trace parses");
+        let events = doc.get("traceEvents").and_then(Value::as_arr).unwrap();
+        let task = events
+            .iter()
+            .find(|e| e.get("name").and_then(Value::as_str) == Some("task 3"))
+            .expect("task span exported");
+        assert_eq!(task.get("ts").unwrap().as_f64(), Some(offset + 10.0));
+        assert_eq!(task.get("dur").unwrap().as_f64(), Some(10.0));
     }
 
     #[test]

@@ -235,6 +235,9 @@ pub struct Supervised<R> {
     /// timed exactly once. Wall time, so it varies run to run even
     /// though `results` never does.
     pub profiles: Vec<WorkerProfile>,
+    /// When the call started: the origin of every [`TaskTiming`]
+    /// offset in `profiles`.
+    pub epoch: Instant,
 }
 
 /// Renders a caught panic payload as a string.
@@ -473,6 +476,7 @@ where
         stragglers,
         retries: retries.into_inner(),
         profiles,
+        epoch,
     }
 }
 

@@ -1611,3 +1611,194 @@ proptest! {
         }
     }
 }
+
+/// A reference copy of the event queue as it was when its live set was
+/// a SipHash `HashSet`: the heap, tombstones, top purge and compaction
+/// rule are what `EventQueue::len`/`n_stale` report and `repro` prints,
+/// so any rewrite of the queue must reproduce every counter of this
+/// copy after every operation.
+mod reference_queue {
+    use std::cmp::Ordering;
+    use std::collections::{BinaryHeap, HashSet};
+
+    use harvest::sim::time::SimTime;
+
+    const COMPACT_MIN_TOMBSTONES: usize = 64;
+
+    struct Scheduled {
+        time: SimTime,
+        seq: u64,
+        event: u64,
+    }
+
+    impl PartialEq for Scheduled {
+        fn eq(&self, other: &Self) -> bool {
+            self.time == other.time && self.seq == other.seq
+        }
+    }
+
+    impl Eq for Scheduled {}
+
+    impl PartialOrd for Scheduled {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Scheduled {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other
+                .time
+                .cmp(&self.time)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    #[derive(Default)]
+    pub struct RefQueue {
+        heap: BinaryHeap<Scheduled>,
+        live: HashSet<u64>,
+        next_seq: u64,
+        now: SimTime,
+        dead_cancels: u64,
+    }
+
+    impl RefQueue {
+        pub fn push_keyed(&mut self, time: SimTime, event: u64) -> u64 {
+            let time = time.max(self.now);
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.live.insert(seq);
+            self.heap.push(Scheduled { time, seq, event });
+            seq
+        }
+
+        pub fn cancel(&mut self, key: u64) -> bool {
+            if !self.live.remove(&key) {
+                self.dead_cancels += 1;
+                return false;
+            }
+            self.purge_top();
+            let tombstones = self.heap.len() - self.live.len();
+            if tombstones > COMPACT_MIN_TOMBSTONES && tombstones > self.live.len() {
+                let mut entries = std::mem::take(&mut self.heap).into_vec();
+                entries.retain(|s| self.live.contains(&s.seq));
+                self.heap = BinaryHeap::from(entries);
+            }
+            true
+        }
+
+        fn purge_top(&mut self) {
+            while let Some(s) = self.heap.peek() {
+                if self.live.contains(&s.seq) {
+                    break;
+                }
+                self.heap.pop();
+            }
+        }
+
+        pub fn pop(&mut self) -> Option<(SimTime, u64)> {
+            let s = self.heap.pop()?;
+            self.live.remove(&s.seq);
+            self.purge_top();
+            self.now = s.time;
+            Some((s.time, s.event))
+        }
+
+        pub fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|s| s.time)
+        }
+
+        pub fn now(&self) -> SimTime {
+            self.now
+        }
+
+        pub fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        pub fn live_len(&self) -> usize {
+            self.live.len()
+        }
+
+        pub fn n_stale(&self) -> usize {
+            self.heap.len() - self.live.len()
+        }
+
+        pub fn n_dead_cancels(&self) -> u64 {
+            self.dead_cancels
+        }
+    }
+}
+
+proptest! {
+    /// The event queue's observable behaviour is pinned to the
+    /// reference copy: after every push, keyed push, re-prediction
+    /// (cancel a live event, push its replacement — the engines' churn),
+    /// cancel of any key (live, fired or already cancelled) and pop,
+    /// both agree on what popped, `peek_time`, `len`, `n_stale`,
+    /// `live_len` and `n_dead_cancels`. Re-predictions outpace pops, so
+    /// tombstones outgrow live events and the heap is compacted many
+    /// times over.
+    #[test]
+    fn event_queue_counters_match_the_reference(
+        ops in prop::collection::vec((0u8..8, 0u64..400, 0usize..1 << 20), 1..2_000),
+    ) {
+        use std::collections::BTreeMap;
+
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut r = reference_queue::RefQueue::default();
+        // Every key issued, and the keyed events still pending, by
+        // payload; product and reference keys side by side.
+        let mut keys = Vec::new();
+        let mut pending = BTreeMap::new();
+        for (step, &(op, dt, pick)) in ops.iter().enumerate() {
+            let at = q.now() + SimDuration::from_millis(dt);
+            let payload = step as u64;
+            match op {
+                0 => {
+                    q.push(at, payload);
+                    r.push_keyed(at, payload);
+                }
+                1..=5 => {
+                    if op >= 3 && !pending.is_empty() {
+                        let victim = *pending.keys().nth(pick % pending.len()).expect("in range");
+                        let (k, rk) = pending.remove(&victim).expect("pending");
+                        prop_assert!(q.cancel(k), "live cancel at step {}", step);
+                        prop_assert!(r.cancel(rk));
+                    }
+                    let pair = (q.push_keyed(at, payload), r.push_keyed(at, payload));
+                    keys.push(pair);
+                    pending.insert(payload, pair);
+                }
+                6 if !keys.is_empty() => {
+                    let (k, rk) = keys[pick % keys.len()];
+                    prop_assert_eq!(q.cancel(k), r.cancel(rk), "cancel at step {}", step);
+                    pending.retain(|_, pair: &mut (_, u64)| pair.1 != rk);
+                }
+                _ => {
+                    let popped = q.pop();
+                    prop_assert_eq!(popped, r.pop(), "pop at step {}", step);
+                    if let Some((_, payload)) = popped {
+                        pending.remove(&payload);
+                    }
+                }
+            }
+            prop_assert_eq!(q.now(), r.now());
+            prop_assert_eq!(q.peek_time(), r.peek_time(), "peek at step {}", step);
+            prop_assert_eq!(q.len(), r.len(), "len at step {}", step);
+            prop_assert_eq!(q.n_stale(), r.n_stale(), "n_stale at step {}", step);
+            prop_assert_eq!(q.live_len(), r.live_len(), "live_len at step {}", step);
+            prop_assert_eq!(q.n_dead_cancels(), r.n_dead_cancels());
+            prop_assert_eq!(q.is_empty(), r.len() == 0);
+        }
+        // Drain: the survivors pop in the same order.
+        loop {
+            let (a, b) = (q.pop(), r.pop());
+            prop_assert_eq!(a, b, "drain");
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+}
