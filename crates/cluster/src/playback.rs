@@ -15,16 +15,19 @@
 //! * [`UtilizationView::fleet_util`] is one array lookup into a
 //!   server-weighted fleet [`TimeSeries`] precomputed at build time.
 //!   The accumulation is per *tenant* (each tenant's sample times its
-//!   server count), so the precompute is O(samples × tenants) — a few
-//!   milliseconds even for an unscaled datacenter — instead of
-//!   O(samples × servers), and a tick pays one lookup instead of an
-//!   O(servers) sweep. [`UtilizationView::fleet_util_scan`] recomputes
-//!   the same quantity per call (same tenant-order accumulation, so
-//!   bitwise identical): it is the fallback for views whose traces
-//!   share no sampling grid, and the oracle that tests and the
-//!   scheduler's debug-build tick postconditions check the lookup
-//!   against. It differs from the naive per-server sum only by
-//!   float-rounding ulps (well inside the 1e-9 the tests allow).
+//!   server count), so the precompute is O(samples × tenants) instead
+//!   of O(samples × servers), and a tick pays one lookup instead of an
+//!   O(servers) sweep. It runs trace by trace over one accumulator
+//!   vector, reading memory in order: ~14 ms for full-size DC-9 (520
+//!   month-long traces) on a 2-core VM, against 80–100 ms for a
+//!   slot-by-slot scan across the traces.
+//!   [`UtilizationView::fleet_util_scan`] recomputes the same quantity
+//!   per call (same tenant-order accumulation, so bitwise identical):
+//!   it is the fallback for views whose traces share no sampling grid,
+//!   and the oracle that tests and the scheduler's debug-build tick
+//!   postconditions check the lookup against. It differs from the
+//!   naive per-server sum only by float-rounding ulps (well inside the
+//!   1e-9 the tests allow).
 //! * [`UtilizationView::slot_of`], [`UtilizationView::tenant_sample_changed`],
 //!   and [`UtilizationView::server_sample_changed`] expose the sampling
 //!   grid so change-driven callers (the scheduler's tick) can skip
@@ -235,12 +238,14 @@ impl UtilizationView {
 
 /// Precomputes the server-weighted fleet series: for every trace slot,
 /// the same tenant-order weighted accumulation
-/// [`UtilizationView::fleet_util_scan`] performs at query time — the
-/// identical iteration order makes the lookup bitwise equal to the
-/// scan, and O(slots × tenants) keeps the build cost to milliseconds
-/// even unscaled. Requires every trace to share one interval and
-/// length (always true for generated datacenters, whose tenants all
-/// carry month-long traces on the sampling grid).
+/// [`UtilizationView::fleet_util_scan`] performs at query time. The
+/// series accumulates trace by trace into one `-0.0`-initialised vector
+/// (what `Iterator::sum` starts from), so every slot adds its tenants'
+/// weighted samples in the scan's order and the lookup is bitwise equal
+/// to the scan, while memory is read sequentially with no per-sample
+/// modulo. Requires every trace to share one interval and length
+/// (always true for generated datacenters, whose tenants all carry
+/// month-long traces on the sampling grid).
 fn precompute_fleet(
     traces: &[TimeSeries],
     tenant_servers: &[f64],
@@ -256,17 +261,16 @@ fn precompute_fleet(
     if !uniform {
         return None;
     }
+    let mut values = vec![-0.0f64; first.len()];
+    for (tr, &weight) in traces.iter().zip(tenant_servers) {
+        for (sum, &v) in values.iter_mut().zip(tr.values()) {
+            *sum += v * weight;
+        }
+    }
     let n = n_servers as f64;
-    let values: Vec<f64> = (0..first.len() as u64)
-        .map(|slot| {
-            let sum: f64 = traces
-                .iter()
-                .zip(tenant_servers)
-                .map(|(tr, &weight)| tr.at_slot(slot) * weight)
-                .sum();
-            sum / n
-        })
-        .collect();
+    for v in &mut values {
+        *v /= n;
+    }
     Some(TimeSeries::new(first.interval(), values))
 }
 
@@ -328,22 +332,41 @@ mod tests {
         assert!((view.fleet_util(t) - manual).abs() < 1e-9);
     }
 
-    /// The precomputed fleet series is *bitwise* identical to the
-    /// per-call fleet sweep it replaced, at any instant (including far
-    /// past the trace span, where lookups wrap).
+    /// The precomputed fleet series is *bitwise* the per-slot scan at
+    /// every slot of the trace span and at off-grid instants (including
+    /// far past the span, where lookups wrap): unscaled, scaled, and
+    /// with a tenant that owns no servers. A view whose traces share no
+    /// grid has no series and falls back to the scan.
     #[test]
     fn fleet_lookup_matches_scan_bitwise() {
         let dc = dc();
-        for view in [
-            UtilizationView::unscaled(&dc),
-            UtilizationView::scaled(&dc, ScalingKind::Linear, 1.7),
+        let mut specs = DatacenterProfile::dc(9).scaled(0.02).sample_tenants(7);
+        specs[1].n_servers = 0;
+        let sparse = Datacenter::from_specs("sparse".into(), &specs, 7);
+        assert_eq!(sparse.tenants[1].n_servers(), 0);
+        let mut off_grid = dc.clone();
+        let short = off_grid.tenants[0].trace.values()[..1_000].to_vec();
+        off_grid.tenants[0].trace = TimeSeries::new(SAMPLE_INTERVAL, short);
+        let ms = SAMPLE_INTERVAL.as_millis();
+        for (view, has_series) in [
+            (UtilizationView::unscaled(&dc), true),
+            (UtilizationView::scaled(&dc, ScalingKind::Linear, 1.7), true),
+            (
+                UtilizationView::scaled(&sparse, ScalingKind::Linear, 1.7),
+                true,
+            ),
+            (UtilizationView::unscaled(&off_grid), false),
         ] {
-            for &secs in &[0u64, 59, 120, 3_601, 86_400, 40 * 86_400] {
-                let t = SimTime::from_secs(secs);
+            assert_eq!(view.fleet.is_some(), has_series);
+            let slots = view.tenant_trace(TenantId(1)).len() as u64;
+            let instants = (0..slots)
+                .map(|slot| SimTime::from_millis(slot * ms))
+                .chain([59u64, 3_601, 86_400, 40 * 86_400].map(SimTime::from_secs));
+            for t in instants {
                 assert_eq!(
                     view.fleet_util(t).to_bits(),
                     view.fleet_util_scan(t).to_bits(),
-                    "fleet lookup diverged from the scan at {secs}s"
+                    "fleet lookup diverged from the scan at {t:?}"
                 );
             }
         }

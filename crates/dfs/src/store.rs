@@ -8,10 +8,11 @@
 //! held; the first block that needs more slots re-lays the whole vector
 //! out once at the wider stride (in practice once per store, when the
 //! first block arrives). At R = 3 a block costs 13 bytes of forward map
-//! plus 8 bytes per replica in the inverse map (server → blocks), and
-//! there is no heap allocation per block: `create_block`, `add_replica`
-//! and `replicas` are O(R) over that packed row, with amortized growth
-//! of the flat vectors only.
+//! plus 4 bytes per replica in the inverse map (server → blocks, `u32`
+//! block indices, so a store holds at most 2^32 blocks): 25 bytes in
+//! all. There is no heap allocation per block: `create_block`,
+//! `add_replica` and `replicas` are O(R) over that packed row, with
+//! amortized growth of the flat vectors only.
 
 use harvest_cluster::{Datacenter, ServerId, TenantId};
 
@@ -37,7 +38,8 @@ pub struct BlockStore {
     slots: Vec<u32>,
     n_replicas: Vec<u8>,
     stride: usize,
-    server_blocks: Vec<Vec<u64>>,
+    /// The blocks each server holds, as `u32` block indices.
+    server_blocks: Vec<Vec<u32>>,
     server_used: Vec<u32>,
     server_capacity: Vec<u32>,
     server_tenant: Vec<u32>,
@@ -107,10 +109,12 @@ impl BlockStore {
     ///
     /// # Panics
     ///
-    /// Panics if a location is full or duplicated, or if there are more
-    /// than 255 locations.
+    /// Panics if a location is full or duplicated, if there are more
+    /// than 255 locations, or if the new block's id would not fit in a
+    /// `u32`.
     pub fn create_block(&mut self, locations: &[ServerId]) -> BlockId {
-        let id = BlockId(self.n_replicas.len() as u64);
+        let id = u32::try_from(self.n_replicas.len()).expect("block ids must fit in a u32");
+        let id = BlockId(id.into());
         for (i, sid) in locations.iter().enumerate() {
             assert!(
                 !locations[..i].contains(sid),
@@ -152,7 +156,7 @@ impl BlockStore {
         }
         self.slots[b * self.stride + n] = server.0;
         self.n_replicas[b] += 1;
-        self.server_blocks[s].push(block.0);
+        self.server_blocks[s].push(b as u32);
         self.server_used[s] += 1;
         self.tenant_free[self.server_tenant[s] as usize] -= 1;
     }
@@ -194,7 +198,7 @@ impl BlockStore {
                 self.lost += 1;
             }
         }
-        blocks.into_iter().map(BlockId).collect()
+        blocks.into_iter().map(|b| BlockId(b.into())).collect()
     }
 
     /// Number of surviving replicas of a block.

@@ -1238,6 +1238,84 @@ proptest! {
     }
 }
 
+/// A long-trace sample: for most picks `knee` with relative spread
+/// `spread`, else exactly 0, exactly 1, negative or above 1.
+fn knee_sample(knee: f64, spread: f64, (pick, u): (usize, f64)) -> f64 {
+    match pick {
+        0 => 0.0,
+        1 => 1.0,
+        2 => -u,
+        3 => 1.0 + u,
+        _ => knee * (1.0 + spread * (u - 0.5)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `calibrate` returns the reference bisection's exact bits on
+    /// traces of 65–700 samples, which span several of the summary
+    /// blocks its cheap check reads. Each trace clusters around the
+    /// knee `1/k` of one midpoint a linear search over the traces
+    /// visits, at a relative spread from 0 to 0.5, so at nearby steps
+    /// its blocks straddle the knee while others sit wholly below it or
+    /// saturate; a few samples are exactly 0 or 1, negative or above 1.
+    /// Both scalings, at targets 0, 1, between and knife edges.
+    #[test]
+    fn long_trace_calibration_matches_reference_bitwise(
+        shared_len in 65usize..=700,
+        traces in prop::collection::vec(
+            (
+                0usize..4,
+                65usize..=700,
+                0usize..60,
+                0usize..4,
+                prop::collection::vec((0usize..150, 0.0f64..1.0), 700),
+            ),
+            1..12,
+        ),
+        target in 0.0f64..1.0,
+        steps in prop::collection::vec(0usize..60, 3),
+    ) {
+        let build = |mids: &[f64]| -> Vec<TimeSeries> {
+            traces
+                .iter()
+                .map(|(mixed, own_len, knee, spread, samples)| {
+                    let len = if *mixed == 0 { *own_len } else { shared_len };
+                    let knee = 1.0 / mids[*knee];
+                    let spread = [0.0, 1e-9, 1e-3, 0.5][*spread];
+                    let values = samples[..len]
+                        .iter()
+                        .map(|&s| knee_sample(knee, spread, s))
+                        .collect();
+                    TimeSeries::new(SimDuration::from_mins(2), values)
+                })
+                .collect()
+        };
+        // The knees are the midpoints a linear search visits over traces
+        // clustered at 1/2; the final traces share its early steps.
+        let first = build(&[2.0; 60]);
+        let first_refs: Vec<&TimeSeries> = first.iter().collect();
+        let (_, mids) = reference_calibrate(&first_refs, ScalingKind::Linear, target);
+        let series = build(&mids);
+        let refs: Vec<&TimeSeries> = series.iter().collect();
+        for kind in [ScalingKind::Linear, ScalingKind::Root] {
+            let (_, mids) = reference_calibrate(&refs, kind, target);
+            let knife_edges = steps.iter().map(|&k| reference_mean(&refs, kind, mids[k]));
+            for t in [0.0, 1.0, target].into_iter().chain(knife_edges) {
+                let got = calibrate(&refs, kind, t);
+                let (want, _) = reference_calibrate(&refs, kind, t);
+                prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{} traces, {kind} to {t}: {got} vs reference {want}",
+                    refs.len()
+                );
+            }
+        }
+    }
+}
+
 // --- parsers: errors, never panics --------------------------------------
 
 /// Bytes that steer random input into the JSON and journal grammars:
