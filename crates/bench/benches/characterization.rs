@@ -6,7 +6,9 @@ use harvest_signal::classify::{classify, ClassifierConfig};
 use harvest_signal::features::{normalize_features, TraceFeatures};
 use harvest_signal::fft::fft_real_padded;
 use harvest_signal::kmeans::kmeans;
-use harvest_signal::spectrum::periodicity_strength;
+use harvest_signal::spectrum::{
+    periodicity_strength, power_spectrum_truncated_into, SpectrumScratch,
+};
 use harvest_sim::rng::stream_rng;
 use harvest_trace::datacenter::DatacenterProfile;
 use harvest_trace::reimage::{group_changes, TenantReimageModel};
@@ -33,6 +35,18 @@ fn bench_characterization(c: &mut Criterion) {
     });
     c.bench_function("fig1_periodicity_strength", |b| {
         b.iter(|| black_box(periodicity_strength(black_box(&trace), 720.0)))
+    });
+    // The clustering service's per-tenant path: a 16384-point spectrum
+    // through a scratch already planned for that length.
+    let mut scratch = SpectrumScratch::new();
+    power_spectrum_truncated_into(&trace, &mut scratch);
+    c.bench_function("fig1_power_spectrum_warm_scratch", |b| {
+        b.iter(|| {
+            black_box(power_spectrum_truncated_into(
+                black_box(&trace),
+                &mut scratch,
+            ))
+        })
     });
 
     // Figures 2-3: the three-way classifier.

@@ -17,10 +17,10 @@
 //!   The accumulation is per *tenant* (each tenant's sample times its
 //!   server count), so the precompute is O(samples × tenants) instead
 //!   of O(samples × servers), and a tick pays one lookup instead of an
-//!   O(servers) sweep. It runs trace by trace over one accumulator
-//!   vector, reading memory in order: ~14 ms for full-size DC-9 (520
-//!   month-long traces) on a 2-core VM, against 80–100 ms for a
-//!   slot-by-slot scan across the traces.
+//!   O(servers) sweep. Each trace is added into one accumulator vector
+//!   right after it is scaled (or copied), while it is still in cache,
+//!   reading memory in order; a slot-by-slot scan across the 520
+//!   month-long traces of full-size DC-9 takes 80–100 ms on a 2-core VM.
 //!   [`UtilizationView::fleet_util_scan`] recomputes the same quantity
 //!   per call (same tenant-order accumulation, so bitwise identical):
 //!   it is the fallback for views whose traces share no sampling grid,
@@ -39,7 +39,7 @@
 //! replay touches exactly the servers whose playback value moved.
 
 use harvest_sim::rng::splitmix64;
-use harvest_sim::SimTime;
+use harvest_sim::{SimDuration, SimTime};
 use harvest_trace::scaling::{scale, ScalingKind};
 use harvest_trace::timeseries::TimeSeries;
 use harvest_trace::SAMPLE_INTERVAL;
@@ -83,20 +83,30 @@ impl UtilizationView {
         jitter_amp: f64,
         jitter_seed: u64,
     ) -> Self {
-        let traces: Vec<TimeSeries> = dc
-            .tenants
-            .iter()
-            .map(|t| match scaling {
-                Some((kind, param)) => scale(&t.trace, kind, param),
-                None => t.trace.clone(),
-            })
-            .collect();
         let server_tenant: Vec<u32> = dc.servers.iter().map(|s| s.tenant.0).collect();
-        let mut tenant_servers = vec![0.0f64; traces.len()];
+        let mut tenant_servers = vec![0.0f64; dc.tenants.len()];
         for &tid in &server_tenant {
             tenant_servers[tid as usize] += 1.0;
         }
-        let fleet = precompute_fleet(&traces, &tenant_servers, server_tenant.len());
+        let mut fleet = FleetSum::new(dc, server_tenant.len());
+        // Each trace is added into the fleet series right after it is
+        // scaled, while it is still in cache.
+        let traces: Vec<TimeSeries> = dc
+            .tenants
+            .iter()
+            .zip(&tenant_servers)
+            .map(|(t, &weight)| {
+                let trace = match scaling {
+                    Some((kind, param)) => scale(&t.trace, kind, param),
+                    None => t.trace.clone(),
+                };
+                if let Some(fleet) = &mut fleet {
+                    fleet.add(&trace, weight);
+                }
+                trace
+            })
+            .collect();
+        let fleet = fleet.map(|fleet| fleet.finish(server_tenant.len()));
         UtilizationView {
             traces,
             server_tenant,
@@ -236,42 +246,50 @@ impl UtilizationView {
     }
 }
 
-/// Precomputes the server-weighted fleet series: for every trace slot,
-/// the same tenant-order weighted accumulation
-/// [`UtilizationView::fleet_util_scan`] performs at query time. The
-/// series accumulates trace by trace into one `-0.0`-initialised vector
-/// (what `Iterator::sum` starts from), so every slot adds its tenants'
-/// weighted samples in the scan's order and the lookup is bitwise equal
-/// to the scan, while memory is read sequentially with no per-sample
-/// modulo. Requires every trace to share one interval and length
-/// (always true for generated datacenters, whose tenants all carry
-/// month-long traces on the sampling grid).
-fn precompute_fleet(
-    traces: &[TimeSeries],
-    tenant_servers: &[f64],
-    n_servers: usize,
-) -> Option<TimeSeries> {
-    let first = traces.first()?;
-    if n_servers == 0 {
-        return None;
+/// The server-weighted fleet series, accumulated trace by trace: for
+/// every trace slot, the same tenant-order weighted sum
+/// [`UtilizationView::fleet_util_scan`] performs at query time. The sum
+/// starts from `-0.0` (what `Iterator::sum` starts from) and takes the
+/// tenants in order, so every slot adds their weighted samples in the
+/// scan's order and the lookup is bitwise equal to the scan, while
+/// memory is read sequentially with no per-sample modulo.
+struct FleetSum {
+    interval: SimDuration,
+    sums: Vec<f64>,
+}
+
+impl FleetSum {
+    /// An empty sum over the datacenter's trace grid, or `None` if it
+    /// has no servers or its traces do not all share one interval and
+    /// length (generated datacenters always do: every tenant carries a
+    /// month-long trace on the sampling grid). Scaling keeps both.
+    fn new(dc: &Datacenter, n_servers: usize) -> Option<Self> {
+        let first = &dc.tenants.first()?.trace;
+        let uniform = dc
+            .tenants
+            .iter()
+            .all(|t| t.trace.len() == first.len() && t.trace.interval() == first.interval());
+        (uniform && n_servers > 0).then(|| FleetSum {
+            interval: first.interval(),
+            sums: vec![-0.0; first.len()],
+        })
     }
-    let uniform = traces
-        .iter()
-        .all(|tr| tr.len() == first.len() && tr.interval() == first.interval());
-    if !uniform {
-        return None;
-    }
-    let mut values = vec![-0.0f64; first.len()];
-    for (tr, &weight) in traces.iter().zip(tenant_servers) {
-        for (sum, &v) in values.iter_mut().zip(tr.values()) {
+
+    /// Adds the next tenant's trace, weighted by its server count.
+    fn add(&mut self, trace: &TimeSeries, weight: f64) {
+        for (sum, &v) in self.sums.iter_mut().zip(trace.values()) {
             *sum += v * weight;
         }
     }
-    let n = n_servers as f64;
-    for v in &mut values {
-        *v /= n;
+
+    /// The fleet series: every sum over the server count.
+    fn finish(mut self, n_servers: usize) -> TimeSeries {
+        let n = n_servers as f64;
+        for v in &mut self.sums {
+            *v /= n;
+        }
+        TimeSeries::new(self.interval, self.sums)
     }
-    Some(TimeSeries::new(first.interval(), values))
 }
 
 #[cfg(test)]

@@ -1,10 +1,46 @@
-//! Iterative radix-2 Cooley–Tukey FFT.
+//! Iterative radix-2 Cooley–Tukey FFT on one planned, split-complex
+//! kernel.
 //!
 //! The paper runs an FFT over each tenant's month of two-minute CPU
 //! samples to expose periodicity (§3.2, Figure 1). Month-long traces are
 //! not power-of-two length, so [`fft_real_padded`] zero-pads to the next
 //! power of two — adequate for peak detection, which is all the
 //! classifier needs.
+//!
+//! # The kernel
+//!
+//! Every entry point here, and the spectra of [`crate::spectrum`], runs
+//! one `Fft`:
+//!
+//! * **A per-length plan.** Every stage's twiddles are computed once per
+//!   length and direction and kept until either changes, so a sweep over
+//!   hundreds of equal-length traces builds them once. A stage's
+//!   twiddles come from one run of the `w *= wlen` recurrence, the
+//!   sequence every block of the textbook transform computes for itself.
+//! * **Split layout.** Real and imaginary parts live in two `f64`
+//!   buffers, so a butterfly loop reads and writes contiguous slices of
+//!   plain floats that the compiler vectorises.
+//! * **The load is the permutation.** Samples are read in bit-reversed
+//!   order straight into the buffers, and stages 1 and 2 run on each
+//!   group of four as it is loaded. The four inputs of a group sit a
+//!   quarter of the length apart, so one bit reversal per group finds
+//!   them; that costs no more than a lookup table, which the plan
+//!   therefore does not keep.
+//! * **Paired stages.** The remaining stages run two per memory pass:
+//!   for each group of four elements, the two radix-2 butterflies of the
+//!   first stage, then the two of the second. This is not a radix-4
+//!   butterfly, whose exact `±i` shortcuts would round differently.
+//!
+//! # Bitwise results
+//!
+//! Every butterfly multiplies the same operand by the same twiddle with
+//! [`Complex`]'s multiplication (`y = b·w`, then `a + y` and `a − y`),
+//! with nothing fused or reassociated, and the butterflies a pass
+//! reorders touch disjoint elements. So every output is bitwise the
+//! textbook per-block transform's — signed zeros and subnormals included
+//! — and every spectrum, pattern and feature built on it stays
+//! unchanged. The tests check this against that transform, kept
+//! test-only in `fft/reference.rs`.
 
 use crate::complex::Complex;
 
@@ -13,13 +49,245 @@ pub fn next_pow2(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 
+/// A planned split-complex transform: the twiddles of the last length
+/// and direction it ran, and its two work buffers.
+///
+/// [`Fft::run`] rebuilds the twiddles only when the length or direction
+/// changes and overwrites the buffers completely, so reuse never
+/// changes a result.
+#[derive(Debug, Default)]
+pub(crate) struct Fft {
+    /// The planned length (0 before the first run).
+    n: usize,
+    /// Whether the plan is for the inverse direction.
+    inverse: bool,
+    /// Stage twiddles: the stage of half-length `h` keeps its `h`
+    /// twiddles at `h - 1 .. 2h - 1`.
+    tw_re: Vec<f64>,
+    tw_im: Vec<f64>,
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl Fft {
+    /// Unnormalised DFT of the `n`-point sequence `input(0), …,
+    /// input(n − 1)` (forward with `e^{-iθ}` twiddles, inverse with
+    /// `e^{+iθ}`), returned as its real and imaginary parts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not a power of two.
+    pub(crate) fn run(
+        &mut self,
+        n: usize,
+        inverse: bool,
+        input: impl Fn(usize) -> Complex,
+    ) -> (&[f64], &[f64]) {
+        assert!(n.is_power_of_two(), "FFT length {n} is not a power of two");
+        if (n, inverse) != (self.n, self.inverse) {
+            self.plan(n, inverse);
+        }
+        self.load(&input);
+        let (re, im) = (&mut self.re[..], &mut self.im[..]);
+        let stage = |half: usize| {
+            let at = half - 1..2 * half - 1;
+            (&self.tw_re[at.clone()], &self.tw_im[at])
+        };
+        // Stages of half-length 1 and 2 ran in the load.
+        let mut half = 4;
+        while 4 * half <= n {
+            paired_pass(re, im, half, stage(half), stage(2 * half));
+            half *= 4;
+        }
+        if 2 * half <= n {
+            single_pass(re, im, half, stage(half));
+        }
+        (&self.re, &self.im)
+    }
+
+    fn plan(&mut self, n: usize, inverse: bool) {
+        let sign = if inverse { 1.0 } else { -1.0 };
+        self.tw_re.clear();
+        self.tw_im.clear();
+        let mut half = 1;
+        while half < n {
+            let len = 2 * half;
+            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let wlen = Complex::from_polar_unit(ang);
+            let mut w = Complex::ONE;
+            for _ in 0..half {
+                self.tw_re.push(w.re);
+                self.tw_im.push(w.im);
+                w *= wlen;
+            }
+            half = len;
+        }
+        self.re.clear();
+        self.re.resize(n, 0.0);
+        self.im.clear();
+        self.im.resize(n, 0.0);
+        self.n = n;
+        self.inverse = inverse;
+    }
+
+    /// Reads the input in bit-reversed order into the buffers, running
+    /// the stages of half-length 1 and 2 on each group of four.
+    ///
+    /// Output `4q + k` takes the input whose index is `4q + k` with its
+    /// `log2(n)` bits reversed: `q` reversed in its `log2(n) − 2` bits,
+    /// plus `k` reversed into the top two, i.e. plus `0`, `n/2`, `n/4`
+    /// or `3n/4`.
+    fn load(&mut self, input: &impl Fn(usize) -> Complex) {
+        let n = self.n;
+        let w = |k: usize| Complex::new(self.tw_re[k], self.tw_im[k]);
+        if n < 4 {
+            // The permutation is the identity; stage 1 runs for n = 2.
+            let (y0, y1) = match n {
+                1 => (input(0), Complex::ZERO),
+                _ => butterfly(input(0), input(1), w(0)),
+            };
+            for (k, y) in [y0, y1].into_iter().take(n).enumerate() {
+                (self.re[k], self.im[k]) = split(y);
+            }
+            return;
+        }
+        let (w1, w2) = (w(0), [w(1), w(2)]);
+        let shift = usize::BITS + 2 - n.trailing_zeros();
+        let quarter = n / 4;
+        let groups = self.re.chunks_exact_mut(4).zip(self.im.chunks_exact_mut(4));
+        for (q, (re, im)) in groups.enumerate() {
+            let base = q.reverse_bits().checked_shr(shift).unwrap_or(0);
+            let x = [0, 2, 1, 3].map(|k| input(base + k * quarter));
+            let (x0, x1) = butterfly(x[0], x[1], w1);
+            let (x2, x3) = butterfly(x[2], x[3], w1);
+            let (x0, x2) = butterfly(x0, x2, w2[0]);
+            let (x1, x3) = butterfly(x1, x3, w2[1]);
+            for (k, z) in [x0, x1, x2, x3].into_iter().enumerate() {
+                (re[k], im[k]) = split(z);
+            }
+        }
+    }
+}
+
+fn split(z: Complex) -> (f64, f64) {
+    (z.re, z.im)
+}
+
+/// One radix-2 butterfly: `(a + b·w, a − b·w)`.
+#[inline(always)]
+fn butterfly(a: Complex, b: Complex, w: Complex) -> (Complex, Complex) {
+    let y = b * w;
+    (a + y, a - y)
+}
+
+/// Elements a pass handles per step: a stage's half-length is a
+/// multiple of this from the first pass after the load on.
+const LANES: usize = 2;
+
+/// Real or imaginary parts of [`LANES`] consecutive elements, held in
+/// registers so the butterflies over them vectorise without aliasing
+/// checks.
+type Lanes = [f64; LANES];
+
+fn lanes(s: &[f64], j: usize) -> Lanes {
+    s[j..j + LANES].try_into().expect("LANES elements")
+}
+
+/// [`butterfly`] on each of [`LANES`] `(a, b, w)` triples, in place.
+#[inline(always)]
+fn butterflies(a: &mut (Lanes, Lanes), b: &mut (Lanes, Lanes), w: &(Lanes, Lanes)) {
+    for k in 0..LANES {
+        let (x, y) = butterfly(
+            Complex::new(a.0[k], a.1[k]),
+            Complex::new(b.0[k], b.1[k]),
+            Complex::new(w.0[k], w.1[k]),
+        );
+        (a.0[k], a.1[k]) = split(x);
+        (b.0[k], b.1[k]) = split(y);
+    }
+}
+
+/// Splits a block into `P` consecutive slices of `len` elements.
+fn parts<const P: usize>(block: &mut [f64], len: usize) -> [&mut [f64]; P] {
+    let mut rest = block;
+    std::array::from_fn(|_| {
+        let (part, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        part
+    })
+}
+
+/// The stage of half-length `half` (a multiple of [`LANES`]) in one
+/// pass over the buffers.
+fn single_pass(re: &mut [f64], im: &mut [f64], half: usize, w: (&[f64], &[f64])) {
+    let blocks = re
+        .chunks_exact_mut(2 * half)
+        .zip(im.chunks_exact_mut(2 * half));
+    for (re, im) in blocks {
+        let [r0, r1] = parts(re, half);
+        let [i0, i1] = parts(im, half);
+        for j in (0..half).step_by(LANES) {
+            let mut a = (lanes(r0, j), lanes(i0, j));
+            let mut b = (lanes(r1, j), lanes(i1, j));
+            butterflies(&mut a, &mut b, &(lanes(w.0, j), lanes(w.1, j)));
+            r0[j..j + LANES].copy_from_slice(&a.0);
+            i0[j..j + LANES].copy_from_slice(&a.1);
+            r1[j..j + LANES].copy_from_slice(&b.0);
+            i1[j..j + LANES].copy_from_slice(&b.1);
+        }
+    }
+}
+
+/// The stages of half-length `half` (a multiple of [`LANES`]) and
+/// `2·half` in one pass over the buffers: in each block of `4·half`,
+/// element `j` of every quarter goes through its first-stage butterfly
+/// (twiddle `wa[j]`) and then its second-stage one (`wb[j]` for
+/// quarters 0 and 2, `wb[half + j]` for 1 and 3).
+fn paired_pass(
+    re: &mut [f64],
+    im: &mut [f64],
+    half: usize,
+    wa: (&[f64], &[f64]),
+    wb: (&[f64], &[f64]),
+) {
+    let blocks = re
+        .chunks_exact_mut(4 * half)
+        .zip(im.chunks_exact_mut(4 * half));
+    for (re, im) in blocks {
+        let [r0, r1, r2, r3] = parts(re, half);
+        let [i0, i1, i2, i3] = parts(im, half);
+        for j in (0..half).step_by(LANES) {
+            let mut x0 = (lanes(r0, j), lanes(i0, j));
+            let mut x1 = (lanes(r1, j), lanes(i1, j));
+            let mut x2 = (lanes(r2, j), lanes(i2, j));
+            let mut x3 = (lanes(r3, j), lanes(i3, j));
+            let wa = (lanes(wa.0, j), lanes(wa.1, j));
+            butterflies(&mut x0, &mut x1, &wa);
+            butterflies(&mut x2, &mut x3, &wa);
+            butterflies(&mut x0, &mut x2, &(lanes(wb.0, j), lanes(wb.1, j)));
+            butterflies(
+                &mut x1,
+                &mut x3,
+                &(lanes(wb.0, half + j), lanes(wb.1, half + j)),
+            );
+            for ((r, i), x) in [(&mut *r0, &mut *i0), (r1, i1), (r2, i2), (r3, i3)]
+                .into_iter()
+                .zip([x0, x1, x2, x3])
+            {
+                r[j..j + LANES].copy_from_slice(&x.0);
+                i[j..j + LANES].copy_from_slice(&x.1);
+            }
+        }
+    }
+}
+
 /// In-place forward FFT. The input length must be a power of two.
 ///
 /// # Panics
 ///
 /// Panics if `data.len()` is not a power of two.
 pub fn fft_in_place(data: &mut [Complex]) {
-    transform(data, false);
+    transform_in_place(data, false);
 }
 
 /// In-place inverse FFT (including the 1/N normalization). The input length
@@ -29,55 +297,18 @@ pub fn fft_in_place(data: &mut [Complex]) {
 ///
 /// Panics if `data.len()` is not a power of two.
 pub fn ifft_in_place(data: &mut [Complex]) {
-    transform(data, true);
+    transform_in_place(data, true);
     let scale = 1.0 / data.len() as f64;
     for z in data.iter_mut() {
         *z = z.scale(scale);
     }
 }
 
-fn transform(data: &mut [Complex], inverse: bool) {
-    let n = data.len();
-    assert!(n.is_power_of_two(), "FFT length {n} is not a power of two");
-    if n <= 1 {
-        return;
-    }
-
-    // Bit-reversal permutation.
-    let levels = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i.reverse_bits() >> (usize::BITS - levels)) & (n - 1);
-        if j > i {
-            data.swap(i, j);
-        }
-    }
-
-    // Butterfly passes. Each stage's twiddles come from one run of the
-    // `w *= wlen` recurrence: the sequence every block would compute
-    // for itself, so results match the per-block reference bitwise.
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut twiddles: Vec<Complex> = Vec::with_capacity(n / 2);
-    let mut len = 2;
-    while len <= n {
-        let half = len / 2;
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::from_polar_unit(ang);
-        twiddles.clear();
-        let mut w = Complex::ONE;
-        for _ in 0..half {
-            twiddles.push(w);
-            w *= wlen;
-        }
-        for block in data.chunks_exact_mut(len) {
-            let (lo, hi) = block.split_at_mut(half);
-            for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(&twiddles) {
-                let x = *a;
-                let y = *b * w;
-                *a = x + y;
-                *b = x - y;
-            }
-        }
-        len <<= 1;
+fn transform_in_place(data: &mut [Complex], inverse: bool) {
+    let mut fft = Fft::default();
+    let (re, im) = fft.run(data.len(), inverse, |j| data[j]);
+    for (z, (&r, &i)) in data.iter_mut().zip(re.iter().zip(im)) {
+        *z = Complex::new(r, i);
     }
 }
 
@@ -97,14 +328,18 @@ pub fn fft_real_padded(signal: &[f64]) -> Vec<Complex> {
 ///
 /// `out` is cleared and overwritten with the full complex spectrum of
 /// the padded signal (length `next_pow2(signal.len())`); its capacity is
-/// retained across calls.
+/// retained across calls. The plan and the split buffers are built per
+/// call; the spectra of [`crate::spectrum`] keep theirs in a
+/// [`SpectrumScratch`](crate::SpectrumScratch).
 pub fn fft_real_padded_into(signal: &[f64], out: &mut Vec<Complex>) {
-    let n = next_pow2(signal.len());
+    let mut fft = Fft::default();
+    let (re, im) = fft.run(next_pow2(signal.len()), false, |j| {
+        signal
+            .get(j)
+            .map_or(Complex::ZERO, |&x| Complex::from_real(x))
+    });
     out.clear();
-    out.reserve(n);
-    out.extend(signal.iter().map(|&x| Complex::from_real(x)));
-    out.resize(n, Complex::ZERO);
-    fft_in_place(out);
+    out.extend(re.iter().zip(im).map(|(&r, &i)| Complex::new(r, i)));
 }
 
 /// Magnitudes of the non-redundant half of a real signal's spectrum
@@ -116,41 +351,11 @@ pub fn magnitude_spectrum(signal: &[f64]) -> Vec<f64> {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The textbook transform, restarting the twiddle recurrence in
-    /// every block: the bitwise oracle for [`transform`].
-    fn reference_transform(data: &mut [Complex], inverse: bool) {
-        let n = data.len();
-        if n <= 1 {
-            return;
-        }
-        let levels = n.trailing_zeros();
-        for i in 0..n {
-            let j = (i.reverse_bits() >> (usize::BITS - levels)) & (n - 1);
-            if j > i {
-                data.swap(i, j);
-            }
-        }
-        let sign = if inverse { 1.0 } else { -1.0 };
-        let mut len = 2;
-        while len <= n {
-            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-            let wlen = Complex::from_polar_unit(ang);
-            for start in (0..n).step_by(len) {
-                let mut w = Complex::ONE;
-                for k in 0..len / 2 {
-                    let a = data[start + k];
-                    let b = data[start + k + len / 2] * w;
-                    data[start + k] = a + b;
-                    data[start + k + len / 2] = a - b;
-                    w *= wlen;
-                }
-            }
-            len <<= 1;
-        }
-    }
 
     fn bits(data: &[Complex]) -> Vec<(u64, u64)> {
         data.iter()
@@ -158,9 +363,68 @@ mod tests {
             .collect()
     }
 
+    /// The kinds of input the bitwise oracle test feeds the kernel.
+    #[derive(Debug, Clone, Copy)]
+    enum Kind {
+        /// Both parts uniform in [-1, 1).
+        Uniform,
+        /// Uniform real parts and `+0.0` imaginary parts, as the
+        /// spectrum path loads them.
+        Real,
+        /// Mostly `±0.0`, one part in eight `±1.0`.
+        SignedZeros,
+        /// Subnormals and `±0.0` (all-zero exponent bits).
+        Subnormal,
+        /// Magnitudes from 1e-300 to 2e300, either sign.
+        Wide,
+        /// Each part of any of the kinds above but `Real`.
+        Mixed,
+    }
+
+    /// One part of an input of `kind` (not `Real`) from the random bits
+    /// `r`.
+    fn part(kind: Kind, r: u64) -> f64 {
+        let sign = if r >> 63 == 0 { 1.0 } else { -1.0 };
+        let unit = (r >> 11) as f64 / (1u64 << 53) as f64;
+        match kind {
+            Kind::Uniform | Kind::Real => 2.0 * unit - 1.0,
+            Kind::SignedZeros if r.is_multiple_of(8) => sign,
+            Kind::SignedZeros => sign * 0.0,
+            Kind::Subnormal => f64::from_bits(r & 0x800f_ffff_ffff_ffff),
+            Kind::Wide => sign * (1.0 + unit) * 10f64.powi((r % 601) as i32 - 300),
+            Kind::Mixed => {
+                let kinds = [
+                    Kind::Uniform,
+                    Kind::SignedZeros,
+                    Kind::Subnormal,
+                    Kind::Wide,
+                ];
+                part(kinds[(r % 4) as usize], r.rotate_left(17))
+            }
+        }
+    }
+
+    /// The per-block reference transform of `input`, normalised by
+    /// `1/n` when inverse, as [`ifft_in_place`] is.
+    fn reference_transform(input: &[Complex], inverse: bool) -> Vec<Complex> {
+        let mut data: Vec<(f64, f64)> = input.iter().map(|z| (z.re, z.im)).collect();
+        reference::per_block_transform(&mut data, inverse);
+        let scale = 1.0 / input.len() as f64;
+        data.into_iter()
+            .map(|(re, im)| {
+                let z = Complex::new(re, im);
+                if inverse {
+                    z.scale(scale)
+                } else {
+                    z
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn transforms_match_the_per_block_reference_bitwise() {
-        // xorshift64*: lengths 2^0..2^14 and values in [-1, 1).
+        // xorshift64*.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = || {
             state ^= state >> 12;
@@ -168,29 +432,46 @@ mod tests {
             state ^= state >> 27;
             state.wrapping_mul(0x2545_f491_4f6c_dd1d)
         };
-        for _ in 0..40 {
-            let n = 1usize << (next() % 15);
-            let input: Vec<Complex> = (0..n)
-                .map(|_| {
-                    let mut unit = || (next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
-                    Complex::new(unit(), unit())
-                })
-                .collect();
-            let mut fwd = input.clone();
-            let mut fwd_ref = input.clone();
-            fft_in_place(&mut fwd);
-            reference_transform(&mut fwd_ref, false);
-            assert_eq!(bits(&fwd), bits(&fwd_ref), "forward, n = {n}");
+        let kinds = [
+            Kind::Uniform,
+            Kind::Real,
+            Kind::SignedZeros,
+            Kind::Subnormal,
+            Kind::Wide,
+            Kind::Mixed,
+        ];
+        for levels in 0..=15 {
+            let n = 1usize << levels;
+            for kind in kinds {
+                let input: Vec<Complex> = (0..n)
+                    .map(|_| match kind {
+                        Kind::Real => Complex::from_real(part(kind, next())),
+                        _ => Complex::new(part(kind, next()), part(kind, next())),
+                    })
+                    .collect();
+                let mut fwd = input.clone();
+                fft_in_place(&mut fwd);
+                let want = reference_transform(&input, false);
+                assert_eq!(bits(&fwd), bits(&want), "forward, n = {n}, {kind:?}");
 
-            let mut inv = input.clone();
-            let mut inv_ref = input;
-            ifft_in_place(&mut inv);
-            reference_transform(&mut inv_ref, true);
-            let scale = 1.0 / n as f64;
-            for z in &mut inv_ref {
-                *z = z.scale(scale);
+                let mut inv = input.clone();
+                ifft_in_place(&mut inv);
+                let want = reference_transform(&input, true);
+                assert_eq!(bits(&inv), bits(&want), "inverse, n = {n}, {kind:?}");
+
+                if let Kind::Real = kind {
+                    // The zero-padding real path, from a shorter signal.
+                    let signal: Vec<f64> = input[..n - n / 3].iter().map(|z| z.re).collect();
+                    let mut padded = input.clone();
+                    padded[n - n / 3..].fill(Complex::ZERO);
+                    let want = reference_transform(&padded, false);
+                    assert_eq!(
+                        bits(&fft_real_padded(&signal)),
+                        bits(&want),
+                        "real padded, n = {n}"
+                    );
+                }
             }
-            assert_eq!(bits(&inv), bits(&inv_ref), "inverse, n = {n}");
         }
     }
 

@@ -9,7 +9,8 @@
 //! This crate implements that pipeline from scratch:
 //!
 //! * [`complex`] — a minimal complex-number type;
-//! * [`fft`] — an iterative radix-2 Cooley–Tukey FFT (and inverse);
+//! * [`fft`] — an iterative radix-2 Cooley–Tukey FFT (and inverse) on
+//!   one planned, split-complex kernel;
 //! * [`spectrum`] — power spectra, periodicity strength, spectral flatness;
 //! * [`classify`] — the three-way utilization-pattern classifier;
 //! * [`features`] — fixed-length feature vectors extracted from traces;

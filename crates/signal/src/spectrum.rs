@@ -7,21 +7,23 @@
 //! Figure 1d's decaying profile).
 
 use crate::complex::Complex;
-use crate::fft::fft_in_place;
+use crate::fft::Fft;
 
-/// Reusable buffers for spectral analysis.
+/// Reusable state for spectral analysis.
 ///
-/// One spectrum costs two allocations (the complex FFT workspace and
-/// the power vector) and one Hann window (a `sin` per sample); a
-/// classification sweep over thousands of tenant traces costs
-/// thousands — unless each worker carries one scratch and threads it
-/// through every call. The workspace and powers are fully overwritten
-/// by every call; the window is kept for the last truncated length and
-/// rebuilt whenever the length changes, from the same formula, so reuse
+/// A spectrum needs the FFT's plan (every stage's twiddles), its two
+/// split-complex buffers, the power vector and a Hann window (a `sin`
+/// per sample). A classification sweep over
+/// hundreds of equal-length tenant traces builds the plan and the
+/// window once and allocates nothing after the first trace, provided
+/// each worker carries one scratch and threads it through every call.
+/// The plan and the window are kept for the last truncated length and
+/// rebuilt, from the same recurrence and formula, whenever it changes;
+/// the buffers and powers are fully overwritten by every call. So reuse
 /// never changes a result.
 #[derive(Debug, Default)]
 pub struct SpectrumScratch {
-    data: Vec<Complex>,
+    fft: Fft,
     powers: Vec<f64>,
     /// The Hann window of the last truncated length (`window.len()`).
     window: Vec<f64>,
@@ -31,6 +33,12 @@ impl SpectrumScratch {
     /// An empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The powers the last [`power_spectrum_truncated_into`] call left
+    /// (`n / 2 + 1` of them for truncated length `n`).
+    pub fn powers(&self) -> &[f64] {
+        &self.powers
     }
 }
 
@@ -52,7 +60,7 @@ pub fn power_spectrum_truncated(signal: &[f64]) -> (Vec<f64>, usize) {
 /// [`power_spectrum_truncated`] into reusable scratch buffers.
 ///
 /// Returns the truncated length `n`; the powers (`n / 2 + 1` of them)
-/// are left in `scratch.powers` for the caller to read.
+/// are left in the scratch, read through [`SpectrumScratch::powers`].
 pub fn power_spectrum_truncated_into(signal: &[f64], scratch: &mut SpectrumScratch) -> usize {
     assert!(!signal.is_empty(), "cannot take spectrum of empty signal");
     let n = if signal.len().is_power_of_two() {
@@ -66,22 +74,18 @@ pub fn power_spectrum_truncated_into(signal: &[f64], scratch: &mut SpectrumScrat
         scratch.window.clear();
         scratch.window.extend((0..n).map(|i| hann(i, n)));
     }
-    let data = &mut scratch.data;
-    data.clear();
-    data.reserve(n);
-    data.extend(
-        signal[..n]
-            .iter()
-            .zip(&scratch.window)
-            .map(|(&x, &w)| Complex::from_real((x - mean) * w)),
-    );
-    fft_in_place(data);
+    let window = &scratch.window;
+    let (re, im) = scratch.fft.run(n, false, |j| {
+        Complex::from_real((signal[j] - mean) * window[j])
+    });
     let half = n / 2;
     scratch.powers.clear();
-    scratch.powers.reserve(half + 1);
-    scratch
-        .powers
-        .extend(data[..=half].iter().map(|z| z.norm_sqr()));
+    scratch.powers.extend(
+        re[..=half]
+            .iter()
+            .zip(&im[..=half])
+            .map(|(&r, &i)| Complex::new(r, i).norm_sqr()),
+    );
     n
 }
 

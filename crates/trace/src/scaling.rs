@@ -46,22 +46,27 @@ impl std::fmt::Display for ScalingKind {
 }
 
 impl ScalingKind {
-    /// One sample of [`scale`]: the transform with parameter `param`,
-    /// saturated to `[0, 1]`. [`scale`] maps it over a series and
-    /// [`calibrate`] sums it in place, so the two agree bit for bit.
-    fn apply(self, v: f64, param: f64) -> f64 {
+    /// The transform with parameter `param`, before saturation.
+    fn unclamped(self, v: f64, param: f64) -> f64 {
         match self {
             ScalingKind::Linear => v * param,
             ScalingKind::Root => v.max(0.0).powf(param),
         }
-        .clamp(0.0, 1.0)
+    }
+
+    /// One sample of [`scale`]: the transform saturated to `[0, 1]`.
+    /// [`scale`] maps [`ScalingKind::unclamped`] over a series with
+    /// `TimeSeries::map_clamped`, which saturates the same way, and
+    /// [`calibrate`] sums this in place, so the two agree bit for bit.
+    fn apply(self, v: f64, param: f64) -> f64 {
+        self.unclamped(v, param).clamp(0.0, 1.0)
     }
 }
 
 /// Multiplies every sample by `factor`, saturating at 1.0.
 pub fn scale_linear(ts: &TimeSeries, factor: f64) -> TimeSeries {
     assert!(factor >= 0.0, "scaling factor must be non-negative");
-    ts.map_clamped(|v| ScalingKind::Linear.apply(v, factor))
+    ts.map_clamped(|v| ScalingKind::Linear.unclamped(v, factor))
 }
 
 /// Raises every sample to the power `exponent` (`u^e`).
@@ -70,7 +75,7 @@ pub fn scale_linear(ts: &TimeSeries, factor: f64) -> TimeSeries {
 /// `e > 1` lowers it. Saturation is impossible since `u ∈ [0, 1]`.
 pub fn scale_root(ts: &TimeSeries, exponent: f64) -> TimeSeries {
     assert!(exponent > 0.0, "root exponent must be positive");
-    ts.map_clamped(|v| ScalingKind::Root.apply(v, exponent))
+    ts.map_clamped(|v| ScalingKind::Root.unclamped(v, exponent))
 }
 
 /// Applies the given scaling with the given parameter.

@@ -7,9 +7,13 @@ use harvest::dfs::store::BlockStore;
 use harvest::disk::{DiskConfig, DiskPool, IoDir, StreamCompletion, StreamId};
 use harvest::jobs::length::LengthThresholds;
 use harvest::net::{Fabric, FlowCompletion, FlowId, NetworkConfig};
+use harvest::signal::classify::{classify_with_features, ClassifierConfig, UtilizationPattern};
 use harvest::signal::fft::{fft_in_place, ifft_in_place};
 use harvest::signal::kmeans::kmeans;
-use harvest::signal::Complex;
+use harvest::signal::spectrum::{
+    periodicity_strength_with, power_spectrum_truncated, power_spectrum_truncated_into,
+};
+use harvest::signal::{Complex, SpectrumScratch};
 use harvest::sim::engine::EventQueue;
 use harvest::sim::metrics::{empirical_cdf, Percentiles, StreamingStats};
 use harvest::sim::time::{SimDuration, SimTime};
@@ -1310,6 +1314,160 @@ proptest! {
                     want.to_bits(),
                     "{} traces, {kind} to {t}: {got} vs reference {want}",
                     refs.len()
+                );
+            }
+        }
+    }
+}
+
+// --- spectra: bit-exact against the per-block textbook transform -------
+
+/// The textbook per-block transform, the oracle of `harvest-signal`'s
+/// own kernel tests, compiled here from the same test-only file.
+#[path = "../crates/signal/src/fft/reference.rs"]
+mod fft_reference;
+
+/// `power_spectrum_truncated`'s reference: the largest power-of-two
+/// prefix, mean-subtracted and Hann-windowed, through the per-block
+/// transform; `|X[k]|²` for bins `0..=n/2`.
+fn reference_powers(signal: &[f64]) -> (Vec<f64>, usize) {
+    let n = 1usize << signal.len().ilog2();
+    let mean = signal[..n].iter().sum::<f64>() / n as f64;
+    let hann = |i: usize| {
+        if n == 1 {
+            1.0
+        } else {
+            (std::f64::consts::PI * i as f64 / (n - 1) as f64)
+                .sin()
+                .powi(2)
+        }
+    };
+    let mut data: Vec<(f64, f64)> = (0..n)
+        .map(|i| ((signal[i] - mean) * hann(i), 0.0))
+        .collect();
+    fft_reference::per_block_transform(&mut data, false);
+    let powers = data[..=n / 2]
+        .iter()
+        .map(|&(re, im)| re * re + im * im)
+        .collect();
+    (powers, n)
+}
+
+/// `periodicity_strength`'s reference over [`reference_powers`]: the
+/// share of the power from bin 2 up that lies within two bins of the
+/// first four harmonics of `period`.
+fn reference_strength(signal: &[f64], period: f64) -> f64 {
+    if signal.len() < 8 || period <= 0.0 {
+        return 0.0;
+    }
+    let (powers, n) = reference_powers(signal);
+    let total: f64 = powers.iter().skip(2).sum();
+    if total <= 1e-9 {
+        return 0.0;
+    }
+    let mut band = 0.0;
+    for harmonic in 1..=4 {
+        let center = n as f64 / period * harmonic as f64;
+        let lo = (center - 2.0).floor().max(2.0) as usize;
+        let hi = ((center + 2.0).ceil() as usize).min(powers.len() - 1);
+        if lo <= hi {
+            band += powers[lo..=hi].iter().sum::<f64>();
+        }
+    }
+    (band / total).clamp(0.0, 1.0)
+}
+
+/// `classify_with_features`' reference: the trace's mean, peak and
+/// standard deviation, its [`reference_strength`] at the classifier's
+/// period, and the classifier's thresholds over them.
+fn reference_classification(
+    values: &[f64],
+    config: &ClassifierConfig,
+) -> (UtilizationPattern, [f64; 4]) {
+    let (mean, peak, std_dev) = if values.is_empty() {
+        (0.0, 0.0, 0.0)
+    } else {
+        let len = values.len() as f64;
+        let mean = values.iter().sum::<f64>() / len;
+        let peak = values.iter().fold(f64::NEG_INFINITY, |p, &v| p.max(v));
+        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / len;
+        (mean, peak, var.sqrt())
+    };
+    let strength = reference_strength(values, config.period_samples);
+    let cv = if mean.abs() < 1e-9 {
+        0.0
+    } else {
+        std_dev / mean
+    };
+    let pattern = if values.len() < 8 {
+        UtilizationPattern::Unpredictable
+    } else if cv <= config.constant_cv_max {
+        UtilizationPattern::Constant
+    } else if strength >= config.periodic_strength_min {
+        UtilizationPattern::Periodic
+    } else {
+        UtilizationPattern::Unpredictable
+    };
+    (pattern, [mean, peak, std_dev, strength])
+}
+
+fn float_bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The spectrum path on real experiment inputs: tenant traces of a
+    /// generated datacenter, raw or linear- or root-scaled (saturated
+    /// runs included), truncated to lengths from 1 to the full month —
+    /// powers of two, others, and lengths below 8. Every power,
+    /// periodicity strength, pattern and feature is bitwise its
+    /// reference over the per-block transform, with one scratch reused
+    /// across every length, as the clustering service reuses it.
+    #[test]
+    fn spectra_match_the_per_block_reference_on_real_traces(
+        dc_seed in 0u64..1_000,
+        picks in prop::collection::vec((0usize..64, 0usize..3, 0.2f64..3.0, 1usize..21_600), 3),
+    ) {
+        let dc = Datacenter::generate(
+            &harvest::trace::datacenter::DatacenterProfile::dc(9).scaled(0.02),
+            dc_seed,
+        );
+        let config = ClassifierConfig::default();
+        let mut scratch = SpectrumScratch::new();
+        for &(tenant, scaling, param, extra_len) in &picks {
+            let raw = &dc.tenants[tenant % dc.tenants.len()].trace;
+            let trace = match scaling {
+                0 => raw.clone(),
+                1 => scale(raw, ScalingKind::Linear, param),
+                _ => scale(raw, ScalingKind::Root, param),
+            };
+            let full = trace.values();
+            for len in [1, 2, 3, 5, 7, 8, 9, 720, 1_000, 4_096, extra_len, full.len()] {
+                let signal = &full[..len.min(full.len())];
+                let (want, want_n) = reference_powers(signal);
+                let n = power_spectrum_truncated_into(signal, &mut scratch);
+                prop_assert_eq!(n, want_n);
+                prop_assert_eq!(float_bits(scratch.powers()), float_bits(&want), "len {}", len);
+                let (powers, n) = power_spectrum_truncated(signal);
+                prop_assert_eq!(n, want_n);
+                prop_assert_eq!(float_bits(&powers), float_bits(&want), "len {}", len);
+
+                for period in [config.period_samples, len as f64 / 6.0] {
+                    let got = periodicity_strength_with(signal, period, &mut scratch);
+                    let want = reference_strength(signal, period);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "len {}, period {}", len, period);
+                }
+
+                let (pattern, features) = classify_with_features(signal, &config, &mut scratch);
+                let (want_pattern, want_features) = reference_classification(signal, &config);
+                prop_assert_eq!(pattern, want_pattern, "len {}", len);
+                prop_assert_eq!(
+                    float_bits(&features.to_vec()),
+                    float_bits(&want_features),
+                    "len {}",
+                    len
                 );
             }
         }
