@@ -21,9 +21,12 @@
 //!   access fails when every replica sits on a busy server); with the
 //!   fabric on, a busy local replica forces a paid remote read;
 //! * [`repair`] — re-replication throttled at 30 blocks/hour/server with
-//!   a heartbeat-loss detection delay (§5.1), plus
-//!   [`repair::simulate_reimage_storm`]: a tenant-wide mass reimage whose
-//!   recovery is bandwidth-constrained by the shared fabric;
+//!   a heartbeat-loss detection delay (§5.1), and the one repair driver
+//!   that replays a reimage schedule, injected faults and an optional
+//!   stream cap through the pipeline, the fabric and the disks. The
+//!   durability simulation runs it over generated months, and
+//!   [`repair::simulate_reimage_storm`] over a tenant-wide mass reimage
+//!   whose recovery is bandwidth-constrained by the shared fabric;
 //! * [`quality`] — the production placement-quality monitor (§7, lesson
 //!   3): diversity measurement and the space-vs-diversity tradeoff;
 //! * [`heartbeat`] — the §7 lesson-2 scenario: synchronous heartbeat

@@ -11,9 +11,10 @@
 //! The fault-free baseline runs first; each profile then reuses the
 //! same datacenter and seed, so every difference in the table is the
 //! injected faults. The correlated-storm run is recorded and its
-//! `dfs/repair` blame line printed — `failed`/`retrying` time shows up
-//! as attributable wait states, and the analyzer's conservation check
-//! (states tile each entity's lifetime) must pass on the faulted trace.
+//! `dfs/repair_retry` blame line printed — `failed`/`retrying` time
+//! shows up as attributable wait states, and the analyzer's
+//! conservation check (states tile each entity's lifetime) must pass on
+//! the faulted trace.
 
 use harvest::cluster::Datacenter;
 use harvest::dfs::durability::{
@@ -176,7 +177,11 @@ fn main() {
         analysis.conserved(),
         "faulted trace failed the state-conservation check"
     );
-    if let Some(s) = analysis.states.iter().find(|s| s.name == "dfs/repair") {
+    if let Some(s) = analysis
+        .states
+        .iter()
+        .find(|s| s.name == "dfs/repair_retry")
+    {
         println!("\ncorrelated-storm repair blame: {}", s.blame_line());
     }
     println!("(conservation check passed on the faulted trace)");
