@@ -1,26 +1,38 @@
 //! Utilization playback: "what is this server's primary CPU utilization
 //! at time T?"
 //!
-//! A [`UtilizationView`] holds the (optionally scaled) tenant traces and
-//! answers per-server lookups. Servers of the same tenant share the
-//! tenant's "average server" trace plus a small deterministic per-server
-//! jitter, reflecting §3.2's observation that load "is not always evenly
-//! balanced across all servers of a primary tenant".
+//! A [`UtilizationView`] reads the datacenter's tenant traces through an
+//! optional scaling and answers per-server lookups. Servers of the same
+//! tenant share the tenant's "average server" trace plus a small
+//! deterministic per-server jitter, reflecting §3.2's observation that
+//! load "is not always evenly balanced across all servers of a primary
+//! tenant".
 //!
 //! # Cost model
 //!
 //! The view is built once and queried millions of times, so queries are
-//! index arithmetic, never scans:
+//! index arithmetic, never scans, and the view holds no copy of the
+//! traces:
 //!
+//! * The view shares the `Datacenter`'s own trace buffers (a
+//!   [`TimeSeries`] clone is a reference-count bump) and applies
+//!   [`ScalingKind::apply`] to each sample it reads — the per-sample
+//!   transform `scaling::scale` maps over a series, so every read has
+//!   the bits a materialised scaled trace would give. Full-size DC-9
+//!   holds 520 × 21,600 samples (~90 MB); a copy per view used to
+//!   double that for every sweep point. A read costs one grid-slot
+//!   division by the constant sampling interval (shared with the
+//!   jitter hash), one modulo into the trace and the transform: a
+//!   multiply and a clamp under linear scaling, a `powf` (~22 ns)
+//!   under root scaling.
 //! * [`UtilizationView::fleet_util`] is one array lookup into a
 //!   server-weighted fleet [`TimeSeries`] precomputed at build time.
-//!   The accumulation is per *tenant* (each tenant's sample times its
-//!   server count), so the precompute is O(samples × tenants) instead
-//!   of O(samples × servers), and a tick pays one lookup instead of an
-//!   O(servers) sweep. Each trace is added into one accumulator vector
-//!   right after it is scaled (or copied), while it is still in cache,
-//!   reading memory in order; a slot-by-slot scan across the 520
-//!   month-long traces of full-size DC-9 takes 80–100 ms on a 2-core VM.
+//!   The accumulation is per *tenant* (each tenant's scaled sample times
+//!   its server count), so the precompute is O(samples × tenants)
+//!   instead of O(samples × servers), and a tick pays one lookup instead
+//!   of an O(servers) sweep. Each trace is scaled into one reused buffer
+//!   and added into the accumulator while that buffer is still in
+//!   cache; an unscaled view adds the shared samples directly.
 //!   [`UtilizationView::fleet_util_scan`] recomputes the same quantity
 //!   per call (same tenant-order accumulation, so bitwise identical):
 //!   it is the fallback for views whose traces share no sampling grid,
@@ -28,6 +40,12 @@
 //!   postconditions check the lookup against. It differs from the
 //!   naive per-server sum only by float-rounding ulps (well inside the
 //!   1e-9 the tests allow).
+//! * [`UtilizationView::tenant_samples`] hands out one tenant's samples
+//!   as the view reads them — the shared samples when unscaled, else
+//!   scaled into a caller-owned buffer with the kind matched once per
+//!   trace — for whole-trace consumers such as the clustering service.
+//! * [`UtilizationView::mean_fleet_util`] takes each tenant's scaled
+//!   mean once and adds those means per server, in server order.
 //! * [`UtilizationView::slot_of`], [`UtilizationView::tenant_sample_changed`],
 //!   and [`UtilizationView::server_sample_changed`] expose the sampling
 //!   grid so change-driven callers (the scheduler's tick) can skip
@@ -40,7 +58,7 @@
 
 use harvest_sim::rng::splitmix64;
 use harvest_sim::{SimDuration, SimTime};
-use harvest_trace::scaling::{scale, ScalingKind};
+use harvest_trace::scaling::ScalingKind;
 use harvest_trace::timeseries::TimeSeries;
 use harvest_trace::SAMPLE_INTERVAL;
 
@@ -53,7 +71,10 @@ pub const DEFAULT_JITTER: f64 = 0.01;
 /// A scaled, queryable view of every tenant's utilization.
 #[derive(Debug, Clone)]
 pub struct UtilizationView {
+    /// The datacenter's tenant traces, unscaled (shared, not copied).
     traces: Vec<TimeSeries>,
+    /// The scaling every read applies (`None`: the traces as they are).
+    scaling: Option<(ScalingKind, f64)>,
     server_tenant: Vec<u32>,
     /// Servers per tenant — the fleet-average weights.
     tenant_servers: Vec<f64>,
@@ -77,67 +98,109 @@ impl UtilizationView {
     }
 
     /// Full-control constructor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scaling parameter is invalid for its kind (see
+    /// [`ScalingKind::check_param`]).
     pub fn build(
         dc: &Datacenter,
         scaling: Option<(ScalingKind, f64)>,
         jitter_amp: f64,
         jitter_seed: u64,
     ) -> Self {
+        if let Some((kind, param)) = scaling {
+            kind.check_param(param);
+        }
         let server_tenant: Vec<u32> = dc.servers.iter().map(|s| s.tenant.0).collect();
         let mut tenant_servers = vec![0.0f64; dc.tenants.len()];
         for &tid in &server_tenant {
             tenant_servers[tid as usize] += 1.0;
         }
-        let mut fleet = FleetSum::new(dc, server_tenant.len());
-        // Each trace is added into the fleet series right after it is
-        // scaled, while it is still in cache.
-        let traces: Vec<TimeSeries> = dc
-            .tenants
-            .iter()
-            .zip(&tenant_servers)
-            .map(|(t, &weight)| {
-                let trace = match scaling {
-                    Some((kind, param)) => scale(&t.trace, kind, param),
-                    None => t.trace.clone(),
-                };
-                if let Some(fleet) = &mut fleet {
-                    fleet.add(&trace, weight);
-                }
-                trace
-            })
-            .collect();
-        let fleet = fleet.map(|fleet| fleet.finish(server_tenant.len()));
-        UtilizationView {
-            traces,
+        let mut view = UtilizationView {
+            traces: dc.tenants.iter().map(|t| t.trace.clone()).collect(),
+            scaling,
             server_tenant,
             tenant_servers,
             jitter_amp,
             jitter_seed,
-            fleet,
+            fleet: None,
+        };
+        view.fleet = view.fleet_series();
+        view
+    }
+
+    /// The precomputed fleet series, or `None` if the view has no
+    /// servers or its traces do not share one grid (see [`FleetSum`]).
+    fn fleet_series(&self) -> Option<TimeSeries> {
+        let mut fleet = FleetSum::new(&self.traces, self.n_servers())?;
+        let mut buf = Vec::new();
+        for (tid, &weight) in self.tenant_servers.iter().enumerate() {
+            fleet.add(self.tenant_samples(TenantId(tid as u32), &mut buf), weight);
+        }
+        Some(fleet.finish(self.n_servers()))
+    }
+
+    /// A raw sample under the view's scaling.
+    #[inline]
+    fn apply(&self, v: f64) -> f64 {
+        match self.scaling {
+            None => v,
+            Some((kind, param)) => kind.apply(v, param),
+        }
+    }
+
+    /// The tenant's unscaled sample covering `t`, which lies in grid
+    /// slot `slot`: an on-grid trace (every generated one) is indexed
+    /// by the slot, with no second division.
+    #[inline]
+    fn raw_sample(&self, tenant: usize, slot: u64, t: SimTime) -> f64 {
+        let tr = &self.traces[tenant];
+        if tr.interval() == SAMPLE_INTERVAL {
+            tr.at_slot(slot)
+        } else {
+            tr.at(t)
         }
     }
 
     /// The tenant's (average-server) utilization at `t`.
     pub fn tenant_util(&self, tenant: TenantId, t: SimTime) -> f64 {
-        self.traces[tenant.0 as usize].at(t)
+        self.apply(self.raw_sample(tenant.0 as usize, self.slot_of(t), t))
     }
 
-    /// The scaled trace of a tenant.
-    pub fn tenant_trace(&self, tenant: TenantId) -> &TimeSeries {
-        &self.traces[tenant.0 as usize]
+    /// The tenant's samples as the view reads them: the shared trace
+    /// itself when the view is unscaled, else every sample scaled into
+    /// `buf` (cleared first; the kind is matched once, so the loop
+    /// inlines the transform). Callers walking many tenants reuse one
+    /// buffer.
+    pub fn tenant_samples<'a>(&'a self, tenant: TenantId, buf: &'a mut Vec<f64>) -> &'a [f64] {
+        let raw = self.traces[tenant.0 as usize].values();
+        let Some((kind, param)) = self.scaling else {
+            return raw;
+        };
+        buf.clear();
+        match kind {
+            ScalingKind::Linear => {
+                buf.extend(raw.iter().map(|&v| ScalingKind::Linear.apply(v, param)))
+            }
+            ScalingKind::Root => buf.extend(raw.iter().map(|&v| ScalingKind::Root.apply(v, param))),
+        }
+        buf
     }
 
     /// The server's utilization at `t`: its tenant's trace plus the
     /// server's deterministic jitter, clamped to `[0, 1]`.
     pub fn server_util(&self, server: ServerId, t: SimTime) -> f64 {
-        let tenant = self.server_tenant[server.0 as usize];
-        let base = self.traces[tenant as usize].at(t);
-        (base + self.jitter_at_slot(server, self.slot_of(t))).clamp(0.0, 1.0)
+        let slot = self.slot_of(t);
+        let tenant = self.server_tenant[server.0 as usize] as usize;
+        let base = self.apply(self.raw_sample(tenant, slot, t));
+        (base + self.jitter_at_slot(server, slot)).clamp(0.0, 1.0)
     }
 
     /// The sampling-grid slot covering instant `t` (the grid is the
     /// trace sampling interval; the scheduler's tick sits on the same
     /// grid, so every instant within one tick maps to one slot).
+    #[inline]
     pub fn slot_of(&self, t: SimTime) -> u64 {
         t.as_millis() / SAMPLE_INTERVAL.as_millis()
     }
@@ -145,18 +208,16 @@ impl UtilizationView {
     /// Whether the tenant's sample at `slot` differs bitwise from its
     /// sample at the previous slot (slot 0 always counts as changed).
     pub fn tenant_sample_changed(&self, tenant: TenantId, slot: u64) -> bool {
-        let tr = &self.traces[tenant.0 as usize];
-        if tr.interval() == SAMPLE_INTERVAL {
-            // Generated datacenters always sit on the sampling grid.
-            return tr.sample_changed(slot);
-        }
-        // Off-grid trace: map the grid slots to instants instead.
         if slot == 0 {
             return true;
         }
         let ms = SAMPLE_INTERVAL.as_millis();
-        tr.at(SimTime::from_millis(slot * ms)).to_bits()
-            != tr.at(SimTime::from_millis((slot - 1) * ms)).to_bits()
+        let tenant = tenant.0 as usize;
+        let now = self.raw_sample(tenant, slot, SimTime::from_millis(slot * ms));
+        let prev = self.raw_sample(tenant, slot - 1, SimTime::from_millis((slot - 1) * ms));
+        // Equal raw samples scale equally; different ones may still
+        // saturate to the same value.
+        now.to_bits() != prev.to_bits() && self.apply(now).to_bits() != self.apply(prev).to_bits()
     }
 
     /// Whether the server's playback value at `slot` can differ from its
@@ -212,25 +273,35 @@ impl UtilizationView {
         if self.server_tenant.is_empty() {
             return 0.0;
         }
+        let slot = self.slot_of(t);
         let sum: f64 = self
-            .traces
+            .tenant_servers
             .iter()
-            .zip(&self.tenant_servers)
-            .map(|(tr, &weight)| tr.at(t) * weight)
+            .enumerate()
+            .map(|(tid, &weight)| self.apply(self.raw_sample(tid, slot, t)) * weight)
             .sum();
         sum / self.server_tenant.len() as f64
     }
 
     /// Fleet-average of the tenants' mean utilization, server-weighted
-    /// (the x-axis of Figures 13 and 16).
+    /// (the x-axis of Figures 13 and 16): each tenant's scaled mean,
+    /// taken once, added per server in server order — the bits of
+    /// summing every server's tenant mean.
     pub fn mean_fleet_util(&self) -> f64 {
         if self.server_tenant.is_empty() {
             return 0.0;
         }
+        let mut buf = Vec::new();
+        let means: Vec<f64> = (0..self.traces.len())
+            .map(|tid| {
+                let samples = self.tenant_samples(TenantId(tid as u32), &mut buf);
+                samples.iter().sum::<f64>() / samples.len() as f64
+            })
+            .collect();
         let sum: f64 = self
             .server_tenant
             .iter()
-            .map(|&tid| self.traces[tid as usize].mean())
+            .map(|&tid| means[tid as usize])
             .sum();
         sum / self.server_tenant.len() as f64
     }
@@ -250,34 +321,34 @@ impl UtilizationView {
 /// every trace slot, the same tenant-order weighted sum
 /// [`UtilizationView::fleet_util_scan`] performs at query time. The sum
 /// starts from `-0.0` (what `Iterator::sum` starts from) and takes the
-/// tenants in order, so every slot adds their weighted samples in the
-/// scan's order and the lookup is bitwise equal to the scan, while
-/// memory is read sequentially with no per-sample modulo.
+/// tenants in order, so every slot adds their weighted scaled samples
+/// in the scan's order and the lookup is bitwise equal to the scan,
+/// while memory is read sequentially with no per-sample modulo.
 struct FleetSum {
     interval: SimDuration,
     sums: Vec<f64>,
 }
 
 impl FleetSum {
-    /// An empty sum over the datacenter's trace grid, or `None` if it
-    /// has no servers or its traces do not all share one interval and
-    /// length (generated datacenters always do: every tenant carries a
-    /// month-long trace on the sampling grid). Scaling keeps both.
-    fn new(dc: &Datacenter, n_servers: usize) -> Option<Self> {
-        let first = &dc.tenants.first()?.trace;
-        let uniform = dc
-            .tenants
+    /// An empty sum over the traces' grid, or `None` if there are no
+    /// servers or the traces do not all share one interval and length
+    /// (generated datacenters always do: every tenant carries a
+    /// month-long trace on the sampling grid).
+    fn new(traces: &[TimeSeries], n_servers: usize) -> Option<Self> {
+        let first = traces.first()?;
+        let uniform = traces
             .iter()
-            .all(|t| t.trace.len() == first.len() && t.trace.interval() == first.interval());
+            .all(|t| t.len() == first.len() && t.interval() == first.interval());
         (uniform && n_servers > 0).then(|| FleetSum {
             interval: first.interval(),
             sums: vec![-0.0; first.len()],
         })
     }
 
-    /// Adds the next tenant's trace, weighted by its server count.
-    fn add(&mut self, trace: &TimeSeries, weight: f64) {
-        for (sum, &v) in self.sums.iter_mut().zip(trace.values()) {
+    /// Adds the next tenant's scaled samples, weighted by its server
+    /// count.
+    fn add(&mut self, samples: &[f64], weight: f64) {
+        for (sum, &v) in self.sums.iter_mut().zip(samples) {
             *sum += v * weight;
         }
     }
@@ -296,6 +367,7 @@ impl FleetSum {
 mod tests {
     use super::*;
     use harvest_trace::datacenter::DatacenterProfile;
+    use harvest_trace::scaling::scale;
 
     fn dc() -> Datacenter {
         Datacenter::generate(&DatacenterProfile::dc(9).scaled(0.02), 7)
@@ -366,17 +438,21 @@ mod tests {
         let short = off_grid.tenants[0].trace.values()[..1_000].to_vec();
         off_grid.tenants[0].trace = TimeSeries::new(SAMPLE_INTERVAL, short);
         let ms = SAMPLE_INTERVAL.as_millis();
-        for (view, has_series) in [
-            (UtilizationView::unscaled(&dc), true),
-            (UtilizationView::scaled(&dc, ScalingKind::Linear, 1.7), true),
-            (
-                UtilizationView::scaled(&sparse, ScalingKind::Linear, 1.7),
-                true,
-            ),
-            (UtilizationView::unscaled(&off_grid), false),
+        let linear = Some((ScalingKind::Linear, 1.7));
+        for (dc, scaling, has_series) in [
+            (&dc, None, true),
+            (&dc, linear, true),
+            (&sparse, linear, true),
+            (&off_grid, None, false),
         ] {
+            let view = UtilizationView::build(dc, scaling, DEFAULT_JITTER, 0);
             assert_eq!(view.fleet.is_some(), has_series);
-            let slots = view.tenant_trace(TenantId(1)).len() as u64;
+            // Tenant 1's trace as `scale` materialises it.
+            let trace = match scaling {
+                Some((kind, param)) => scale(&dc.tenants[1].trace, kind, param),
+                None => dc.tenants[1].trace.clone(),
+            };
+            let slots = trace.len() as u64;
             let instants = (0..slots)
                 .map(|slot| SimTime::from_millis(slot * ms))
                 .chain([59u64, 3_601, 86_400, 40 * 86_400].map(SimTime::from_secs));
@@ -386,6 +462,52 @@ mod tests {
                     view.fleet_util_scan(t).to_bits(),
                     "fleet lookup diverged from the scan at {t:?}"
                 );
+                assert_eq!(
+                    view.tenant_util(TenantId(1), t).to_bits(),
+                    trace.at(t).to_bits(),
+                    "tenant read diverged from the scaled trace at {t:?}"
+                );
+            }
+        }
+    }
+
+    /// `mean_fleet_util` takes each tenant's mean once, yet keeps the
+    /// bits of the per-server scan it replaced: every server's scaled
+    /// tenant mean, added in server order. Unscaled, linear past
+    /// saturation and root, with a tenant that owns no servers.
+    #[test]
+    fn mean_fleet_util_matches_per_server_scan_bitwise() {
+        let dc = dc();
+        let mut specs = DatacenterProfile::dc(9).scaled(0.02).sample_tenants(7);
+        specs[1].n_servers = 0;
+        let sparse = Datacenter::from_specs("sparse".into(), &specs, 7);
+        for dc in [&dc, &sparse] {
+            for scaling in [
+                None,
+                Some((ScalingKind::Linear, 2.5)),
+                Some((ScalingKind::Root, 0.5)),
+            ] {
+                let view = UtilizationView::build(dc, scaling, DEFAULT_JITTER, 0);
+                let means: Vec<f64> = dc
+                    .tenants
+                    .iter()
+                    .map(|t| match scaling {
+                        Some((kind, param)) => scale(&t.trace, kind, param).mean(),
+                        None => t.trace.mean(),
+                    })
+                    .collect();
+                let scan = dc
+                    .servers
+                    .iter()
+                    .map(|s| means[s.tenant.0 as usize])
+                    .sum::<f64>()
+                    / dc.n_servers() as f64;
+                assert_eq!(
+                    view.mean_fleet_util().to_bits(),
+                    scan.to_bits(),
+                    "{scaling:?}: {} vs {scan}",
+                    view.mean_fleet_util()
+                );
             }
         }
     }
@@ -393,20 +515,32 @@ mod tests {
     #[test]
     fn slots_and_change_queries_track_the_grid() {
         let dc = dc();
-        let view = UtilizationView::build(&dc, None, 0.0, 0);
         let tick = harvest_trace::SAMPLE_INTERVAL;
-        // Every instant inside one tick maps to the tick's slot.
-        assert_eq!(view.slot_of(SimTime::ZERO), 0);
-        assert_eq!(view.slot_of(SimTime::from_millis(tick.as_millis() - 1)), 0);
-        assert_eq!(view.slot_of(SimTime::from_millis(tick.as_millis())), 1);
-        // Slot 0 always reads as changed; later slots change exactly
-        // when the underlying sample moves bitwise.
-        let tid = TenantId(0);
-        assert!(view.tenant_sample_changed(tid, 0));
-        let tr = view.tenant_trace(tid);
-        for slot in 1..200u64 {
-            let expect = tr.at_slot(slot).to_bits() != tr.at_slot(slot - 1).to_bits();
-            assert_eq!(view.tenant_sample_changed(tid, slot), expect, "slot {slot}");
+        // Unscaled, linear far past saturation (runs of saturated
+        // samples that moved before scaling), and root.
+        for scaling in [
+            None,
+            Some((ScalingKind::Linear, 4.0)),
+            Some((ScalingKind::Root, 0.5)),
+        ] {
+            let view = UtilizationView::build(&dc, scaling, 0.0, 0);
+            // Every instant inside one tick maps to the tick's slot.
+            assert_eq!(view.slot_of(SimTime::ZERO), 0);
+            assert_eq!(view.slot_of(SimTime::from_millis(tick.as_millis() - 1)), 0);
+            assert_eq!(view.slot_of(SimTime::from_millis(tick.as_millis())), 1);
+            // Slot 0 always reads as changed; later slots change exactly
+            // when the scaled sample moves bitwise.
+            let tid = TenantId(0);
+            assert!(view.tenant_sample_changed(tid, 0));
+            let raw = &dc.tenants[0].trace;
+            let tr = match scaling {
+                Some((kind, param)) => scale(raw, kind, param),
+                None => raw.clone(),
+            };
+            for slot in 1..200u64 {
+                let expect = tr.at_slot(slot).to_bits() != tr.at_slot(slot - 1).to_bits();
+                assert_eq!(view.tenant_sample_changed(tid, slot), expect, "slot {slot}");
+            }
         }
     }
 

@@ -15,7 +15,9 @@
 //! [`classify_with_features`] computes its mean, peak, standard
 //! deviation and one spectrum (through one [`SpectrumScratch`] reused
 //! across tenants), and the pattern, the K-Means features and the
-//! class's utilization tags all come from those values. The FFT
+//! class's utilization tags all come from those values. A scaled view
+//! writes each tenant's scaled samples into one buffer reused across
+//! tenants (an unscaled one lends its shared samples). The FFT
 //! dominates the build; a second spectrum per tenant would double it.
 
 use harvest_cluster::{Datacenter, ServerId, TenantId, UtilizationView};
@@ -111,14 +113,14 @@ impl ClusteringService {
         // pattern and the K-Means features.
         let classifier = ClassifierConfig::default();
         let mut scratch = SpectrumScratch::new();
+        let mut samples = Vec::new();
         let mut by_pattern: [Vec<TenantId>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         let features: Vec<TraceFeatures> = dc
             .tenants
             .iter()
             .map(|t| {
-                let trace = view.tenant_trace(t.id);
-                let (pattern, features) =
-                    classify_with_features(trace.values(), &classifier, &mut scratch);
+                let trace = view.tenant_samples(t.id, &mut samples);
+                let (pattern, features) = classify_with_features(trace, &classifier, &mut scratch);
                 by_pattern[pattern_slot(pattern)].push(t.id);
                 features
             })

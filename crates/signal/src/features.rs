@@ -53,13 +53,36 @@ impl TraceFeatures {
 
 /// Mean, peak and (population) standard deviation of a trace, all 0
 /// for an empty one.
+///
+/// The sum and the `f64::max` fold share one pass, so the max
+/// comparisons overlap the sum's serial chain instead of costing a
+/// second walk. The sum still adds every sample in index order from
+/// `-0.0` (where `Iterator::sum` starts), so the mean keeps its bits.
+/// The max runs in eight lanes, merged at the end: a maximum does not
+/// depend on the order of the fold (NaNs are skipped either way), and
+/// the compiled two-pass fold reduced in vector lanes too. Only the
+/// sign of a zero maximum could differ, which `f64::max` leaves
+/// unspecified.
 pub(crate) fn moments(values: &[f64]) -> (f64, f64, f64) {
     if values.is_empty() {
         return (0.0, 0.0, 0.0);
     }
     let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    let peak = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let (rows, rest) = values.as_chunks::<8>();
+    let mut sum = -0.0;
+    let mut peaks = [f64::NEG_INFINITY; 8];
+    for row in rows {
+        for (peak, &v) in peaks.iter_mut().zip(row) {
+            sum += v;
+            *peak = f64::max(*peak, v);
+        }
+    }
+    let mut peak = peaks.into_iter().fold(f64::NEG_INFINITY, f64::max);
+    for &v in rest {
+        sum += v;
+        peak = f64::max(peak, v);
+    }
+    let mean = sum / n;
     let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
     (mean, peak, var.sqrt())
 }
@@ -115,6 +138,47 @@ mod tests {
         assert!((f.mean - 0.5).abs() < 1e-12);
         assert_eq!(f.peak, 0.8);
         assert!(f.std_dev > 0.0);
+    }
+
+    /// The fused pass keeps the bits of the separate sum and max fold:
+    /// a month-long trace, lengths on and off the eight lanes, the
+    /// maximum in every lane and in the tail, NaNs, overflow, and
+    /// all-negative or all-zero samples.
+    #[test]
+    fn fused_moments_match_two_passes_bitwise() {
+        let wave = |n: usize| -> Vec<f64> {
+            (0..n)
+                .map(|i| 0.4 + 0.3 * (i as f64 * 0.013).sin() + 1e-9 * (i % 7) as f64)
+                .collect()
+        };
+        let mut cases = vec![
+            wave(21_600),
+            wave(21_603),
+            vec![-0.0; 5],
+            vec![-0.0; 16],
+            vec![0.0; 11],
+            vec![-0.0, 0.0, -0.0],
+            vec![0.3, f64::NAN, 0.9],
+            vec![f64::NAN, 0.2],
+            vec![f64::NAN; 9],
+            vec![1e308, 1e308, -1e308],
+            vec![1e308; 12],
+            (0..19).map(|i| -1.0 - i as f64).collect(),
+        ];
+        for at in 0..19 {
+            let mut spike = wave(19);
+            spike[at] = 0.95;
+            spike[(at + 5) % 19] = f64::NAN;
+            cases.push(spike);
+        }
+        for values in cases {
+            let n = values.len() as f64;
+            let mean = values.iter().sum::<f64>() / n;
+            let peak = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let (m, p, _) = moments(&values);
+            assert_eq!(m.to_bits(), mean.to_bits(), "{values:?}");
+            assert_eq!(p.to_bits(), peak.to_bits(), "{values:?}");
+        }
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! utilization, whereas a testing tenant often exhibits unpredictable
 //! utilization behavior."
 
+use std::sync::Arc;
+
 use harvest_signal::classify::UtilizationPattern;
 use harvest_sim::dist;
 use rand::Rng;
@@ -80,19 +82,20 @@ impl UtilGen {
         }
     }
 
-    /// Generates `samples` two-minute samples of utilization.
+    /// Generates `samples` two-minute samples of utilization, written
+    /// straight into the series' shared buffer.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R, samples: usize) -> TimeSeries {
         let values = match self {
             UtilGen::Periodic(g) => g.generate_values(rng, samples),
             UtilGen::Constant(g) => g.generate_values(rng, samples),
             UtilGen::Unpredictable(g) => g.generate_values(rng, samples),
         };
-        TimeSeries::new(SAMPLE_INTERVAL, values)
+        TimeSeries::from_shared(SAMPLE_INTERVAL, values)
     }
 }
 
 impl PeriodicGen {
-    fn generate_values<R: Rng + ?Sized>(&self, rng: &mut R, samples: usize) -> Vec<f64> {
+    fn generate_values<R: Rng + ?Sized>(&self, rng: &mut R, samples: usize) -> Arc<[f64]> {
         let spike_prob = self.spikes_per_day / SAMPLES_PER_DAY as f64;
         let mut spike_left = 0usize;
         (0..samples)
@@ -123,7 +126,7 @@ impl PeriodicGen {
 }
 
 impl ConstantGen {
-    fn generate_values<R: Rng + ?Sized>(&self, rng: &mut R, samples: usize) -> Vec<f64> {
+    fn generate_values<R: Rng + ?Sized>(&self, rng: &mut R, samples: usize) -> Arc<[f64]> {
         (0..samples)
             .map(|_| (self.level + dist::normal(rng, 0.0, self.noise_std)).clamp(0.0, 1.0))
             .collect()
@@ -131,7 +134,7 @@ impl ConstantGen {
 }
 
 impl UnpredictableGen {
-    fn generate_values<R: Rng + ?Sized>(&self, rng: &mut R, samples: usize) -> Vec<f64> {
+    fn generate_values<R: Rng + ?Sized>(&self, rng: &mut R, samples: usize) -> Arc<[f64]> {
         let jump_prob = self.jumps_per_day / SAMPLES_PER_DAY as f64;
         let mut level = self.mean;
         (0..samples)

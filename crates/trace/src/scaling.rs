@@ -47,6 +47,7 @@ impl std::fmt::Display for ScalingKind {
 
 impl ScalingKind {
     /// The transform with parameter `param`, before saturation.
+    #[inline]
     fn unclamped(self, v: f64, param: f64) -> f64 {
         match self {
             ScalingKind::Linear => v * param,
@@ -55,17 +56,28 @@ impl ScalingKind {
     }
 
     /// One sample of [`scale`]: the transform saturated to `[0, 1]`.
-    /// [`scale`] maps [`ScalingKind::unclamped`] over a series with
+    /// [`scale`] maps the unsaturated transform over a series with
     /// `TimeSeries::map_clamped`, which saturates the same way, and
-    /// [`calibrate`] sums this in place, so the two agree bit for bit.
-    fn apply(self, v: f64, param: f64) -> f64 {
+    /// [`calibrate`] sums this in place, as a utilization view reads
+    /// it, so all three agree bit for bit.
+    #[inline]
+    pub fn apply(self, v: f64, param: f64) -> f64 {
         self.unclamped(v, param).clamp(0.0, 1.0)
+    }
+
+    /// Panics unless `param` is a valid parameter of this scaling: a
+    /// non-negative factor, or a positive exponent.
+    pub fn check_param(self, param: f64) {
+        match self {
+            ScalingKind::Linear => assert!(param >= 0.0, "scaling factor must be non-negative"),
+            ScalingKind::Root => assert!(param > 0.0, "root exponent must be positive"),
+        }
     }
 }
 
 /// Multiplies every sample by `factor`, saturating at 1.0.
 pub fn scale_linear(ts: &TimeSeries, factor: f64) -> TimeSeries {
-    assert!(factor >= 0.0, "scaling factor must be non-negative");
+    ScalingKind::Linear.check_param(factor);
     ts.map_clamped(|v| ScalingKind::Linear.unclamped(v, factor))
 }
 
@@ -74,7 +86,7 @@ pub fn scale_linear(ts: &TimeSeries, factor: f64) -> TimeSeries {
 /// `e = 1/n` is the paper's nth-root scaling (raises utilization);
 /// `e > 1` lowers it. Saturation is impossible since `u ∈ [0, 1]`.
 pub fn scale_root(ts: &TimeSeries, exponent: f64) -> TimeSeries {
-    assert!(exponent > 0.0, "root exponent must be positive");
+    ScalingKind::Root.check_param(exponent);
     ts.map_clamped(|v| ScalingKind::Root.unclamped(v, exponent))
 }
 
@@ -334,7 +346,11 @@ fn linear_estimate(traces: &[&TimeSeries], summaries: &[TraceSummary], k: f64) -
 /// other step, or a non-finite estimate, runs the exact pass: each
 /// trace's samples scaled and added in index order, eight equal-length
 /// traces in lockstep, with no copy. Only steps that close to the
-/// target need it (18 of 59 on DC-9 to 45%). Root scaling runs the
+/// target need it (18 of 59 on DC-9 to 45%). Once exact passes have
+/// set both `lo` and `hi`, every later step is that close, so it skips
+/// the estimate and runs the exact pass at once (16 of those 18 on
+/// DC-9): a skipped estimate costs no bits, since the exact pass
+/// decides every step the same way. Root scaling runs the
 /// exact pass on every step: its cost is `powf` per sample and it has
 /// no regime a block summary could decide.
 pub fn calibrate(traces: &[&TimeSeries], kind: ScalingKind, target_mean: f64) -> f64 {
@@ -342,12 +358,12 @@ pub fn calibrate(traces: &[&TimeSeries], kind: ScalingKind, target_mean: f64) ->
 }
 
 /// [`calibrate`], also returning how many bisection steps ran the exact
-/// pass.
+/// pass and how many computed the estimate.
 pub(crate) fn calibrate_counted(
     traces: &[&TimeSeries],
     kind: ScalingKind,
     target_mean: f64,
-) -> (f64, usize) {
+) -> (f64, Counts) {
     assert!(!traces.is_empty(), "cannot calibrate zero traces");
     assert!(
         (0.0..=1.0).contains(&target_mean),
@@ -376,17 +392,26 @@ pub(crate) fn calibrate_counted(
         ScalingKind::Linear => (0.0f64, 64.0f64, true),
         ScalingKind::Root => (1.0 / 64.0, 64.0f64, false),
     };
-    let mut exact_passes = 0;
+    let mut counts = Counts::default();
+    // Whether an exact pass set each of `lo` and `hi`. Once both were,
+    // every later midpoint's mean lies between two means within the
+    // margin of the target, so no estimate could decide it: the exact
+    // pass runs straight away.
+    let mut exact_ends = [false; 2];
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
-        let m = match summaries
-            .as_deref()
-            .map(|s| linear_estimate(traces, s, mid))
-        {
-            Some(estimate) if certain(estimate) => estimate,
+        let estimate = match summaries.as_deref() {
+            Some(s) if exact_ends != [true; 2] => {
+                counts.estimates += 1;
+                Some(linear_estimate(traces, s, mid))
+            }
+            _ => None,
+        };
+        let (m, exact) = match estimate {
+            Some(estimate) if certain(estimate) => (estimate, false),
             _ => {
-                exact_passes += 1;
-                mean_with(mid)
+                counts.exact_passes += 1;
+                (mean_with(mid), true)
             }
         };
         let go_up = if increasing {
@@ -394,14 +419,28 @@ pub(crate) fn calibrate_counted(
         } else {
             m > target_mean
         };
-        let end = if go_up { &mut lo } else { &mut hi };
+        let (end, end_exact) = if go_up {
+            (&mut lo, &mut exact_ends[0])
+        } else {
+            (&mut hi, &mut exact_ends[1])
+        };
         if end.to_bits() == mid.to_bits() {
             // A fixed point: the next step sees the same (lo, hi).
             break;
         }
         *end = mid;
+        *end_exact = exact;
     }
-    (0.5 * (lo + hi), exact_passes)
+    (0.5 * (lo + hi), counts)
+}
+
+/// What one [`calibrate`] call computed, for the tests.
+#[derive(Debug, Default)]
+pub(crate) struct Counts {
+    /// Steps that ran the exact pass.
+    pub exact_passes: usize,
+    /// Steps that computed the linear estimate.
+    pub estimates: usize,
 }
 
 #[cfg(test)]
@@ -507,9 +546,12 @@ mod tests {
             })
             .collect();
         let refs: Vec<&TimeSeries> = traces.iter().collect();
-        let (factor, exact_passes) = calibrate_counted(&refs, ScalingKind::Linear, 0.45);
+        let (factor, counts) = calibrate_counted(&refs, ScalingKind::Linear, 0.45);
         assert!(factor > 1.0, "DC-9 runs below 45%, got factor {factor}");
-        assert!(exact_passes <= 24, "{exact_passes} exact passes");
+        assert!(counts.exact_passes <= 24, "{counts:?}");
+        // Once exact passes have set both ends, the remaining steps
+        // (16 of them here) skip the estimate they could not use.
+        assert!(counts.estimates <= 45, "{counts:?}");
     }
 
     #[test]

@@ -1148,6 +1148,122 @@ proptest! {
     }
 }
 
+// --- utilization view: scaling on read, bit-exact against `scale` ------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A scaled view reads the datacenter's shared traces through the
+    /// scaling. Every read equals, bit for bit, the same read of an
+    /// unscaled view over traces materialised with `scaling::scale`:
+    /// random small datacenters, both kinds at parameters that saturate
+    /// (and unscaled), jitter on or off, one tenant with no servers and
+    /// one trace off the sampling grid (another interval, or a shorter
+    /// span, so the view has no shared grid and no fleet series).
+    #[test]
+    fn scaled_view_reads_match_materialised_traces_bitwise(
+        dc_id in 0usize..10,
+        dc_seed in 0u64..1_000,
+        kind in 0usize..3,
+        param in 0.05f64..4.0,
+        empty in 0usize..8,
+        odd in 0usize..8,
+        odd_kind in 0usize..3,
+        jitter in 0usize..2,
+        jitter_seed in 0u64..1_000,
+        secs in prop::collection::vec(0u64..70 * 86_400, 24),
+    ) {
+        use harvest::cluster::{TenantId, UtilizationView};
+        use harvest::trace::datacenter::DatacenterProfile;
+        use harvest::trace::SAMPLE_INTERVAL;
+
+        let profile = DatacenterProfile::dc(dc_id).scaled(0.01);
+        let mut specs = profile.sample_tenants(dc_seed);
+        let n = specs.len();
+        specs[empty % n].n_servers = 0;
+        let mut dc = Datacenter::from_specs(profile.name(), &specs, dc_seed);
+        let odd = &mut dc.tenants[odd % n].trace;
+        let samples = odd.values().to_vec();
+        *odd = match odd_kind {
+            // Another interval: lookups divide by it, not the grid's.
+            0 => TimeSeries::new(SimDuration::from_secs(150), samples),
+            // A shorter span on the grid: no fleet series.
+            1 => TimeSeries::new(SAMPLE_INTERVAL, samples[..997].to_vec()),
+            _ => odd.clone(),
+        };
+        let scaling = match kind {
+            0 => None,
+            1 => Some((ScalingKind::Linear, param)),
+            // Exponents from 1/20 to 4: far below 1 lifts every sample
+            // towards saturation.
+            _ => Some((ScalingKind::Root, param)),
+        };
+        let mut materialised = dc.clone();
+        if let Some((kind, param)) = scaling {
+            for t in &mut materialised.tenants {
+                t.trace = scale(&t.trace, kind, param);
+            }
+        }
+        let amp = [0.0, 0.05][jitter];
+        let view = UtilizationView::build(&dc, scaling, amp, jitter_seed);
+        // The jitter is the view's own; the tenant-level reads below are
+        // checked against the materialised series directly.
+        let oracle = UtilizationView::build(&materialised, None, amp, jitter_seed);
+        let traces: Vec<&TimeSeries> = materialised.tenants.iter().map(|t| &t.trace).collect();
+        let mut weights = vec![0.0; n];
+        for s in &dc.servers {
+            weights[s.tenant.0 as usize] += 1.0;
+        }
+        let servers = dc.n_servers() as f64;
+        let bits = |v: f64| v.to_bits();
+        let per_server_mean =
+            dc.servers.iter().map(|s| traces[s.tenant.0 as usize].mean()).sum::<f64>() / servers;
+        prop_assert_eq!(bits(view.mean_fleet_util()), bits(per_server_mean));
+        let mut buf = Vec::new();
+        for t in &materialised.tenants {
+            prop_assert_eq!(
+                float_bits(view.tenant_samples(t.id, &mut buf)),
+                float_bits(t.trace.values())
+            );
+        }
+        let ms = SAMPLE_INTERVAL.as_millis();
+        // Random instants, each with its slot's start and the start of
+        // the next slot, so change queries see both sides of a boundary.
+        let instants = secs.iter().flat_map(|&s| {
+            let t = SimTime::from_secs(s);
+            let slot = t.as_millis() / ms;
+            [t, SimTime::from_millis(slot * ms), SimTime::from_millis((slot + 1) * ms)]
+        });
+        for t in instants {
+            let slot = view.slot_of(t);
+            prop_assert_eq!(slot, t.as_millis() / ms);
+            let scan = traces.iter().zip(&weights).map(|(tr, &w)| tr.at(t) * w).sum::<f64>()
+                / servers;
+            prop_assert_eq!(bits(view.fleet_util_scan(t)), bits(scan));
+            prop_assert_eq!(bits(view.fleet_util(t)), bits(scan));
+            for (tenant, tr) in traces.iter().enumerate() {
+                let tid = TenantId(tenant as u32);
+                prop_assert_eq!(bits(view.tenant_util(tid, t)), bits(tr.at(t)));
+                let changed = slot == 0
+                    || tr.at(SimTime::from_millis(slot * ms)).to_bits()
+                        != tr.at(SimTime::from_millis((slot - 1) * ms)).to_bits();
+                prop_assert_eq!(view.tenant_sample_changed(tid, slot), changed);
+            }
+            for s in &dc.servers {
+                let util = view.server_util(s.id, t);
+                prop_assert_eq!(bits(util), bits(oracle.server_util(s.id, t)));
+                if amp == 0.0 {
+                    prop_assert_eq!(bits(util), bits(traces[s.tenant.0 as usize].at(t)));
+                }
+                prop_assert_eq!(
+                    view.server_sample_changed(s.id, slot),
+                    oracle.server_sample_changed(s.id, slot)
+                );
+            }
+        }
+    }
+}
+
 // --- calibration: bit-exact against the scale-then-mean bisection -------
 
 /// `calibrate`'s reference fleet mean: scale every trace, take each
