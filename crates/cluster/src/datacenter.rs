@@ -11,7 +11,7 @@ use crate::server::{RackId, Server, ServerId, Tenant, TenantId};
 pub const RACK_SIZE: u32 = 20;
 
 /// Default harvestable blocks per server (256 MB blocks; 2 400 ≈ 600 GB).
-pub const DEFAULT_HARVEST_BLOCKS: u32 = 2_400;
+pub(crate) const DEFAULT_HARVEST_BLOCKS: u32 = 2_400;
 
 /// A concrete datacenter: tenants with month-long utilization traces, and
 /// the servers they own.
@@ -183,7 +183,7 @@ mod tests {
         assert!(dc.n_servers() > 0);
         for (i, s) in dc.servers.iter().enumerate() {
             assert_eq!(s.id.0 as usize, i);
-            assert!(dc.tenant(s.tenant).owns(s.id));
+            assert!(dc.tenant(s.tenant).server_ids().any(|id| id == s.id));
         }
         for (i, t) in dc.tenants.iter().enumerate() {
             assert_eq!(t.id.0 as usize, i);

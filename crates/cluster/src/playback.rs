@@ -66,7 +66,7 @@ use crate::datacenter::Datacenter;
 use crate::server::{ServerId, TenantId};
 
 /// Default per-server jitter amplitude around the tenant trace.
-pub const DEFAULT_JITTER: f64 = 0.01;
+pub(crate) const DEFAULT_JITTER: f64 = 0.01;
 
 /// A scaled, queryable view of every tenant's utilization.
 #[derive(Debug, Clone)]

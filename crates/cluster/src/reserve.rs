@@ -25,11 +25,12 @@ pub const RESERVE: Resources = Resources {
 };
 
 /// CPU utilization above which a server denies harvested storage accesses.
-pub const BUSY_CPU_THRESHOLD: f64 = 1.0 - RESERVE.cores as f64 / SERVER_CAPACITY.cores as f64;
+pub(crate) const BUSY_CPU_THRESHOLD: f64 =
+    1.0 - RESERVE.cores as f64 / SERVER_CAPACITY.cores as f64;
 
 /// Rounds a primary tenant's CPU utilization up to whole cores (§5.3:
 /// "round them up to the next integer number of cores").
-pub fn primary_cores(cpu_util: f64) -> u32 {
+pub(crate) fn primary_cores(cpu_util: f64) -> u32 {
     let cores = (cpu_util.clamp(0.0, 1.0) * SERVER_CAPACITY.cores as f64).ceil() as u32;
     cores.min(SERVER_CAPACITY.cores)
 }
@@ -40,7 +41,7 @@ pub fn primary_cores(cpu_util: f64) -> u32 {
 /// Memory is modelled as tracking CPU (the paper's evaluation focuses on
 /// CPU; this keeps the memory dimension consistent without a second
 /// trace).
-pub fn primary_usage(cpu_util: f64) -> Resources {
+pub(crate) fn primary_usage(cpu_util: f64) -> Resources {
     let frac = cpu_util.clamp(0.0, 1.0);
     Resources {
         cores: primary_cores(frac),

@@ -40,28 +40,9 @@ impl Resources {
         }
     }
 
-    /// Component-wise minimum.
-    pub fn min(self, other: Resources) -> Resources {
-        Resources {
-            cores: self.cores.min(other.cores),
-            memory_mb: self.memory_mb.min(other.memory_mb),
-        }
-    }
-
     /// True if both components are zero.
     pub fn is_zero(&self) -> bool {
         self.cores == 0 && self.memory_mb == 0
-    }
-
-    /// The number of containers of size `unit` that fit in `self`
-    /// (limited by the scarcer dimension).
-    pub fn container_count(&self, unit: Resources) -> u32 {
-        let by_cores = self.cores.checked_div(unit.cores).unwrap_or(u32::MAX);
-        let by_mem = self
-            .memory_mb
-            .checked_div(unit.memory_mb)
-            .unwrap_or(u32::MAX);
-        by_cores.min(by_mem)
     }
 }
 
@@ -105,6 +86,19 @@ impl fmt::Display for Resources {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Resources {
+        /// The number of containers of size `unit` that fit in `self`
+        /// (limited by the scarcer dimension).
+        fn container_count(&self, unit: Resources) -> u32 {
+            let by_cores = self.cores.checked_div(unit.cores).unwrap_or(u32::MAX);
+            let by_mem = self
+                .memory_mb
+                .checked_div(unit.memory_mb)
+                .unwrap_or(u32::MAX);
+            by_cores.min(by_mem)
+        }
+    }
 
     #[test]
     fn fits_requires_both_dimensions() {

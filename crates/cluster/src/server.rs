@@ -87,17 +87,19 @@ impl Tenant {
     pub fn server_ids(&self) -> impl Iterator<Item = ServerId> + '_ {
         self.server_range.clone().map(ServerId)
     }
-
-    /// Whether the tenant owns the given server.
-    pub fn owns(&self, server: ServerId) -> bool {
-        self.server_range.contains(&server.0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use harvest_sim::SimDuration;
+
+    impl Tenant {
+        /// Whether the tenant owns the given server.
+        fn owns(&self, server: ServerId) -> bool {
+            self.server_range.contains(&server.0)
+        }
+    }
 
     fn tenant() -> Tenant {
         Tenant {

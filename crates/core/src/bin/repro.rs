@@ -360,7 +360,6 @@ fn run() -> Result<ExitCode, String> {
     } else {
         Recorder::off()
     };
-    scale.record = rec.is_on();
     // Validate every experiment name before expanding "all" or running
     // anything: a typo anywhere in the list (including a mistyped flag,
     // which parses as a name) must not cost the hour of experiments

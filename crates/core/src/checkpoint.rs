@@ -4,7 +4,7 @@
 //! and without a journal, hour N of compute is gone. This module gives
 //! every experiment sweep a resilient execution layer:
 //!
-//! * [`sweep`] / [`sweep_plain`] wrap
+//! * `sweep` / `sweep_plain` wrap
 //!   [`harvest_sim::supervise::par_map_supervised_with`]: panic
 //!   isolation with bounded retries, quarantine, and the
 //!   deadline/straggler watchdog, keyed by *stable task keys* (the
@@ -54,7 +54,7 @@ use harvest_sim::supervise::{par_map_supervised_with, CancelToken, SuperviseConf
 use crate::scale::Scale;
 
 /// FNV-1a 64-bit over `bytes` — the journal line checksum.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -313,13 +313,13 @@ impl Checkpoint {
     }
 
     /// The restored result for `key`, if the resume journal had one.
-    pub fn restored(&self, key: &str) -> Option<&json::Value> {
+    pub(crate) fn restored(&self, key: &str) -> Option<&json::Value> {
         self.restored.get(key)
     }
 
     /// Whether restored results should be re-journaled (fresh write
     /// file that does not already contain them).
-    pub fn rewrite_restored(&self) -> bool {
+    pub(crate) fn rewrite_restored(&self) -> bool {
         self.rewrite_restored
     }
 
@@ -429,7 +429,7 @@ pub struct Harness {
 /// `decode(parse(encode(x)))` must be bitwise identical to `x` — use
 /// [`hex_u64`]/[`hex_f64`] for every numeric field (see the module
 /// docs for why plain JSON numbers are not exact).
-pub trait Journaled: Sized {
+pub(crate) trait Journaled: Sized {
     /// Encode as a JSON value (one journal line's `"v"`).
     fn encode(&self) -> String;
     /// Decode a parsed journal value; `None` on shape mismatch (the
@@ -449,12 +449,12 @@ pub fn hex_f64(v: f64) -> String {
 }
 
 /// Reads a [`hex_u64`]-encoded field from a journal value.
-pub fn get_u64(v: &json::Value, key: &str) -> Option<u64> {
+pub(crate) fn get_u64(v: &json::Value, key: &str) -> Option<u64> {
     u64::from_str_radix(v.get(key)?.as_str()?, 16).ok()
 }
 
 /// Reads a [`hex_f64`]-encoded field from a journal value.
-pub fn get_f64(v: &json::Value, key: &str) -> Option<f64> {
+pub(crate) fn get_f64(v: &json::Value, key: &str) -> Option<f64> {
     get_u64(v, key).map(f64::from_bits)
 }
 
@@ -478,7 +478,7 @@ pub fn obj(fields: &[(&str, String)]) -> String {
 /// (`None` exactly for quarantined/cancelled tasks) plus a
 /// deterministic report note describing them, if any.
 #[derive(Debug)]
-pub struct Sweep<R> {
+pub(crate) struct Sweep<R> {
     /// One slot per task, input order.
     pub results: Vec<Option<R>>,
     /// Deterministic "harness:" note for the report when tasks were
@@ -611,7 +611,13 @@ where
 /// `"{stream}/{key_of(task)}"` and must be stable across runs and
 /// `--jobs` values — they are what the resume journal indexes by.
 /// Results journal through [`Journaled`] when a checkpoint is open.
-pub fn sweep<T, R, F, K>(scale: &Scale, stream: &str, tasks: &[T], key_of: K, f: F) -> Sweep<R>
+pub(crate) fn sweep<T, R, F, K>(
+    scale: &Scale,
+    stream: &str,
+    tasks: &[T],
+    key_of: K,
+    f: F,
+) -> Sweep<R>
 where
     T: Sync,
     R: Journaled + Send,
@@ -634,7 +640,7 @@ where
 /// Supervised sweep without journaling: panic isolation, retries, and
 /// the watchdog, but results are always recomputed on resume (for
 /// cheap per-row tasks whose results are not worth journaling).
-pub fn sweep_plain<T, R, F, K>(
+pub(crate) fn sweep_plain<T, R, F, K>(
     scale: &Scale,
     stream: &str,
     tasks: &[T],
@@ -660,7 +666,7 @@ where
 
 /// [`sweep_plain`] with per-worker scratch: `init` runs once per
 /// worker of [`harvest_sim::supervise::par_map_supervised_with`].
-pub fn sweep_plain_with<T, R, S, I, F, K>(
+pub(crate) fn sweep_plain_with<T, R, S, I, F, K>(
     scale: &Scale,
     stream: &str,
     tasks: &[T],

@@ -53,7 +53,7 @@ impl Journaled for AvailabilityResult {
 /// views are hoisted and shared read-only. Aggregation replays the
 /// sequential loop's order, so the report is byte-identical at any
 /// thread count.
-pub fn fig16(scale: &Scale) -> String {
+pub(crate) fn fig16(scale: &Scale) -> String {
     let profile = DatacenterProfile::dc(9).scaled(scale.dc_scale);
     let dc = Datacenter::generate(&profile, scale.seed);
     let traces: Vec<_> = dc.tenants.iter().map(|t| &t.trace).collect();

@@ -24,7 +24,7 @@ const REIMAGE_DCS: [usize; 5] = [0, 7, 9, 3, 1];
 
 /// Figure 1: sample periodic and unpredictable traces in the time and
 /// frequency domains.
-pub fn fig1(scale: &Scale) -> String {
+pub(crate) fn fig1(scale: &Scale) -> String {
     let profile = DatacenterProfile::dc(9);
     let tenants = profile.sample_tenants(scale.seed);
     let periodic = tenants
@@ -118,7 +118,7 @@ fn classify_all(scale: &Scale) -> (DcClassifications, Vec<String>) {
 }
 
 /// Figure 2: percentage of primary tenants per class.
-pub fn fig2(scale: &Scale) -> String {
+pub(crate) fn fig2(scale: &Scale) -> String {
     let mut table = Table::new(
         "Figure 2: percentage of primary tenants per class",
         &["datacenter", "periodic", "constant", "unpredictable"],
@@ -144,7 +144,7 @@ pub fn fig2(scale: &Scale) -> String {
 }
 
 /// Figure 3: percentage of servers per class.
-pub fn fig3(scale: &Scale) -> String {
+pub(crate) fn fig3(scale: &Scale) -> String {
     let mut table = Table::new(
         "Figure 3: percentage of servers per class",
         &["datacenter", "periodic", "constant", "unpredictable"],
@@ -252,7 +252,7 @@ fn cdf_row(name: String, samples: &[f64], thresholds: &[f64]) -> Vec<String> {
 }
 
 /// Figure 4: CDF of per-server reimages/month over three years.
-pub fn fig4(scale: &Scale) -> String {
+pub(crate) fn fig4(scale: &Scale) -> String {
     let thresholds = [0.25, 0.5, 1.0, 1.5, 2.0];
     let mut table = Table::new(
         "Figure 4: CDF of per-server reimages per month (3 years)",
@@ -274,7 +274,7 @@ pub fn fig4(scale: &Scale) -> String {
 }
 
 /// Figure 5: CDF of per-tenant reimages/server/month over three years.
-pub fn fig5(scale: &Scale) -> String {
+pub(crate) fn fig5(scale: &Scale) -> String {
     let thresholds = [0.25, 0.5, 1.0, 1.5, 2.0];
     let mut table = Table::new(
         "Figure 5: CDF of per-tenant reimages per server per month (3 years)",
@@ -296,7 +296,7 @@ pub fn fig5(scale: &Scale) -> String {
 }
 
 /// Figure 6: CDF of tenant frequency-group changes month-over-month.
-pub fn fig6(scale: &Scale) -> String {
+pub(crate) fn fig6(scale: &Scale) -> String {
     let thresholds = [2.0, 4.0, 8.0, 12.0, 20.0];
     let mut table = Table::new(
         "Figure 6: CDF of reimage frequency-group changes in 3 years (35 transitions)",

@@ -8,7 +8,7 @@ use crate::report::Table;
 use crate::scale::Scale;
 
 /// Figure 7: per-level concurrency of query 19 and the BFS estimate.
-pub fn fig7(scale: &Scale) -> String {
+pub(crate) fn fig7(scale: &Scale) -> String {
     let q = query_19();
     let levels = q.levels();
     let max_level = levels.iter().copied().max().unwrap_or(0);

@@ -2,6 +2,7 @@
 
 use harvest_cluster::Datacenter;
 use harvest_dfs::durability::{simulate_durability, DurabilityConfig};
+use harvest_dfs::heartbeat::{replay_heartbeats_disk, util_burst_trace, HeartbeatMode};
 use harvest_dfs::placement::PlacementPolicy;
 use harvest_disk::DiskConfig;
 use harvest_net::NetworkConfig;
@@ -18,7 +19,7 @@ use crate::scale::Scale;
 
 /// Aggregate of several durability runs.
 #[derive(Debug, Clone, Copy)]
-pub struct LossSummary {
+pub(crate) struct LossSummary {
     /// Mean lost-block percentage across runs.
     pub avg_percent: f64,
     /// Minimum across runs.
@@ -164,8 +165,39 @@ fn repair_blame(dc: &Datacenter, scale: &Scale, seed: u64) -> Option<String> {
         .map(|s| s.blame_line())
 }
 
+/// The §7 lesson-2 incident on the run's disks: one DataNode's
+/// heartbeats replayed with a synchronous and with an asynchronous
+/// status thread over one fixed primary burst (20 minutes of 3 s beats
+/// at 10% CPU, with 12 minutes at 90% in the middle). Needs the disk
+/// model — the throttle is what parks a synchronous status read — so
+/// this returns `None` without one. Pure sim time, so the line is
+/// deterministic.
+fn heartbeat_note(scale: &Scale) -> Option<String> {
+    let disk = scale.disk.as_ref()?;
+    let primary_util = util_burst_trace(400, 50, 240, 0.1, 0.9);
+    let replay = |mode: HeartbeatMode| {
+        let out = replay_heartbeats_disk(mode, disk, &primary_util);
+        format!(
+            "{}/{} beats delivered ({} stale), {}",
+            out.delivered,
+            out.expected,
+            out.stale,
+            if out.declared_dead {
+                "declared dead"
+            } else {
+                "not declared dead"
+            }
+        )
+    };
+    Some(format!(
+        "heartbeats over a 12-minute primary burst: synchronous {}; asynchronous {}",
+        replay(HeartbeatMode::Synchronous),
+        replay(HeartbeatMode::Asynchronous)
+    ))
+}
+
 /// Folds per-run outcomes (in run order) into a [`LossSummary`].
-pub fn summarize(runs: &[RunLoss]) -> LossSummary {
+pub(crate) fn summarize(runs: &[RunLoss]) -> LossSummary {
     let n = runs.len() as f64;
     LossSummary {
         avg_percent: runs.iter().map(|r| r.percent).sum::<f64>() / n,
@@ -185,7 +217,7 @@ pub fn summarize(runs: &[RunLoss]) -> LossSummary {
 /// quarantined/cancelled tasks are `None` and skipped. An all-`None`
 /// chunk yields NaN percentages and zero counters — the harness note
 /// names the missing tasks.
-pub fn summarize_present(runs: &[Option<RunLoss>]) -> LossSummary {
+pub(crate) fn summarize_present(runs: &[Option<RunLoss>]) -> LossSummary {
     let present: Vec<RunLoss> = runs.iter().flatten().copied().collect();
     if present.is_empty() {
         return LossSummary {
@@ -204,37 +236,6 @@ pub fn summarize_present(runs: &[Option<RunLoss>]) -> LossSummary {
     summarize(&present)
 }
 
-/// Runs `runs` durability simulations for one (DC, policy, replication).
-#[allow(clippy::too_many_arguments)]
-pub fn loss_summary(
-    dc: &Datacenter,
-    policy: PlacementPolicy,
-    replication: usize,
-    months: usize,
-    runs: usize,
-    base_seed: u64,
-    network: Option<NetworkConfig>,
-    disk: Option<DiskConfig>,
-    faults: &FaultPlan,
-) -> LossSummary {
-    let outcomes: Vec<RunLoss> = (0..runs)
-        .map(|r| {
-            run_loss(
-                dc,
-                policy,
-                replication,
-                months,
-                base_seed,
-                r,
-                network,
-                disk,
-                faults,
-            )
-        })
-        .collect();
-    summarize(&outcomes)
-}
-
 /// Figure 15: percentage of lost blocks per datacenter, for HDFS-Stock
 /// and HDFS-H at three- and four-way replication.
 ///
@@ -242,7 +243,7 @@ pub fn loss_summary(
 /// independent tasks and fanned out over `scale.jobs` workers;
 /// aggregation happens afterwards in input order, so the report is
 /// byte-identical at any thread count.
-pub fn fig15(scale: &Scale) -> String {
+pub(crate) fn fig15(scale: &Scale) -> String {
     let mut table = Table::new(
         format!(
             "Figure 15: lost blocks over {} months (avg [min..max] %, and avg blocks)",
@@ -410,6 +411,9 @@ pub fn fig15(scale: &Scale) -> String {
     if let Some(line) = repair_blame(&dcs[3], scale, scale.run_seed("fig15", 3)) {
         table.note(format!("repair blame (DC-3 reimage storm): {line}"));
     }
+    if let Some(line) = heartbeat_note(scale) {
+        table.note(line);
+    }
     table.render()
 }
 
@@ -417,21 +421,40 @@ pub fn fig15(scale: &Scale) -> String {
 mod tests {
     use super::*;
 
+    /// Runs `runs` fault-free durability simulations for one (DC,
+    /// policy, replication) with both transfer models off.
+    fn loss_summary(
+        dc: &Datacenter,
+        policy: PlacementPolicy,
+        replication: usize,
+        months: usize,
+        runs: usize,
+        base_seed: u64,
+    ) -> LossSummary {
+        let none = FaultPlan::none();
+        let outcomes: Vec<RunLoss> = (0..runs)
+            .map(|r| {
+                run_loss(
+                    dc,
+                    policy,
+                    replication,
+                    months,
+                    base_seed,
+                    r,
+                    None,
+                    None,
+                    &none,
+                )
+            })
+            .collect();
+        summarize(&outcomes)
+    }
+
     #[test]
     fn summary_statistics_are_consistent() {
         let profile = DatacenterProfile::dc(3).scaled(0.02);
         let dc = Datacenter::generate(&profile, 42);
-        let s = loss_summary(
-            &dc,
-            PlacementPolicy::Stock,
-            3,
-            3,
-            2,
-            7,
-            None,
-            None,
-            &FaultPlan::none(),
-        );
+        let s = loss_summary(&dc, PlacementPolicy::Stock, 3, 3, 2, 7);
         assert!(s.min_percent <= s.avg_percent);
         assert!(s.avg_percent <= s.max_percent);
         assert!(s.avg_blocks >= 0.0);
@@ -441,9 +464,8 @@ mod tests {
     fn history_beats_stock_in_high_reimage_dc() {
         let profile = DatacenterProfile::dc(3).scaled(0.02);
         let dc = Datacenter::generate(&profile, 42);
-        let none = FaultPlan::none();
-        let stock = loss_summary(&dc, PlacementPolicy::Stock, 3, 4, 1, 7, None, None, &none);
-        let hist = loss_summary(&dc, PlacementPolicy::History, 3, 4, 1, 7, None, None, &none);
+        let stock = loss_summary(&dc, PlacementPolicy::Stock, 3, 4, 1, 7);
+        let hist = loss_summary(&dc, PlacementPolicy::History, 3, 4, 1, 7);
         assert!(
             hist.avg_percent < stock.avg_percent,
             "H {} vs Stock {}",
@@ -457,13 +479,44 @@ mod tests {
         let profile = DatacenterProfile::dc(3).scaled(0.02);
         let dc = Datacenter::generate(&profile, 42);
         let none = FaultPlan::none();
-        let runs: Vec<RunLoss> = (0..3)
-            .map(|r| run_loss(&dc, PlacementPolicy::Stock, 3, 3, 7, r, None, None, &none))
+        let mut runs: Vec<Option<RunLoss>> = (0..3)
+            .map(|r| {
+                Some(run_loss(
+                    &dc,
+                    PlacementPolicy::Stock,
+                    3,
+                    3,
+                    7,
+                    r,
+                    None,
+                    None,
+                    &none,
+                ))
+            })
             .collect();
-        let a = summarize(&runs);
-        let b = loss_summary(&dc, PlacementPolicy::Stock, 3, 3, 3, 7, None, None, &none);
+        // A quarantined slot is skipped, not summarized as a lossless run.
+        runs.insert(1, None);
+        let a = summarize_present(&runs);
+        let b = loss_summary(&dc, PlacementPolicy::Stock, 3, 3, 3, 7);
         assert_eq!(a.avg_percent.to_bits(), b.avg_percent.to_bits());
         assert_eq!(a.avg_blocks.to_bits(), b.avg_blocks.to_bits());
+    }
+
+    #[test]
+    fn heartbeat_note_only_under_the_disk_model() {
+        let mut scale = Scale::quick();
+        scale.dc_scale = 0.02;
+        scale.durability_months = 2;
+        assert!(!fig15(&scale).contains("heartbeats"));
+        scale.disk = Some(DiskConfig::datacenter());
+        let report = fig15(&scale);
+        let line = report
+            .lines()
+            .find(|l| l.contains("heartbeats over a 12-minute primary burst"))
+            .expect("heartbeat note under --disk");
+        let (sync, asyn) = line.split_once("; asynchronous").expect("both modes");
+        assert!(sync.ends_with(", declared dead"), "{line}");
+        assert!(asyn.ends_with(", not declared dead"), "{line}");
     }
 
     #[test]

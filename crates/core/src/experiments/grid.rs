@@ -10,7 +10,7 @@ use crate::scale::Scale;
 
 /// Figure 8: the 3×3 (reimages × peak utilization) clustering of DC-9's
 /// tenants, with per-cell space and statistic ranges.
-pub fn fig8(scale: &Scale) -> String {
+pub(crate) fn fig8(scale: &Scale) -> String {
     let profile = DatacenterProfile::dc(9).scaled(scale.dc_scale.max(0.1));
     let dc = Datacenter::generate(&profile, scale.seed);
     let grid = Grid2D::build(&dc);

@@ -32,7 +32,7 @@ use crate::scale::Scale;
 /// supervised sweep, so one `repro micro --trace-out` run exercises
 /// every subsystem's track. The showcase prints nothing and does not
 /// touch the report.
-pub fn micro(scale: &Scale, rec: &mut harvest_sim::obs::Recorder) -> String {
+pub(crate) fn micro(scale: &Scale, rec: &mut harvest_sim::obs::Recorder) -> String {
     let profile = DatacenterProfile::dc(9).scaled(scale.dc_scale.max(0.1));
     let dc = Datacenter::generate(&profile, scale.seed);
     let view = UtilizationView::unscaled(&dc);

@@ -35,7 +35,7 @@ const BATCH_DEMAND: f64 = 0.05;
 
 /// One sweep point: mean execution times under both schedulers.
 #[derive(Debug, Clone, Copy)]
-pub struct SweepPoint {
+pub(crate) struct SweepPoint {
     /// Target mean utilization.
     pub utilization: f64,
     /// Trace scaling used.
@@ -53,7 +53,7 @@ pub struct SweepPoint {
 
 impl SweepPoint {
     /// YARN-H's improvement over YARN-PT, in percent.
-    pub fn improvement(&self) -> f64 {
+    pub(crate) fn improvement(&self) -> f64 {
         if self.pt_secs <= 0.0 {
             0.0
         } else {
@@ -148,7 +148,7 @@ fn sweep_config(scale: &Scale, policy: SchedPolicy, seed: u64) -> SchedSimConfig
 /// `cancel` is the supervising harness's cooperative cancellation
 /// token, polled by the scheduling event loop at tick granularity; a
 /// cancelled point returns early with a partial (discarded) result.
-pub fn sweep_point(
+pub(crate) fn sweep_point(
     dc: &Datacenter,
     scale: &Scale,
     scaling: ScalingKind,
@@ -189,7 +189,7 @@ pub fn sweep_point(
 /// The split is pure sim time, so the line is identical at any `--jobs`
 /// setting and whether or not the caller records — figure notes can
 /// embed it without breaking stdout byte-comparability.
-pub fn stage_blame(
+pub(crate) fn stage_blame(
     dc: &Datacenter,
     scale: &Scale,
     scaling: ScalingKind,
@@ -215,7 +215,7 @@ pub fn stage_blame(
 /// task derives its own seed stream and shares only the read-only
 /// datacenter, and aggregation replays the sequential order — the
 /// report is byte-identical at any thread count.
-pub fn fig13(scale: &Scale) -> String {
+pub(crate) fn fig13(scale: &Scale) -> String {
     let profile = DatacenterProfile::dc(9).scaled(scale.dc_scale);
     let dc = Datacenter::generate(&profile, scale.seed);
 
@@ -331,7 +331,7 @@ pub fn fig13(scale: &Scale) -> String {
 }
 
 /// Figure 14: YARN-H's run-time improvements across all ten datacenters.
-pub fn fig14(scale: &Scale) -> String {
+pub(crate) fn fig14(scale: &Scale) -> String {
     let mut table = Table::new(
         "Figure 14: YARN-H/Tez-H run-time improvement per datacenter",
         &["datacenter", "scaling", "min", "avg", "max"],

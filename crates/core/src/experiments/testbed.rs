@@ -18,6 +18,7 @@ use harvest_sched::sim::{SchedSim, SchedSimConfig};
 use harvest_sched::stats::SimStats;
 use harvest_service::LatencyModel;
 use harvest_sim::metrics::StreamingStats;
+use harvest_sim::obs::Recorder;
 use harvest_sim::rng::stream_rng;
 use harvest_sim::{dist, SimDuration, SimTime};
 use rand::RngExt;
@@ -38,19 +39,10 @@ fn testbed(scale: &Scale) -> (Datacenter, UtilizationView) {
 /// third of that.
 const TESTBED_DURATION_FACTOR: f64 = 3.0;
 
-fn run_testbed(scale: &Scale, policy: SchedPolicy, record: bool) -> SimStats {
-    let mut rec = harvest_sim::obs::Recorder::off();
-    run_testbed_recorded(scale, policy, record, &mut rec)
-}
-
-/// [`run_testbed`] with an observability recorder (identical stats —
-/// recording never changes a trajectory).
-fn run_testbed_recorded(
-    scale: &Scale,
-    policy: SchedPolicy,
-    record: bool,
-    rec: &mut harvest_sim::obs::Recorder,
-) -> SimStats {
+/// One testbed run (at most five hours) under `policy`, recorded into `rec`
+/// (recording never changes a trajectory; pass [`Recorder::off`] for
+/// none). `record` keeps each server's per-tick load in the stats.
+fn run_testbed(scale: &Scale, policy: SchedPolicy, record: bool, rec: &mut Recorder) -> SimStats {
     let (dc, view) = testbed(scale);
     let horizon = SimDuration::from_hours(scale.sched_hours.min(5));
     let mut rng = stream_rng(scale.run_seed("testbed-wl", 0), "wl");
@@ -72,8 +64,8 @@ fn run_testbed_recorded(
 /// queued vs evicted). Pure sim time, so the line is deterministic
 /// across `--jobs` and recording settings.
 fn testbed_stage_blame(scale: &Scale) -> Option<String> {
-    let mut rec = harvest_sim::obs::Recorder::new("blame");
-    let _ = run_testbed_recorded(scale, SchedPolicy::PrimaryAware, false, &mut rec);
+    let mut rec = Recorder::new("blame");
+    let _ = run_testbed(scale, SchedPolicy::PrimaryAware, false, &mut rec);
     let analysis = harvest_sim::obs::analyze::analyze_recorder(&rec).ok()?;
     analysis
         .states
@@ -83,7 +75,7 @@ fn testbed_stage_blame(scale: &Scale) -> Option<String> {
 }
 
 /// Figure 10: the primary tenant's tail latency under each YARN variant.
-pub fn fig10(scale: &Scale) -> String {
+pub(crate) fn fig10(scale: &Scale) -> String {
     let model = LatencyModel::paper_calibrated();
     let mut table = Table::new(
         "Figure 10: primary tenant p99 latency (fleet average per minute, ms)",
@@ -105,7 +97,7 @@ pub fn fig10(scale: &Scale) -> String {
         "fig10",
         &SchedPolicy::ALL,
         |p| p.to_string(),
-        |&policy, _cancel| run_testbed(scale, policy, true),
+        |&policy, _cancel| run_testbed(scale, policy, true, &mut Recorder::off()),
     );
     let all_stats = swept.results;
     let series_for = |stats: &SimStats, zero_cores: bool| -> Vec<f64> {
@@ -191,7 +183,7 @@ pub fn fig10(scale: &Scale) -> String {
 }
 
 /// Figure 11: secondary tenants' job run times under each YARN variant.
-pub fn fig11(scale: &Scale) -> String {
+pub(crate) fn fig11(scale: &Scale) -> String {
     let mut table = Table::new(
         "Figure 11: batch job execution times (s)",
         &["system", "jobs", "mean", "median", "max", "task kills"],
@@ -203,7 +195,7 @@ pub fn fig11(scale: &Scale) -> String {
         &SchedPolicy::ALL,
         |p| p.to_string(),
         |&policy, _cancel| {
-            let stats = run_testbed(scale, policy, false);
+            let stats = run_testbed(scale, policy, false, &mut Recorder::off());
             let mut times: Vec<f64> = stats
                 .jobs
                 .iter()
@@ -256,7 +248,7 @@ const FIG12_UTILIZATION: f64 = 0.40;
 
 /// Figure 12: the primary tenant's tail latency under each HDFS variant,
 /// plus failed accesses.
-pub fn fig12(scale: &Scale) -> String {
+pub(crate) fn fig12(scale: &Scale) -> String {
     let model = LatencyModel::paper_calibrated();
     let (dc, _) = testbed(scale);
     let traces: Vec<_> = dc.tenants.iter().map(|t| &t.trace).collect();

@@ -19,7 +19,7 @@
 //! — every `(point × run)`, or per-tenant unit — into a list of task
 //! descriptors each carrying its own derived seed stream, fan the list
 //! out over `Scale::jobs` workers of the one supervised worker loop
-//! ([`harvest_sim::supervise`], reached through [`checkpoint::sweep`]
+//! ([`harvest_sim::supervise`], reached through `checkpoint::sweep`
 //! for sweeps and [`harvest_sim::par::par_map`] for set-up), then
 //! aggregate the returned results in input order. Because nothing
 //! mutable is shared and aggregation order is fixed, a report is
@@ -57,7 +57,8 @@ pub fn run_experiment(id: &str, scale: &Scale) -> Result<String, String> {
     run_experiment_recorded(id, scale, &mut rec)
 }
 
-/// [`run_experiment`] with an observability [`Recorder`]
+/// [`run_experiment`] with an observability
+/// [`Recorder`](harvest_sim::obs::Recorder)
 /// (`harvest_sim::obs::Recorder`): recording-aware experiments
 /// (currently `micro`, which replays a recorded scheduling run, a
 /// recorded reimage storm, and a profiled supervised sweep) feed spans,

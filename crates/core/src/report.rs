@@ -13,7 +13,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             title: title.into(),
             headers: headers.iter().map(|h| h.to_string()).collect(),
@@ -27,7 +27,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics on column-count mismatch.
-    pub fn row(&mut self, cells: &[String]) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: &[String]) -> &mut Self {
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -41,7 +41,7 @@ impl Table {
 
     /// Appends a note line printed under the table (used for the paper's
     /// qualitative claim next to the measured shape).
-    pub fn note(&mut self, text: impl Into<String>) -> &mut Self {
+    pub(crate) fn note(&mut self, text: impl Into<String>) -> &mut Self {
         self.notes.push(text.into());
         self
     }
@@ -80,17 +80,17 @@ impl Table {
 }
 
 /// Formats a float with the given number of decimals.
-pub fn num(x: f64, decimals: usize) -> String {
+pub(crate) fn num(x: f64, decimals: usize) -> String {
     format!("{x:.decimals$}")
 }
 
 /// Formats a percentage.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{x:.2}%")
 }
 
 /// Formats a value in scientific notation when tiny (lost-block rates).
-pub fn sci(x: f64) -> String {
+pub(crate) fn sci(x: f64) -> String {
     if x == 0.0 {
         "0".to_string()
     } else if x < 0.01 {

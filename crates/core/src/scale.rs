@@ -45,7 +45,7 @@ pub struct Scale {
     pub jobs: usize,
     /// Fault profile to arm (`repro --faults PROFILE`): experiments
     /// that take a [`FaultPlan`] draw one per run via
-    /// [`Scale::fault_plan`]. `None` hands them [`FaultPlan::none`],
+    /// `Scale::fault_plan`. `None` hands them [`FaultPlan::none`],
     /// which keeps every report byte-identical to a build without the
     /// fault machinery.
     pub faults: Option<FaultProfile>,
@@ -55,12 +55,6 @@ pub struct Scale {
     /// The default is inert — no journal, automatic flag-only
     /// deadlines — and changes no output.
     pub harness: crate::checkpoint::Harness,
-    /// Whether the harness is collecting an observability trace
-    /// (`repro --trace-out` / `--metrics-out`). Recording never
-    /// changes an experiment's report — stdout is byte-identical with
-    /// it on or off — it only makes recording-aware experiments feed
-    /// the run's [`harvest_sim::obs::Recorder`].
-    pub record: bool,
     /// Master seed.
     pub seed: u64,
 }
@@ -81,7 +75,6 @@ impl Scale {
             jobs: harvest_sim::par::default_jobs(),
             faults: None,
             harness: crate::checkpoint::Harness::default(),
-            record: false,
             seed: 42,
         }
     }
@@ -104,13 +97,12 @@ impl Scale {
             jobs: harvest_sim::par::default_jobs(),
             faults: None,
             harness: crate::checkpoint::Harness::default(),
-            record: false,
             seed: 42,
         }
     }
 
     /// The seed for run `r` of an experiment.
-    pub fn run_seed(&self, experiment: &str, r: usize) -> u64 {
+    pub(crate) fn run_seed(&self, experiment: &str, r: usize) -> u64 {
         harvest_sim::rng::derive_seed_indexed(self.seed, experiment, r as u64)
     }
 
@@ -118,7 +110,12 @@ impl Scale {
     /// `n_servers` servers over `horizon`: the armed profile's draw
     /// (deterministic in `(profile, seed, shape, horizon)`), or
     /// [`FaultPlan::none`] when no profile is armed.
-    pub fn fault_plan(&self, n_servers: usize, seed: u64, horizon: SimDuration) -> FaultPlan {
+    pub(crate) fn fault_plan(
+        &self,
+        n_servers: usize,
+        seed: u64,
+        horizon: SimDuration,
+    ) -> FaultPlan {
         match self.faults {
             None => FaultPlan::none(),
             Some(profile) => profile.plan(

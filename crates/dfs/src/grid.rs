@@ -27,7 +27,7 @@ pub struct Cell {
 
 impl Cell {
     /// The cell's index in `0..9` (row-major).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.row as usize * 3 + self.col as usize
     }
 }

@@ -8,18 +8,14 @@
 //! it thought was lost. We then changed the heartbeat thread to become
 //! asynchronous and report the status that it most recently found."
 //!
-//! This module replays that incident two ways:
-//!
-//! * [`replay_heartbeats`] — the original scripted replay: a boolean
-//!   per-interval "was the isolation manager throttling" trace decides
-//!   whether a synchronous heartbeat flows;
-//! * [`replay_heartbeats_disk`] — the mechanistic replay over a modeled
-//!   [`harvest_disk::DiskPool`]: the heartbeat thread's synchronous
-//!   status read is a real secondary stream on the DataNode's disk,
-//!   the primary's I/O pressure comes from a utilization trace through
-//!   the configured util→demand mapping, and a missed timeout is an
-//!   *emergent* consequence of the throttle policy parking the status
-//!   read — exactly the production failure chain.
+//! [`replay_heartbeats_disk`] replays that incident over a modeled
+//! [`harvest_disk::DiskPool`]: the heartbeat thread's synchronous status
+//! read is a real secondary stream on the DataNode's disk, the primary's
+//! I/O pressure comes from a utilization trace through the configured
+//! util→demand mapping, and a missed timeout is an *emergent*
+//! consequence of the throttle policy parking the status read — exactly
+//! the production failure chain. Figure 15's `--disk` report carries one
+//! such replay as a note.
 
 use harvest_cluster::ServerId;
 use harvest_disk::{DiskConfig, DiskPool, IoDir, MIN_SERVE_FRACTION};
@@ -36,23 +32,11 @@ pub enum HeartbeatMode {
     Asynchronous,
 }
 
-/// Heartbeat protocol parameters (HDFS-like defaults).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HeartbeatConfig {
-    /// Interval between heartbeats (HDFS default: 3 s).
-    pub interval: SimDuration,
-    /// Silence after which the NN declares the DN dead (~10 min).
-    pub dead_after: SimDuration,
-}
+/// Interval between heartbeats (HDFS default: 3 s).
+const INTERVAL: SimDuration = SimDuration::from_secs(3);
 
-impl Default for HeartbeatConfig {
-    fn default() -> Self {
-        HeartbeatConfig {
-            interval: SimDuration::from_secs(3),
-            dead_after: SimDuration::from_mins(10),
-        }
-    }
-}
+/// Silence after which the NN declares the DN dead (~10 min).
+const DEAD_AFTER: SimDuration = SimDuration::from_mins(10);
 
 /// Result of replaying one data node's heartbeats.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,75 +48,19 @@ pub struct HeartbeatOutcome {
     /// Heartbeats whose status payload was stale (asynchronous mode
     /// during throttling).
     pub stale: u64,
-    /// Whether the NN declared the node dead at any point.
+    /// Whether the NN declared the node dead at any point (and so
+    /// started re-replicating every block it holds).
     pub declared_dead: bool,
-    /// Blocks spuriously re-replicated by the storm (0 if never declared
-    /// dead). Proportional to the node's block count.
-    pub storm_blocks: u64,
-}
-
-/// Replays heartbeats over a throttling trace.
-///
-/// `throttled` gives, per heartbeat interval, whether the performance
-/// isolation manager was throttling secondary disk I/O during that
-/// interval. `node_blocks` is how many replicas the node holds (the size
-/// of the storm if it is declared dead).
-pub fn replay_heartbeats(
-    mode: HeartbeatMode,
-    config: &HeartbeatConfig,
-    throttled: &[bool],
-    node_blocks: u64,
-) -> HeartbeatOutcome {
-    let mut delivered = 0u64;
-    let mut stale = 0u64;
-    let mut last_heard = SimTime::ZERO;
-    let mut declared_dead = false;
-
-    for (i, &is_throttled) in throttled.iter().enumerate() {
-        let now = SimTime::ZERO + config.interval.mul_f64((i + 1) as f64);
-        let flows = match mode {
-            // Synchronous status collection blocks behind the throttled
-            // disk: the heartbeat never leaves the node.
-            HeartbeatMode::Synchronous => !is_throttled,
-            HeartbeatMode::Asynchronous => true,
-        };
-        if flows {
-            delivered += 1;
-            last_heard = now;
-            if mode == HeartbeatMode::Asynchronous && is_throttled {
-                stale += 1;
-            }
-        }
-        if now.since(last_heard) >= config.dead_after {
-            declared_dead = true;
-        }
-    }
-
-    HeartbeatOutcome {
-        expected: throttled.len() as u64,
-        delivered,
-        stale,
-        declared_dead,
-        storm_blocks: if declared_dead { node_blocks } else { 0 },
-    }
-}
-
-/// Builds a throttling trace: `total` intervals with one solid throttled
-/// burst of `burst` intervals starting at `start`.
-pub fn burst_trace(total: usize, start: usize, burst: usize) -> Vec<bool> {
-    (0..total)
-        .map(|i| i >= start && i < start + burst)
-        .collect()
 }
 
 /// Bytes the heartbeat thread's synchronous status scan reads (modified
 /// block metadata plus the free-space probe — small next to a block,
 /// large next to a throttled disk).
-pub const STATUS_SCAN_BYTES: u64 = 8_000_000;
+const STATUS_SCAN_BYTES: u64 = 8_000_000;
 
-/// Builds a primary CPU-utilization trace with one solid burst at
-/// `burst_util`, `idle_util` elsewhere — the disk-model analog of
-/// [`burst_trace`].
+/// Builds a primary CPU-utilization trace: `total` intervals at
+/// `idle_util` with one solid burst of `burst` intervals at
+/// `burst_util` starting at `start`.
 pub fn util_burst_trace(
     total: usize,
     start: usize,
@@ -153,10 +81,11 @@ pub fn util_burst_trace(
 
 /// Replays one data node's heartbeats against a modeled disk.
 ///
-/// `primary_util` gives the node's primary CPU utilization per heartbeat
-/// interval; `disk` maps it to disk demand and applies the isolation
-/// manager. In [`HeartbeatMode::Synchronous`] the heartbeat thread
-/// issues a [`STATUS_SCAN_BYTES`] read on the node's disk as a
+/// `primary_util` gives the node's primary CPU utilization per 3 s
+/// heartbeat interval; `disk` maps it to disk demand and applies the
+/// isolation manager. The NN declares the node dead after 10 minutes of
+/// silence. In [`HeartbeatMode::Synchronous`] the heartbeat thread
+/// issues an 8 MB status read on the node's disk as a
 /// *secondary* stream and the heartbeat only flows when the read
 /// completes — a beat whose scheduled instant passes while the thread is
 /// still blocked is missed outright. In [`HeartbeatMode::Asynchronous`]
@@ -168,10 +97,8 @@ pub fn util_burst_trace(
 /// mode, not by a scripted throttling flag.
 pub fn replay_heartbeats_disk(
     mode: HeartbeatMode,
-    config: &HeartbeatConfig,
     disk: &DiskConfig,
     primary_util: &[f64],
-    node_blocks: u64,
 ) -> HeartbeatOutcome {
     let node = ServerId(0);
     let n = primary_util.len();
@@ -181,17 +108,16 @@ pub fn replay_heartbeats_disk(
             delivered: 0,
             stale: 0,
             declared_dead: false,
-            storm_blocks: 0,
         };
     }
-    let end = SimTime::ZERO + config.interval.mul_f64(n as f64);
+    let end = SimTime::ZERO + INTERVAL.mul_f64(n as f64);
     let expected = n as u64;
     let mut delivered = 0u64;
     let mut stale = 0u64;
     let mut last_heard = SimTime::ZERO;
     let mut declared_dead = false;
     let check = |heard_at: SimTime, last: &mut SimTime, dead: &mut bool| {
-        if heard_at.since(*last) >= config.dead_after {
+        if heard_at.since(*last) >= DEAD_AFTER {
             *dead = true;
         }
         *last = heard_at;
@@ -204,7 +130,7 @@ pub fn replay_heartbeats_disk(
             // payload is stale whenever the background status scan is
             // starved below a usable share.
             for (i, &util) in primary_util.iter().enumerate() {
-                let now = SimTime::ZERO + config.interval.mul_f64((i + 1) as f64);
+                let now = SimTime::ZERO + INTERVAL.mul_f64((i + 1) as f64);
                 delivered += 1;
                 let fraction = disk
                     .primary
@@ -223,13 +149,13 @@ pub fn replay_heartbeats_disk(
             let mut next_util = 1usize;
             let mut free_at = SimTime::ZERO;
             for k in 1..=n {
-                let t_k = SimTime::ZERO + config.interval.mul_f64(k as f64);
+                let t_k = SimTime::ZERO + INTERVAL.mul_f64(k as f64);
                 if t_k < free_at {
                     continue; // thread still blocked: this beat is missed
                 }
                 // Apply utilization samples up to the issue instant.
                 while next_util < n {
-                    let t_u = SimTime::ZERO + config.interval.mul_f64(next_util as f64);
+                    let t_u = SimTime::ZERO + INTERVAL.mul_f64(next_util as f64);
                     if t_u > t_k {
                         break;
                     }
@@ -245,8 +171,8 @@ pub fn replay_heartbeats_disk(
                 // of utilization changes with the thread still parked.
                 let done_at = loop {
                     let t_disk = pool.next_event_time().expect("scan in flight");
-                    let t_u = (next_util < n)
-                        .then(|| SimTime::ZERO + config.interval.mul_f64(next_util as f64));
+                    let t_u =
+                        (next_util < n).then(|| SimTime::ZERO + INTERVAL.mul_f64(next_util as f64));
                     if let Some(t_u) = t_u.filter(|&t_u| t_u < t_disk) {
                         pool.pump(t_u);
                         pool.set_primary_util(t_u, node, primary_util[next_util]);
@@ -271,7 +197,7 @@ pub fn replay_heartbeats_disk(
     }
 
     // The silence after the last delivered beat counts too.
-    if end.since(last_heard) >= config.dead_after {
+    if end.since(last_heard) >= DEAD_AFTER {
         declared_dead = true;
     }
 
@@ -280,7 +206,6 @@ pub fn replay_heartbeats_disk(
         delivered,
         stale,
         declared_dead,
-        storm_blocks: if declared_dead { node_blocks } else { 0 },
     }
 }
 
@@ -288,64 +213,9 @@ pub fn replay_heartbeats_disk(
 mod tests {
     use super::*;
 
-    const CFG: HeartbeatConfig = HeartbeatConfig {
-        interval: SimDuration::from_secs(3),
-        dead_after: SimDuration::from_secs(600),
-    };
-
-    /// Intervals in a 12-minute burst (long enough to cross `dead_after`).
+    /// Intervals in a 12-minute burst (long enough to cross the 10-minute
+    /// dead timeout).
     const LONG_BURST: usize = 240;
-
-    #[test]
-    fn synchronous_mode_causes_the_storm() {
-        let trace = burst_trace(400, 50, LONG_BURST);
-        let out = replay_heartbeats(HeartbeatMode::Synchronous, &CFG, &trace, 2_400);
-        assert!(out.declared_dead, "sync mode should miss enough heartbeats");
-        assert_eq!(out.storm_blocks, 2_400);
-        assert!(out.delivered < out.expected);
-    }
-
-    #[test]
-    fn asynchronous_mode_prevents_the_storm() {
-        let trace = burst_trace(400, 50, LONG_BURST);
-        let out = replay_heartbeats(HeartbeatMode::Asynchronous, &CFG, &trace, 2_400);
-        assert!(!out.declared_dead);
-        assert_eq!(out.storm_blocks, 0);
-        assert_eq!(out.delivered, out.expected);
-        // The price of availability: stale status during the burst.
-        assert_eq!(out.stale, LONG_BURST as u64);
-    }
-
-    #[test]
-    fn short_bursts_are_harmless_in_both_modes() {
-        // A 3-minute burst is well under the 10-minute dead interval.
-        let trace = burst_trace(400, 50, 60);
-        for mode in [HeartbeatMode::Synchronous, HeartbeatMode::Asynchronous] {
-            let out = replay_heartbeats(mode, &CFG, &trace, 2_400);
-            assert!(!out.declared_dead, "{mode:?} declared dead on short burst");
-            assert_eq!(out.storm_blocks, 0);
-        }
-    }
-
-    #[test]
-    fn quiet_trace_delivers_everything() {
-        let trace = vec![false; 100];
-        let out = replay_heartbeats(HeartbeatMode::Synchronous, &CFG, &trace, 10);
-        assert_eq!(out.delivered, 100);
-        assert_eq!(out.stale, 0);
-        assert!(!out.declared_dead);
-    }
-
-    #[test]
-    fn burst_trace_shape() {
-        let t = burst_trace(10, 3, 4);
-        assert_eq!(
-            t,
-            vec![false, false, false, true, true, true, true, false, false, false]
-        );
-    }
-
-    // --- Mechanistic replays over the modeled disk. ---
 
     /// A naive isolation manager (the paper's: secondaries pause
     /// outright) plus a synchronous heartbeat thread reproduces the
@@ -356,13 +226,10 @@ mod tests {
         let trace = util_burst_trace(400, 50, LONG_BURST, 0.1, 0.9);
         let out = replay_heartbeats_disk(
             HeartbeatMode::Synchronous,
-            &CFG,
             &DiskConfig::datacenter(),
             &trace,
-            2_400,
         );
         assert!(out.declared_dead, "sync + naive throttle must miss timeout");
-        assert_eq!(out.storm_blocks, 2_400);
         assert!(
             out.delivered < out.expected,
             "beats flowed while the disk was parked"
@@ -377,13 +244,10 @@ mod tests {
         let trace = util_burst_trace(400, 50, LONG_BURST, 0.1, 0.9);
         let out = replay_heartbeats_disk(
             HeartbeatMode::Asynchronous,
-            &CFG,
             &DiskConfig::datacenter(),
             &trace,
-            2_400,
         );
         assert!(!out.declared_dead);
-        assert_eq!(out.storm_blocks, 0);
         assert_eq!(out.delivered, out.expected);
         assert_eq!(out.stale, LONG_BURST as u64);
     }
@@ -396,17 +260,32 @@ mod tests {
         let trace = util_burst_trace(400, 50, LONG_BURST, 0.1, 0.9);
         let out = replay_heartbeats_disk(
             HeartbeatMode::Synchronous,
-            &CFG,
             &DiskConfig::fair_share(),
             &trace,
-            2_400,
         );
         assert!(
             !out.declared_dead,
             "fair-share disk should keep heartbeats trickling"
         );
-        assert_eq!(out.storm_blocks, 0);
         assert!(out.delivered > 0);
+    }
+
+    /// A 3-minute burst is well under the 10-minute dead interval: even
+    /// the synchronous thread, parked behind the throttle for the whole
+    /// burst, is heard from again in time.
+    #[test]
+    fn modeled_disk_short_bursts_are_harmless_in_both_modes() {
+        let trace = util_burst_trace(400, 50, 60, 0.1, 0.9);
+        for mode in [HeartbeatMode::Synchronous, HeartbeatMode::Asynchronous] {
+            let out = replay_heartbeats_disk(mode, &DiskConfig::datacenter(), &trace);
+            assert!(!out.declared_dead, "{mode:?} declared dead on short burst");
+            if mode == HeartbeatMode::Synchronous {
+                assert!(
+                    out.delivered < out.expected,
+                    "the burst never parked the scan"
+                );
+            }
+        }
     }
 
     /// A quiet primary delivers every beat promptly in sync mode: the
@@ -416,10 +295,8 @@ mod tests {
         let trace = vec![0.05; 100];
         let out = replay_heartbeats_disk(
             HeartbeatMode::Synchronous,
-            &CFG,
             &DiskConfig::datacenter(),
             &trace,
-            10,
         );
         assert_eq!(out.delivered, out.expected);
         assert!(!out.declared_dead);
@@ -431,10 +308,8 @@ mod tests {
         let run = || {
             replay_heartbeats_disk(
                 HeartbeatMode::Synchronous,
-                &CFG,
                 &DiskConfig::datacenter(),
                 &trace,
-                77,
             )
         };
         assert_eq!(run(), run());

@@ -27,18 +27,18 @@
 //!   durability simulation runs it over generated months, and
 //!   [`repair::simulate_reimage_storm`] over a tenant-wide mass reimage
 //!   whose recovery is bandwidth-constrained by the shared fabric;
-//! * [`quality`] — the production placement-quality monitor (§7, lesson
-//!   3): diversity measurement and the space-vs-diversity tradeoff;
-//! * [`heartbeat`] — the §7 lesson-2 scenario: synchronous heartbeat
-//!   threads stall under primary I/O and trigger replication storms,
-//!   asynchronous status reporting does not.
+//! * [`heartbeat`] — the §7 lesson-2 incident replayed over a modeled
+//!   disk: a synchronous heartbeat thread parks behind the throttle and
+//!   the node is declared dead, an asynchronous one is not (Figure 15's
+//!   `--disk` note).
 
 pub mod availability;
 pub mod durability;
 pub mod grid;
 pub mod heartbeat;
 pub mod placement;
-pub mod quality;
+#[cfg(test)]
+mod quality;
 pub mod repair;
 pub mod store;
 

@@ -122,11 +122,6 @@ impl<'a> Placer<'a> {
         self
     }
 
-    /// The grid, if the policy uses one.
-    pub fn grid(&self) -> Option<&Grid2D> {
-        self.grid.as_ref()
-    }
-
     /// Chooses `r` replica locations for a new block created by `writer`.
     ///
     /// `busy[s]` marks servers currently denying accesses (pass `None`
@@ -423,7 +418,7 @@ mod tests {
     fn cells_of(placer: &Placer<'_>, store: &BlockStore, servers: &[ServerId]) -> Vec<Cell> {
         servers
             .iter()
-            .map(|&s| placer.grid().unwrap().cell_of(store.tenant_of(s)))
+            .map(|&s| placer.grid.as_ref().unwrap().cell_of(store.tenant_of(s)))
             .collect()
     }
 

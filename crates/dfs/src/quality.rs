@@ -1,10 +1,10 @@
-//! Placement-quality monitoring (§7, lesson 3: "Data durability is
-//! king").
+//! Placement-quality oracle for the placement tests (§7, lesson 3:
+//! "Data durability is king").
 //!
 //! The production deployment learned to "monitor the quality of
 //! placements and stop consuming more space when diversity becomes low".
-//! This module measures how well a store's placements satisfy Algorithm
-//! 2's constraints and implements that stop rule.
+//! This test-only module measures how well a store's placements satisfy
+//! Algorithm 2's constraints, independently of the placer that made them.
 
 use harvest_cluster::{Datacenter, ServerId};
 
@@ -13,20 +13,20 @@ use crate::store::BlockStore;
 
 /// Measured placement quality of a block population.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlacementQuality {
+struct PlacementQuality {
     /// Blocks inspected.
-    pub blocks: u64,
+    blocks: u64,
     /// Blocks with two replicas in one environment.
-    pub env_violations: u64,
+    env_violations: u64,
     /// Blocks with two replicas in the same grid row or column (within
     /// the block's first round of three replicas).
-    pub grid_violations: u64,
+    grid_violations: u64,
     /// Fraction of inspected blocks with no violation of either kind.
-    pub diversity: f64,
+    diversity: f64,
 }
 
 /// Measures the quality of every block's placement in the store.
-pub fn measure_quality(dc: &Datacenter, grid: &Grid2D, store: &BlockStore) -> PlacementQuality {
+fn measure_quality(dc: &Datacenter, grid: &Grid2D, store: &BlockStore) -> PlacementQuality {
     let mut env_violations = 0u64;
     let mut grid_violations = 0u64;
     let mut dirty = 0u64;
@@ -81,31 +81,6 @@ pub fn measure_quality(dc: &Datacenter, grid: &Grid2D, store: &BlockStore) -> Pl
     }
 }
 
-/// The production stop rule: refuse new blocks once measured diversity
-/// drops below a floor ("by default, we now monitor the quality of
-/// placements and stop consuming more space when diversity becomes
-/// low").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QualityMonitor {
-    /// Minimum acceptable diversity fraction.
-    pub min_diversity: f64,
-}
-
-impl Default for QualityMonitor {
-    fn default() -> Self {
-        QualityMonitor {
-            min_diversity: 0.95,
-        }
-    }
-}
-
-impl QualityMonitor {
-    /// Whether block creation should stop at the measured quality.
-    pub fn should_stop(&self, quality: &PlacementQuality) -> bool {
-        quality.diversity < self.min_diversity
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,10 +107,9 @@ mod tests {
                 store.create_block(&p.servers);
             }
         }
-        let q = measure_quality(&dc, placer.grid().unwrap(), &store);
+        let q = measure_quality(&dc, &Grid2D::build(&dc), &store);
         assert!(q.blocks >= 1_900);
         assert!(q.diversity > 0.98, "diversity {}", q.diversity);
-        assert!(!QualityMonitor::default().should_stop(&q));
     }
 
     #[test]
@@ -155,7 +129,6 @@ mod tests {
         // Rack-local second replicas usually share the writer's tenant
         // (hence environment and cell), so stock diversity is poor.
         assert!(q.diversity < 0.6, "stock diversity {}", q.diversity);
-        assert!(QualityMonitor::default().should_stop(&q));
     }
 
     #[test]
@@ -190,7 +163,6 @@ mod tests {
         let q = measure_quality(&dc, &grid, &store);
         assert_eq!((q.env_violations, q.grid_violations), (1, 1));
         assert_eq!(q.diversity, 0.0);
-        assert!(QualityMonitor::default().should_stop(&q));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! The storm and the year-long durability simulation
 //! ([`crate::durability`]) are one mechanism, so both run one driver
-//! ([`replay`]): it fills the store, then replays a sorted reimage
+//! (`replay`): it fills the store, then replays a sorted reimage
 //! schedule — a whole tenant at t = 0 for the storm, generated months
 //! for durability — and any injected faults, moving every lost replica
 //! through detection, the throttle, an optional stream cap and the
@@ -63,7 +63,7 @@ impl Default for RepairConfig {
 /// A cluster-wide repair pipeline: lost replicas are repaired in FIFO
 /// order at the aggregate throttled rate.
 #[derive(Debug, Clone)]
-pub struct RepairPipeline {
+pub(crate) struct RepairPipeline {
     config: RepairConfig,
     /// Milliseconds of pipeline time consumed per block.
     ms_per_block: f64,
@@ -93,16 +93,11 @@ impl RepairPipeline {
 
     /// Schedules one replica repair for a loss observed at `lost_at`.
     /// Returns when the new replica comes online.
-    pub fn schedule(&mut self, lost_at: SimTime) -> SimTime {
+    pub(crate) fn schedule(&mut self, lost_at: SimTime) -> SimTime {
         let earliest = (lost_at + self.config.detection_delay).as_millis() as f64;
         let start = earliest.max(self.next_free_ms);
         self.next_free_ms = start + self.ms_per_block;
         SimTime::from_millis(self.next_free_ms.ceil() as u64)
-    }
-
-    /// The configured detection delay.
-    pub fn detection_delay(&self) -> SimDuration {
-        self.config.detection_delay
     }
 }
 
@@ -278,7 +273,7 @@ pub fn simulate_reimage_storm_recorded(
 /// # Panics
 ///
 /// Panics if `existing` is empty (a lost block has no repair source).
-pub fn repair_source(dc: &Datacenter, existing: &[u32], dest: ServerId) -> ServerId {
+pub(crate) fn repair_source(dc: &Datacenter, existing: &[u32], dest: ServerId) -> ServerId {
     let dest_rack = dc.server(dest).rack;
     ServerId(
         existing

@@ -91,7 +91,7 @@ impl BlockStore {
     }
 
     /// Whether the server has room for one more replica.
-    pub fn has_space(&self, server: ServerId) -> bool {
+    pub(crate) fn has_space(&self, server: ServerId) -> bool {
         self.free_on(server) > 0
     }
 

@@ -27,7 +27,8 @@ pub enum ThrottlePolicy {
     /// least `threshold` of channel capacity, secondary streams are
     /// collectively capped at `secondary_floor` of capacity (0.0 pauses
     /// them outright, as the production incident did); below the
-    /// threshold they fair-share the remainder like [`FairShare`].
+    /// threshold they fair-share the remainder like
+    /// [`FairShare`](harvest_sim::FairShare).
     PrimaryIsolation {
         /// Primary-demand fraction at which throttling engages.
         threshold: f64,
@@ -39,7 +40,7 @@ pub enum ThrottlePolicy {
 impl ThrottlePolicy {
     /// The paper's policy: secondaries pause completely once the primary
     /// uses half the disk.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         ThrottlePolicy::PrimaryIsolation {
             threshold: 0.5,
             secondary_floor: 0.0,
@@ -67,7 +68,7 @@ impl ThrottlePolicy {
 
     /// Whether the policy is actively suppressing secondaries below
     /// their fair share at this primary demand.
-    pub fn is_throttling(&self, primary_fraction: f64) -> bool {
+    pub(crate) fn is_throttling(&self, primary_fraction: f64) -> bool {
         self.secondary_fraction(primary_fraction) < (1.0 - primary_fraction.clamp(0.0, 1.0)) - 1e-12
     }
 
@@ -76,7 +77,7 @@ impl ThrottlePolicy {
     /// # Panics
     ///
     /// Panics if a threshold or floor lies outside `[0, 1]`.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         if let ThrottlePolicy::PrimaryIsolation {
             threshold,
             secondary_floor,
@@ -117,23 +118,12 @@ pub struct PrimaryIoModel {
 
 impl PrimaryIoModel {
     /// Calibration used by the presets.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         PrimaryIoModel {
             floor: 0.05,
             periodic_gain: 0.80,
             constant_gain: 0.50,
             unpredictable_gain: 0.65,
-        }
-    }
-
-    /// A primary that does no disk I/O at all (isolates the secondary
-    /// streams' own contention).
-    pub fn idle() -> Self {
-        PrimaryIoModel {
-            floor: 0.0,
-            periodic_gain: 0.0,
-            constant_gain: 0.0,
-            unpredictable_gain: 0.0,
         }
     }
 
@@ -153,7 +143,7 @@ impl PrimaryIoModel {
     /// # Panics
     ///
     /// Panics if the floor or a gain is negative or non-finite.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         for (name, v) in [
             ("floor", self.floor),
             ("periodic_gain", self.periodic_gain),
@@ -232,12 +222,6 @@ impl DiskConfig {
         self.service_secs(self.read_bytes_per_sec(), primary_fraction, bytes)
     }
 
-    /// Static estimate of a single secondary write's service time;
-    /// see [`DiskConfig::read_service_secs`].
-    pub fn write_service_secs(&self, primary_fraction: f64, bytes: u64) -> Option<f64> {
-        self.service_secs(self.write_bytes_per_sec(), primary_fraction, bytes)
-    }
-
     fn service_secs(&self, capacity: f64, primary_fraction: f64, bytes: u64) -> Option<f64> {
         let share = self.throttle.secondary_fraction(primary_fraction);
         if share < MIN_SERVE_FRACTION {
@@ -252,7 +236,7 @@ impl DiskConfig {
     ///
     /// Panics if a bandwidth is non-positive, the seek latency is
     /// negative, or a sub-model is invalid.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.read_mbps > 0.0 && self.read_mbps.is_finite(),
             "read bandwidth must be positive, got {}",

@@ -267,7 +267,7 @@ impl DiskPool {
     /// # Panics
     ///
     /// Panics if `patterns` is empty or the config is invalid.
-    pub fn with_patterns(patterns: Vec<UtilizationPattern>, config: &DiskConfig) -> Self {
+    pub(crate) fn with_patterns(patterns: Vec<UtilizationPattern>, config: &DiskConfig) -> Self {
         config.validate();
         assert!(!patterns.is_empty(), "cannot build a pool of zero disks");
         let n = patterns.len();
@@ -339,29 +339,9 @@ impl DiskPool {
         std::mem::take(&mut self.rec)
     }
 
-    /// Number of disks.
-    pub fn n_disks(&self) -> usize {
-        self.patterns.len()
-    }
-
-    /// The configuration the pool was built with.
-    pub fn config(&self) -> &DiskConfig {
-        &self.config
-    }
-
     /// Aggregate counters.
     pub fn stats(&self) -> &DiskStats {
         &self.stats
-    }
-
-    /// Streams currently moving bytes.
-    pub fn n_active(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Streams scheduled but not yet started.
-    pub fn n_pending(&self) -> usize {
-        self.pending.len()
     }
 
     /// The current rate of a stream in bytes/s, if it is active.
@@ -419,11 +399,6 @@ impl DiskPool {
         self.primary_util[server.0 as usize]
     }
 
-    /// The primary's current demand fraction on a server's disk.
-    pub fn primary_fraction(&self, server: ServerId) -> f64 {
-        self.primary_fraction[server.0 as usize]
-    }
-
     /// Whether the isolation manager is currently suppressing secondary
     /// I/O on a server's disk below its fair share.
     pub fn is_throttled(&self, server: ServerId) -> bool {
@@ -471,11 +446,6 @@ impl DiskPool {
     /// utilization replay has to visit each tick.
     pub fn active_servers(&self) -> impl Iterator<Item = ServerId> + '_ {
         self.active_servers.iter().map(|&s| ServerId(s))
-    }
-
-    /// Number of disks currently hosting at least one active stream.
-    pub fn n_active_servers(&self) -> usize {
-        self.active_servers.len()
     }
 
     /// Schedules a secondary stream of `bytes` on `server`'s `dir`
@@ -537,11 +507,6 @@ impl DiskPool {
         let d = self.queue.n_dead_cancels();
         self.stats.stale_events_dropped += d - self.dead_cancels_seen;
         self.dead_cancels_seen = d;
-    }
-
-    /// The fault-injected brown-out factor on a disk (1.0 = healthy).
-    pub fn degrade_factor(&self, server: ServerId) -> f64 {
-        self.degrade[server.0 as usize]
     }
 
     /// Sets a disk's brown-out factor and re-shares both its channels.
@@ -852,6 +817,23 @@ fn unchan(c: u32) -> (ServerId, IoDir) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DiskPool {
+        /// The fault-injected brown-out factor on a disk (1.0 = healthy).
+        fn degrade_factor(&self, server: ServerId) -> f64 {
+            self.degrade[server.0 as usize]
+        }
+
+        /// Number of disks currently hosting at least one active stream.
+        fn n_active_servers(&self) -> usize {
+            self.active_servers.len()
+        }
+
+        /// Streams currently moving bytes.
+        fn n_active(&self) -> usize {
+            self.active.len()
+        }
+    }
 
     const MB: u64 = 1_000_000;
     const S0: ServerId = ServerId(0);

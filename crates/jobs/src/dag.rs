@@ -65,11 +65,6 @@ impl DagJob {
         self.stages.len()
     }
 
-    /// Total number of tasks across all stages.
-    pub fn total_tasks(&self) -> u64 {
-        self.stages.iter().map(|s| s.tasks as u64).sum()
-    }
-
     /// Total compute demand: Σ tasks × duration.
     pub fn total_work(&self) -> SimDuration {
         let ms: u64 = self
@@ -92,16 +87,6 @@ impl DagJob {
             finish[i] = dep_finish + s.task_duration.as_millis();
         }
         SimDuration::from_millis(finish.into_iter().max().unwrap_or(0))
-    }
-
-    /// Stages with no dependencies.
-    pub fn roots(&self) -> Vec<StageId> {
-        self.stages
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.deps.is_empty())
-            .map(|(i, _)| StageId(i))
-            .collect()
     }
 
     /// The depth (BFS level) of every stage: roots are level 0, and each
@@ -128,6 +113,23 @@ pub fn stage(name: impl Into<String>, tasks: u32, task_secs: u64, deps: Vec<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DagJob {
+        /// Total number of tasks across all stages.
+        pub(crate) fn total_tasks(&self) -> u64 {
+            self.stages.iter().map(|s| s.tasks as u64).sum()
+        }
+
+        /// Stages with no dependencies.
+        fn roots(&self) -> Vec<StageId> {
+            self.stages
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.deps.is_empty())
+                .map(|(i, _)| StageId(i))
+                .collect()
+        }
+    }
 
     fn diamond() -> DagJob {
         DagJob::new(

@@ -69,11 +69,6 @@ impl JobExecution {
         self.submitted
     }
 
-    /// When the job finished, if it has.
-    pub fn finished(&self) -> Option<SimTime> {
-        self.finished
-    }
-
     /// Submission-to-completion time, if finished.
     pub fn execution_time(&self) -> Option<SimDuration> {
         self.finished.map(|f| f.since(self.submitted))
@@ -90,7 +85,7 @@ impl JobExecution {
     }
 
     /// Whether a stage's dependencies have all fully completed.
-    pub fn stage_ready(&self, stage: StageId) -> bool {
+    pub(crate) fn stage_ready(&self, stage: StageId) -> bool {
         self.job.stages[stage.0]
             .deps
             .iter()
@@ -137,15 +132,6 @@ impl JobExecution {
     /// Tasks of `stage` currently running.
     pub fn running_tasks(&self, stage: StageId) -> u32 {
         self.running[stage.0]
-    }
-
-    /// Takes one ready task (from the earliest ready stage) and marks it
-    /// running. Returns the stage it came from, or `None` if nothing is
-    /// ready.
-    pub fn start_next_task(&mut self) -> Option<StageId> {
-        let stage = self.next_ready_stage(0)?;
-        self.start_task(stage);
-        Some(stage)
     }
 
     /// Marks one pending task of `stage` as running.
@@ -217,6 +203,17 @@ impl JobExecution {
 mod tests {
     use super::*;
     use crate::dag::stage;
+
+    impl JobExecution {
+        /// Takes one ready task (from the earliest ready stage) and marks it
+        /// running. Returns the stage it came from, or `None` if nothing is
+        /// ready.
+        fn start_next_task(&mut self) -> Option<StageId> {
+            let stage = self.next_ready_stage(0)?;
+            self.start_task(stage);
+            Some(stage)
+        }
+    }
 
     fn job() -> DagJob {
         DagJob::new(

@@ -25,11 +25,8 @@ pub enum JobLength {
 }
 
 impl JobLength {
-    /// All lengths in ascending order.
-    pub const ALL: [JobLength; 3] = [JobLength::Short, JobLength::Medium, JobLength::Long];
-
     /// A short lowercase label for reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             JobLength::Short => "short",
             JobLength::Medium => "medium",
@@ -114,26 +111,28 @@ impl JobHistory {
     pub fn record(&mut self, job: &str, duration: SimDuration) {
         self.last_run.insert(job.to_string(), duration);
     }
-
-    /// The recorded last run of `job`, if any.
-    pub fn last_run(&self, job: &str) -> Option<SimDuration> {
-        self.last_run.get(job).copied()
-    }
-
-    /// Number of jobs with recorded history.
-    pub fn len(&self) -> usize {
-        self.last_run.len()
-    }
-
-    /// Whether no history has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.last_run.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl JobHistory {
+        /// Number of jobs with recorded history.
+        fn len(&self) -> usize {
+            self.last_run.len()
+        }
+
+        /// The recorded last run of `job`, if any.
+        fn last_run(&self, job: &str) -> Option<SimDuration> {
+            self.last_run.get(job).copied()
+        }
+    }
+
+    impl JobLength {
+        /// All lengths in ascending order.
+        const ALL: [JobLength; 3] = [JobLength::Short, JobLength::Medium, JobLength::Long];
+    }
 
     #[test]
     fn paper_thresholds_classify() {

@@ -31,17 +31,17 @@ pub fn stage_shuffle_bytes(job: &DagJob, stage: StageId, bytes_per_task: u64) ->
         .sum()
 }
 
-/// Total shuffle bytes a job moves across all its edges.
-pub fn job_shuffle_bytes(job: &DagJob, bytes_per_task: u64) -> u64 {
-    (0..job.n_stages())
-        .map(|s| stage_shuffle_bytes(job, StageId(s), bytes_per_task))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dag::stage;
+
+    /// Total shuffle bytes a job moves across all its edges.
+    fn job_shuffle_bytes(job: &DagJob, bytes_per_task: u64) -> u64 {
+        (0..job.n_stages())
+            .map(|s| stage_shuffle_bytes(job, StageId(s), bytes_per_task))
+            .sum()
+    }
 
     fn diamond() -> DagJob {
         DagJob::new(

@@ -16,7 +16,7 @@ use rand::RngExt;
 use crate::dag::{stage, DagJob, Stage, StageId};
 
 /// Number of queries in the suite.
-pub const SUITE_SIZE: usize = 52;
+pub(crate) const SUITE_SIZE: usize = 52;
 
 /// The full 52-query suite, deterministically generated. `suite()[18]` is
 /// query 19 (Figure 7).
@@ -29,7 +29,7 @@ pub fn tpcds_suite() -> Vec<DagJob> {
 /// # Panics
 ///
 /// Panics if `n` is 0 or greater than [`SUITE_SIZE`].
-pub fn query(n: usize) -> DagJob {
+pub(crate) fn query(n: usize) -> DagJob {
     assert!(
         (1..=SUITE_SIZE).contains(&n),
         "query number must be 1..={SUITE_SIZE}, got {n}"

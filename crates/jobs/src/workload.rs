@@ -23,7 +23,7 @@ pub struct JobArrival {
 /// # Panics
 ///
 /// Panics if `n_queries` is zero or `mean_gap` is zero.
-pub fn poisson_arrivals<R: Rng + ?Sized>(
+pub(crate) fn poisson_arrivals<R: Rng + ?Sized>(
     rng: &mut R,
     n_queries: usize,
     mean_gap: SimDuration,

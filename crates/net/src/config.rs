@@ -45,7 +45,7 @@ impl NetworkConfig {
     }
 
     /// NIC capacity in bytes per second.
-    pub fn nic_bytes_per_sec(&self) -> f64 {
+    pub(crate) fn nic_bytes_per_sec(&self) -> f64 {
         self.nic_gbps * 1e9 / 8.0
     }
 
@@ -54,7 +54,7 @@ impl NetworkConfig {
     /// # Panics
     ///
     /// Panics if a speed or ratio is non-positive or non-finite.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(
             self.nic_gbps > 0.0 && self.nic_gbps.is_finite(),
             "NIC speed must be positive, got {}",

@@ -1,6 +1,6 @@
 //! Event-driven flow-level simulation with max-min fair sharing.
 //!
-//! A [`Fabric`] carries [`Flow`]s between servers over a [`Topology`].
+//! A [`Fabric`] carries flows between servers over a [`Topology`].
 //! Whenever the active-flow set changes — a flow starts or finishes —
 //! link bandwidth is re-divided max-min fairly and the affected flows'
 //! completions are re-predicted. Starts, completions, and those
@@ -235,9 +235,6 @@ pub struct Fabric {
     /// Bumped per component walk; a link/flow is in the current walk
     /// iff its stamp equals this.
     epoch: u64,
-    /// Running sum of active flows' `remaining` (as of each flow's own
-    /// `last_update`), serving `in_flight_bytes` in O(1).
-    in_flight_remaining: f64,
     /// Fault state: a down link contributes zero capacity to the
     /// filling, so flows crossing it starve (rate 0, parked completion)
     /// until the link comes back. All-true outside fault runs.
@@ -314,7 +311,6 @@ impl Fabric {
             flows_on: vec![Vec::new(); n_links],
             link_seen: vec![0; n_links],
             epoch: 0,
-            in_flight_remaining: 0.0,
             link_up: vec![true; n_links],
             dead_cancels_seen: 0,
             groups: Vec::new(),
@@ -394,19 +390,6 @@ impl Fabric {
         self.active.len()
     }
 
-    /// Flows scheduled but not yet started.
-    pub fn n_pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Bytes still in flight across all active flows (each counted as
-    /// of its own last rate change, since flows advance lazily), plus
-    /// the folded-in latency padding. Served from a running total in
-    /// O(1).
-    pub fn in_flight_bytes(&self) -> f64 {
-        self.in_flight_remaining.max(0.0)
-    }
-
     /// A flow's current rate: the group engine's fair share for
     /// analytic members (whose stored per-flow rate is frozen at
     /// enrollment), the stored rate otherwise.
@@ -424,16 +407,6 @@ impl Fabric {
     /// The current max-min rate of a flow in bytes/s, if it is active.
     pub fn flow_rate(&self, flow: FlowId) -> Option<f64> {
         self.active.get(&flow.0).map(|f| self.rate_of(f))
-    }
-
-    /// The re-prediction version of an active flow — bumped whenever a
-    /// re-share changes its rate. Disjoint-component flows keep their
-    /// version (and their scheduled completion event) across unrelated
-    /// starts/finishes; tests pin that. Analytic-group members keep
-    /// the version they enrolled with — the group serves rate changes
-    /// without per-flow re-prediction, which is the point.
-    pub fn flow_version(&self, flow: FlowId) -> Option<u64> {
-        self.active.get(&flow.0).map(|f| f.version)
     }
 
     /// Ids of the currently active flows, ascending.
@@ -456,11 +429,6 @@ impl Fabric {
             .iter()
             .map(|id| self.rate_of(&self.active[id]))
             .sum()
-    }
-
-    /// Number of active flows crossing `link` (O(1) via the index).
-    pub fn link_flows(&self, link: LinkId) -> usize {
-        self.flows_on[link.0 as usize].len()
     }
 
     /// Schedules a `src → dst` transfer of `bytes` to start at `at`.
@@ -533,11 +501,6 @@ impl Fabric {
     /// completions. Useful at the end of a simulation.
     pub fn drain(&mut self) -> Vec<FlowCompletion> {
         self.pump(SimTime::MAX)
-    }
-
-    /// Whether a link is currently up (fault injection downs links).
-    pub fn link_is_up(&self, link: LinkId) -> bool {
-        self.link_up[link.0 as usize]
     }
 
     /// Whether every link on the `src → dst` path is up. The empty path
@@ -667,7 +630,6 @@ impl Fabric {
             self.dissolve_group(g, now);
         }
         let flow = self.active.remove(&id.0)?;
-        self.in_flight_remaining -= flow.remaining;
         for l in &flow.path {
             let list = &mut self.flows_on[l.0 as usize];
             let pos = list.binary_search(&id.0).expect("flow indexed on link");
@@ -721,7 +683,6 @@ impl Fabric {
                 group: None,
             },
         );
-        self.in_flight_remaining += remaining;
         for l in &path {
             let list = &mut self.flows_on[l.0 as usize];
             // Ids are assigned at schedule time but start in event-time
@@ -834,7 +795,6 @@ impl Fabric {
             return;
         }
         let flow = self.active.remove(&id.0).expect("checked above");
-        self.in_flight_remaining -= flow.remaining;
         for l in &flow.path {
             let list = &mut self.flows_on[l.0 as usize];
             let pos = list.binary_search(&id.0).expect("flow indexed on link");
@@ -961,7 +921,6 @@ impl Fabric {
         let rate = grp.engine.rate();
         for (id, remaining) in grp.engine.members() {
             let f = self.active.get_mut(&id).expect("group member is active");
-            self.in_flight_remaining -= f.remaining - remaining;
             f.remaining = remaining;
             f.last_update = now;
             f.rate = rate;
@@ -1224,7 +1183,6 @@ impl Fabric {
             let dt = now.since(f.last_update).as_secs_f64();
             if dt > 0.0 {
                 let advanced = (f.remaining - f.rate * dt).max(0.0);
-                self.in_flight_remaining -= f.remaining - advanced;
                 f.remaining = advanced;
             }
             f.last_update = now;
@@ -1270,7 +1228,6 @@ impl Fabric {
             let dt = now.since(f.last_update).as_secs_f64();
             if dt > 0.0 {
                 let advanced = (f.remaining - f.rate * dt).max(0.0);
-                self.in_flight_remaining -= f.remaining - advanced;
                 f.remaining = advanced;
             }
             f.last_update = now;
@@ -1314,6 +1271,33 @@ mod tests {
     use super::*;
     use harvest_cluster::Datacenter;
     use harvest_trace::datacenter::DatacenterProfile;
+
+    impl Fabric {
+        /// Whether a link is currently up (fault injection downs links).
+        fn link_is_up(&self, link: LinkId) -> bool {
+            self.link_up[link.0 as usize]
+        }
+
+        /// Number of active flows crossing `link` (O(1) via the index).
+        fn link_flows(&self, link: LinkId) -> usize {
+            self.flows_on[link.0 as usize].len()
+        }
+
+        /// The re-prediction version of an active flow — bumped whenever a
+        /// re-share changes its rate. Disjoint-component flows keep their
+        /// version (and their scheduled completion event) across unrelated
+        /// starts/finishes; tests pin that. Analytic-group members keep
+        /// the version they enrolled with — the group serves rate changes
+        /// without per-flow re-prediction, which is the point.
+        fn flow_version(&self, flow: FlowId) -> Option<u64> {
+            self.active.get(&flow.0).map(|f| f.version)
+        }
+
+        /// Flows scheduled but not yet started.
+        fn n_pending(&self) -> usize {
+            self.pending.len()
+        }
+    }
 
     const MB: u64 = 1024 * 1024;
 

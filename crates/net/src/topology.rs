@@ -30,7 +30,7 @@ impl Path {
     }
 
     /// The links, in traversal order.
-    pub fn as_slice(&self) -> &[LinkId] {
+    pub(crate) fn as_slice(&self) -> &[LinkId] {
         &self.links[..self.len as usize]
     }
 
@@ -169,7 +169,7 @@ impl Topology {
     }
 
     /// The rack a server sits in.
-    pub fn rack_of(&self, server: ServerId) -> u32 {
+    pub(crate) fn rack_of(&self, server: ServerId) -> u32 {
         self.rack_of[server.0 as usize]
     }
 
@@ -179,7 +179,7 @@ impl Topology {
     }
 
     /// The server's receive link (ToR → server).
-    pub fn server_rx(&self, server: ServerId) -> LinkId {
+    pub(crate) fn server_rx(&self, server: ServerId) -> LinkId {
         LinkId(self.n_servers + server.0)
     }
 
@@ -203,7 +203,7 @@ impl Topology {
     /// Allocation-free variant of [`Topology::path`] for hot paths: the
     /// fabric stores one [`Path`] per flow and builds its inverted
     /// link → flows index from it.
-    pub fn path_links(&self, src: ServerId, dst: ServerId) -> Path {
+    pub(crate) fn path_links(&self, src: ServerId, dst: ServerId) -> Path {
         if src == dst {
             return Path::new(&[]);
         }
@@ -218,15 +218,6 @@ impl Topology {
                 self.server_rx(dst),
             ])
         }
-    }
-
-    /// The bottleneck capacity of the `src → dst` path in bytes/s
-    /// (`f64::INFINITY` for a local copy).
-    pub fn path_capacity(&self, src: ServerId, dst: ServerId) -> f64 {
-        self.path(src, dst)
-            .into_iter()
-            .map(|l| self.capacity(l))
-            .fold(f64::INFINITY, f64::min)
     }
 
     /// Transfer time of `bytes` over an otherwise-idle fabric, in
@@ -266,6 +257,17 @@ impl Topology {
 mod tests {
     use super::*;
     use harvest_trace::datacenter::DatacenterProfile;
+
+    impl Topology {
+        /// The bottleneck capacity of the `src → dst` path in bytes/s
+        /// (`f64::INFINITY` for a local copy).
+        fn path_capacity(&self, src: ServerId, dst: ServerId) -> f64 {
+            self.path(src, dst)
+                .into_iter()
+                .map(|l| self.capacity(l))
+                .fold(f64::INFINITY, f64::min)
+        }
+    }
 
     fn topo() -> (Datacenter, Topology) {
         let dc = Datacenter::generate(&DatacenterProfile::dc(9).scaled(0.02), 42);

@@ -29,7 +29,7 @@ use harvest_sim::rng::stream_rng;
 
 /// Default K-Means `k` for [periodic, constant, unpredictable] (the class
 /// counts the paper reports for DC-9).
-pub const DEFAULT_K: [usize; 3] = [13, 5, 5];
+pub(crate) const DEFAULT_K: [usize; 3] = [13, 5, 5];
 
 /// A pattern's index in [`UtilizationPattern::ALL`], the order classes
 /// are clustered and numbered in (and the order of `k_per_pattern`).
@@ -70,7 +70,6 @@ impl TenantClass {
 #[derive(Debug, Clone)]
 pub struct ClusteringService {
     classes: Vec<TenantClass>,
-    tenant_class: Vec<usize>,
 }
 
 impl ClusteringService {
@@ -87,7 +86,7 @@ impl ClusteringService {
     /// this — with the full 23 classes over a few dozen tenants every
     /// class is a single tenant, and class-restricted placement
     /// serializes jobs instead of protecting them.
-    pub fn build_adaptive(dc: &Datacenter, view: &UtilizationView, seed: u64) -> Self {
+    pub(crate) fn build_adaptive(dc: &Datacenter, view: &UtilizationView, seed: u64) -> Self {
         let n = dc.n_tenants();
         let k = |cap: usize| (n / 12).clamp(1, cap);
         Self::build_from_view(
@@ -103,7 +102,7 @@ impl ClusteringService {
     /// `k_per_pattern` bounds the number of K-Means classes for
     /// [periodic, constant, unpredictable]; patterns with fewer tenants
     /// than `k` get one class per tenant.
-    pub fn build_from_view(
+    pub(crate) fn build_from_view(
         dc: &Datacenter,
         view: &UtilizationView,
         seed: u64,
@@ -129,7 +128,6 @@ impl ClusteringService {
 
         let mut rng = stream_rng(seed, "clustering-service");
         let mut classes = Vec::new();
-        let mut tenant_class = vec![usize::MAX; dc.n_tenants()];
 
         for (slot, pattern) in UtilizationPattern::ALL.into_iter().enumerate() {
             let members = &by_pattern[slot];
@@ -167,7 +165,6 @@ impl ClusteringService {
                     weighted_peak += f.peak * n as f64;
                     total_servers += n;
                     servers.extend(tenant.server_ids());
-                    tenant_class[tid.0 as usize] = class_id;
                 }
                 classes.push(TenantClass {
                     id: class_id,
@@ -180,10 +177,7 @@ impl ClusteringService {
             }
         }
 
-        ClusteringService {
-            classes,
-            tenant_class,
-        }
+        ClusteringService { classes }
     }
 
     /// All classes.
@@ -194,11 +188,6 @@ impl ClusteringService {
     /// Number of classes.
     pub fn class_count(&self) -> usize {
         self.classes.len()
-    }
-
-    /// The class a tenant belongs to.
-    pub fn class_of_tenant(&self, tenant: TenantId) -> &TenantClass {
-        &self.classes[self.tenant_class[tenant.0 as usize]]
     }
 
     /// Number of classes with the given pattern.
@@ -223,8 +212,13 @@ mod tests {
         let svc = ClusteringService::build(&dc, 42);
         assert!(svc.class_count() > 0);
         for t in &dc.tenants {
-            let class = svc.class_of_tenant(t.id);
-            assert!(class.tenants.contains(&t.id));
+            let homes = svc.classes().iter().filter(|c| c.tenants.contains(&t.id));
+            assert_eq!(
+                homes.count(),
+                1,
+                "tenant {} not in exactly one class",
+                t.id.0
+            );
         }
     }
 

@@ -44,7 +44,7 @@ impl RankingWeights {
     }
 
     /// The weight for a (job length, pattern) pair.
-    pub fn weight(&self, length: JobLength, pattern: UtilizationPattern) -> f64 {
+    pub(crate) fn weight(&self, length: JobLength, pattern: UtilizationPattern) -> f64 {
         let row = match length {
             JobLength::Short => 0,
             JobLength::Medium => 1,
@@ -63,7 +63,7 @@ impl RankingWeights {
 /// duration of a job of the given length, per the paper's three formulas.
 ///
 /// `current_util` is the class's current average CPU utilization.
-pub fn headroom_fraction(length: JobLength, class: &TenantClass, current_util: f64) -> f64 {
+pub(crate) fn headroom_fraction(length: JobLength, class: &TenantClass, current_util: f64) -> f64 {
     let used = match length {
         JobLength::Short => current_util,
         JobLength::Medium => class.avg_util.max(current_util),
@@ -75,14 +75,14 @@ pub fn headroom_fraction(length: JobLength, class: &TenantClass, current_util: f
 /// Converts a headroom fraction into a number of single-core containers
 /// the class can host: per server, the headroom cores minus the burst
 /// reserve, summed across the class's servers.
-pub fn headroom_containers(headroom_frac: f64, n_servers: usize) -> u64 {
+pub(crate) fn headroom_containers(headroom_frac: f64, n_servers: usize) -> u64 {
     let per_server =
         (headroom_frac * SERVER_CAPACITY.cores as f64).floor() as i64 - RESERVE.cores as i64;
     per_server.max(0) as u64 * n_servers as u64
 }
 
 /// Headroom of a class for a job length, in containers.
-pub fn class_headroom(length: JobLength, class: &TenantClass, current_util: f64) -> u64 {
+pub(crate) fn class_headroom(length: JobLength, class: &TenantClass, current_util: f64) -> u64 {
     headroom_containers(
         headroom_fraction(length, class, current_util),
         class.n_servers(),

@@ -25,12 +25,12 @@ impl SchedPolicy {
     ];
 
     /// Whether this policy respects the primary tenant (reserve + kills).
-    pub fn primary_aware(self) -> bool {
+    pub(crate) fn primary_aware(self) -> bool {
         !matches!(self, SchedPolicy::Stock)
     }
 
     /// Whether this policy uses the clustering service and Algorithm 1.
-    pub fn uses_history(self) -> bool {
+    pub(crate) fn uses_history(self) -> bool {
         matches!(self, SchedPolicy::History)
     }
 

@@ -11,7 +11,7 @@
 //!   entries are popped lazily off the tail when the youngest container
 //!   is asked for, and the list is compacted (order-preserving) once
 //!   tombstones outnumber the living.
-//! * [`StageSources`] — which servers a stage's finished tasks ran on,
+//! * `StageSources` — which servers a stage's finished tasks ran on,
 //!   i.e. where a dependent stage's shuffle reads from. Placement
 //!   appends and returns a slot; a kill invalidates exactly the killed
 //!   task's slot (O(1), no value scan), so the re-run's server is what
@@ -114,7 +114,7 @@ impl ContainerRoster {
 /// The servers a stage's placed tasks ran on, in placement order — the
 /// upstream ends of a dependent stage's shuffle.
 #[derive(Debug, Clone, Default)]
-pub struct StageSources {
+pub(crate) struct StageSources {
     /// One slot per placed task; a killed task's slot is invalidated
     /// (it produced no output to fetch).
     slots: Vec<Option<ServerId>>,
@@ -136,18 +136,18 @@ impl StageSources {
     /// Drops the task in `slot` from the sources (killed before
     /// producing output). O(1); the re-run's `record` appends its new
     /// server, which is what the shuffle then reads.
-    pub fn invalidate(&mut self, slot: u32) {
+    pub(crate) fn invalidate(&mut self, slot: u32) {
         self.slots[slot as usize] = None;
     }
 
     /// The live source servers in placement order, duplicates included.
-    pub fn iter(&self) -> impl Iterator<Item = ServerId> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = ServerId> + '_ {
         self.slots.iter().filter_map(|s| *s)
     }
 
     /// Appends up to `cap` *distinct* live sources, in first-placement
     /// order, to `out`.
-    pub fn distinct_into(&self, cap: usize, out: &mut Vec<ServerId>) {
+    pub(crate) fn distinct_into(&self, cap: usize, out: &mut Vec<ServerId>) {
         for s in self.iter() {
             if !out.contains(&s) {
                 out.push(s);

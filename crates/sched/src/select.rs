@@ -32,17 +32,12 @@ pub enum ClassSelection {
 
 impl ClassSelection {
     /// The selected class ids (empty for [`ClassSelection::None`]).
-    pub fn class_ids(&self) -> Vec<usize> {
+    pub(crate) fn class_ids(&self) -> Vec<usize> {
         match self {
             ClassSelection::Single(c) => vec![*c],
             ClassSelection::Multiple(cs) => cs.clone(),
             ClassSelection::None => Vec::new(),
         }
-    }
-
-    /// Whether any class was selected.
-    pub fn is_some(&self) -> bool {
-        !matches!(self, ClassSelection::None)
     }
 }
 

@@ -106,7 +106,7 @@ use crate::select::{select_classes, ClassSelection};
 use crate::stats::{JobResult, LoadSample, SimStats};
 
 /// Default container request: 1 core, 2 GB.
-pub const CONTAINER: Resources = Resources {
+pub(crate) const CONTAINER: Resources = Resources {
     cores: 1,
     memory_mb: 2_048,
 };
@@ -349,7 +349,7 @@ impl<'a> SchedSim<'a> {
     /// changed-disk and occupied-server counts) land on the `sched`
     /// track, the event-queue depth is gauged each tick, per-stage
     /// wait states land on the `sched/stage` state track (see
-    /// [`SchedObs::stages`]), and the fabric and disk pool record into
+    /// `SchedObs::stages`), and the fabric and disk pool record into
     /// child recorders that are absorbed back into `rec` at the end,
     /// along with `sched/*` counters mirroring the run's totals. Two
     /// host-time measurements attribute the call's wall time: a

@@ -84,19 +84,21 @@ impl SimStats {
     pub fn completed_jobs(&self) -> usize {
         self.jobs.iter().filter(|j| j.finished.is_some()).count()
     }
-
-    /// Fraction of submitted jobs that completed.
-    pub fn completion_rate(&self) -> f64 {
-        if self.jobs.is_empty() {
-            return 1.0;
-        }
-        self.completed_jobs() as f64 / self.jobs.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimStats {
+        /// Fraction of submitted jobs that completed.
+        pub(crate) fn completion_rate(&self) -> f64 {
+            if self.jobs.is_empty() {
+                return 1.0;
+            }
+            self.completed_jobs() as f64 / self.jobs.len() as f64
+        }
+    }
 
     #[test]
     fn mean_ignores_unfinished() {

@@ -13,21 +13,7 @@
 //! close to baseline; YARN-H nearly matches it (max 44 ms apart).
 
 use harvest_cluster::reserve::SERVER_CAPACITY;
-use harvest_disk::DiskConfig;
-use harvest_signal::classify::UtilizationPattern;
 use harvest_sim::rng::splitmix64;
-
-/// Gain of the disk-interference term: how fast the disk's contribution
-/// to p99 grows with its effective utilization. Higher than the CPU
-/// `kappa` because a query's index read cannot be parallelized away —
-/// one slow seek is one slow query.
-const DISK_KAPPA: f64 = 4.0;
-
-/// Fraction of the disk time ceded to secondary streams that a primary
-/// operation actually waits behind: the primary's reservation has
-/// priority, but an op cannot preempt a secondary transfer already in
-/// service, so on average it waits out half of one.
-const RESIDUAL_INTERFERENCE: f64 = 0.5;
 
 /// The analytic p99 model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,55 +54,9 @@ impl LatencyModel {
         p99.min(self.cap_ms)
     }
 
-    /// p99 including a disk-interference term (§6): each query pays an
-    /// index read whose queueing grows with the disk's effective
-    /// utilization as seen by a *primary* operation.
-    ///
-    /// The primary's bandwidth reservation is never taken by
-    /// secondaries (the disk model grants the primary's demand first),
-    /// so the interference is op-granular, not bandwidth-granular: a
-    /// query's read cannot preempt a secondary transfer already in
-    /// service, and on average it finds one mid-flight half the time
-    /// the disk is doing secondary work. Its effective utilization is
-    /// therefore its own demand plus [`RESIDUAL_INTERFERENCE`] of the
-    /// time fraction the throttle cedes to active secondary streams —
-    /// bounded away from saturation, so the term degrades smoothly
-    /// instead of pinning at the cap.
-    ///
-    /// Under the paper's isolation manager a hot primary pushes the
-    /// secondaries to their floor, so the ceded fraction collapses and
-    /// the disk term falls back toward the primary-only wait — the
-    /// protection Figure 10 credits to the manager. Without it
-    /// (fair-share), active spill streams keep inflating every query's
-    /// disk wait as the primary grows busier.
-    pub fn p99_disk_ms(
-        &self,
-        util: f64,
-        secondary_cores: u32,
-        disk: &DiskConfig,
-        pattern: UtilizationPattern,
-        secondary_streams: u32,
-    ) -> f64 {
-        let cpu = self.p99_ms(util, secondary_cores);
-        if cpu >= self.cap_ms {
-            return self.cap_ms;
-        }
-        let primary = disk.primary.demand_fraction(pattern, util);
-        // Secondary spill/fetch streams saturate whatever share the
-        // throttle leaves them; none active, none used.
-        let ceded = if secondary_streams > 0 {
-            disk.throttle.secondary_fraction(primary)
-        } else {
-            0.0
-        };
-        let rho = (primary + ceded * RESIDUAL_INTERFERENCE).min(0.95);
-        let disk_ms = disk.seek_ms * (1.0 + DISK_KAPPA * rho / (1.0 - rho));
-        (cpu + disk_ms).min(self.cap_ms)
-    }
-
     /// p99 with deterministic pseudo-noise derived from `(seed, server,
     /// minute)` — reproducible "measurement jitter" for the figures.
-    pub fn p99_noisy_ms(&self, util: f64, secondary_cores: u32, seed: u64, tag: u64) -> f64 {
+    pub(crate) fn p99_noisy_ms(&self, util: f64, secondary_cores: u32, seed: u64, tag: u64) -> f64 {
         let p = self.p99_ms(util, secondary_cores);
         if p >= self.cap_ms {
             return p;
@@ -147,6 +87,68 @@ impl LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harvest_disk::DiskConfig;
+    use harvest_signal::classify::UtilizationPattern;
+
+    /// Gain of the disk-interference term: how fast the disk's contribution
+    /// to p99 grows with its effective utilization. Higher than the CPU
+    /// `kappa` because a query's index read cannot be parallelized away —
+    /// one slow seek is one slow query.
+    const DISK_KAPPA: f64 = 4.0;
+
+    /// Fraction of the disk time ceded to secondary streams that a primary
+    /// operation actually waits behind: the primary's reservation has
+    /// priority, but an op cannot preempt a secondary transfer already in
+    /// service, so on average it waits out half of one.
+    const RESIDUAL_INTERFERENCE: f64 = 0.5;
+
+    impl LatencyModel {
+        /// p99 including a disk-interference term (§6): each query pays an
+        /// index read whose queueing grows with the disk's effective
+        /// utilization as seen by a *primary* operation.
+        ///
+        /// The primary's bandwidth reservation is never taken by
+        /// secondaries (the disk model grants the primary's demand first),
+        /// so the interference is op-granular, not bandwidth-granular: a
+        /// query's read cannot preempt a secondary transfer already in
+        /// service, and on average it finds one mid-flight half the time
+        /// the disk is doing secondary work. Its effective utilization is
+        /// therefore its own demand plus [`RESIDUAL_INTERFERENCE`] of the
+        /// time fraction the throttle cedes to active secondary streams —
+        /// bounded away from saturation, so the term degrades smoothly
+        /// instead of pinning at the cap.
+        ///
+        /// Under the paper's isolation manager a hot primary pushes the
+        /// secondaries to their floor, so the ceded fraction collapses and
+        /// the disk term falls back toward the primary-only wait — the
+        /// protection Figure 10 credits to the manager. Without it
+        /// (fair-share), active spill streams keep inflating every query's
+        /// disk wait as the primary grows busier.
+        fn p99_disk_ms(
+            &self,
+            util: f64,
+            secondary_cores: u32,
+            disk: &DiskConfig,
+            pattern: UtilizationPattern,
+            secondary_streams: u32,
+        ) -> f64 {
+            let cpu = self.p99_ms(util, secondary_cores);
+            if cpu >= self.cap_ms {
+                return self.cap_ms;
+            }
+            let primary = disk.primary.demand_fraction(pattern, util);
+            // Secondary spill/fetch streams saturate whatever share the
+            // throttle leaves them; none active, none used.
+            let ceded = if secondary_streams > 0 {
+                disk.throttle.secondary_fraction(primary)
+            } else {
+                0.0
+            };
+            let rho = (primary + ceded * RESIDUAL_INTERFERENCE).min(0.95);
+            let disk_ms = disk.seek_ms * (1.0 + DISK_KAPPA * rho / (1.0 - rho));
+            (cpu + disk_ms).min(self.cap_ms)
+        }
+    }
 
     #[test]
     fn calibration_hits_figure_10_band() {

@@ -84,7 +84,7 @@ impl SearchServer {
 
     /// [`SearchServer::run`] with observability: each request's wait
     /// states land on the `service/request` state track (see
-    /// [`ServiceObs::states`]) and sojourn times are sampled into
+    /// `ServiceObs::states`) and sojourn times are sampled into
     /// `service/sojourn_secs`. Recording never changes the run: the
     /// returned stats are identical to [`SearchServer::run`]'s (pinned
     /// by tests), and nothing is printed.

@@ -31,7 +31,7 @@ impl UtilizationPattern {
     ];
 
     /// A short lowercase label for reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             UtilizationPattern::Periodic => "periodic",
             UtilizationPattern::Constant => "constant",
@@ -53,7 +53,7 @@ pub struct ClassifierConfig {
     pub constant_cv_max: f64,
     /// Periodicity strength at or above which a non-constant trace is
     /// *periodic* (fraction of non-DC power at the fundamental and
-    /// harmonics; see [`periodicity_strength`]).
+    /// harmonics; see [`periodicity_strength_with`]).
     pub periodic_strength_min: f64,
     /// The candidate period, in samples (720 for a diurnal cycle sampled
     /// every two minutes).

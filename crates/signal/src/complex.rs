@@ -16,10 +16,10 @@ impl Complex {
     pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
 
     /// The multiplicative identity.
-    pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
+    pub(crate) const ONE: Complex = Complex { re: 1.0, im: 0.0 };
 
     /// Creates a complex number from real and imaginary parts.
-    pub const fn new(re: f64, im: f64) -> Self {
+    pub(crate) const fn new(re: f64, im: f64) -> Self {
         Complex { re, im }
     }
 
@@ -29,33 +29,20 @@ impl Complex {
     }
 
     /// Returns `e^(iθ)` — the unit complex number at angle `theta` radians.
-    pub fn from_polar_unit(theta: f64) -> Self {
+    pub(crate) fn from_polar_unit(theta: f64) -> Self {
         Complex {
             re: theta.cos(),
             im: theta.sin(),
         }
     }
 
-    /// The complex conjugate.
-    pub fn conj(self) -> Self {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// The squared magnitude `re² + im²`.
-    pub fn norm_sqr(self) -> f64 {
+    pub(crate) fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
-    /// The magnitude `|z|`.
-    pub fn norm(self) -> f64 {
-        self.norm_sqr().sqrt()
-    }
-
     /// Scales by a real factor.
-    pub fn scale(self, k: f64) -> Self {
+    pub(crate) fn scale(self, k: f64) -> Self {
         Complex {
             re: self.re * k,
             im: self.im * k,
@@ -119,6 +106,21 @@ impl Neg for Complex {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Complex {
+        /// The magnitude `|z|`.
+        pub(crate) fn norm(self) -> f64 {
+            self.norm_sqr().sqrt()
+        }
+
+        /// The complex conjugate.
+        fn conj(self) -> Self {
+            Complex {
+                re: self.re,
+                im: -self.im,
+            }
+        }
+    }
 
     #[test]
     fn arithmetic_identities() {

@@ -31,7 +31,7 @@ impl TraceFeatures {
 
     /// [`TraceFeatures::extract`] with caller-owned spectrum scratch;
     /// identical bit for bit.
-    pub fn extract_with(
+    pub(crate) fn extract_with(
         values: &[f64],
         period_samples: f64,
         scratch: &mut SpectrumScratch,

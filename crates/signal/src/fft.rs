@@ -45,7 +45,7 @@
 use crate::complex::Complex;
 
 /// Returns the smallest power of two `>= n` (and `>= 1`).
-pub fn next_pow2(n: usize) -> usize {
+pub(crate) fn next_pow2(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 
@@ -331,7 +331,7 @@ pub fn fft_real_padded(signal: &[f64]) -> Vec<Complex> {
 /// retained across calls. The plan and the split buffers are built per
 /// call; the spectra of [`crate::spectrum`] keep theirs in a
 /// [`SpectrumScratch`](crate::SpectrumScratch).
-pub fn fft_real_padded_into(signal: &[f64], out: &mut Vec<Complex>) {
+pub(crate) fn fft_real_padded_into(signal: &[f64], out: &mut Vec<Complex>) {
     let mut fft = Fft::default();
     let (re, im) = fft.run(next_pow2(signal.len()), false, |j| {
         signal
@@ -342,20 +342,20 @@ pub fn fft_real_padded_into(signal: &[f64], out: &mut Vec<Complex>) {
     out.extend(re.iter().zip(im).map(|(&r, &i)| Complex::new(r, i)));
 }
 
-/// Magnitudes of the non-redundant half of a real signal's spectrum
-/// (bins `0 ..= N/2` of the padded FFT).
-pub fn magnitude_spectrum(signal: &[f64]) -> Vec<f64> {
-    let spec = fft_real_padded(signal);
-    let half = spec.len() / 2;
-    spec[..=half].iter().map(|z| z.norm()).collect()
-}
-
 #[cfg(test)]
 mod reference;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Magnitudes of the non-redundant half of a real signal's spectrum
+    /// (bins `0 ..= N/2` of the padded FFT).
+    fn magnitude_spectrum(signal: &[f64]) -> Vec<f64> {
+        let spec = fft_real_padded(signal);
+        let half = spec.len() / 2;
+        spec[..=half].iter().map(|z| z.norm()).collect()
+    }
 
     fn bits(data: &[Complex]) -> Vec<(u64, u64)> {
         data.iter()

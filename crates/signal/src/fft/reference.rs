@@ -14,7 +14,7 @@ fn mul((ar, ai): (f64, f64), (br, bi): (f64, f64)) -> (f64, f64) {
 
 /// Unnormalised in-place DFT of `data` (forward with `e^{-iθ}` twiddles,
 /// inverse with `e^{+iθ}`). The length must be a power of two.
-pub fn per_block_transform(data: &mut [(f64, f64)], inverse: bool) {
+pub(crate) fn per_block_transform(data: &mut [(f64, f64)], inverse: bool) {
     let n = data.len();
     assert!(n.is_power_of_two(), "FFT length {n} is not a power of two");
     if n == 1 {

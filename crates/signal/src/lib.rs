@@ -12,9 +12,9 @@
 //! * [`fft`] — an iterative radix-2 Cooley–Tukey FFT (and inverse) on
 //!   one planned, split-complex kernel;
 //! * [`spectrum`] — power spectra, periodicity strength, spectral flatness;
-//! * [`classify`] — the three-way utilization-pattern classifier;
+//! * [`classify`](mod@classify) — the three-way utilization-pattern classifier;
 //! * [`features`] — fixed-length feature vectors extracted from traces;
-//! * [`kmeans`] — K-Means with k-means++ seeding.
+//! * [`kmeans`](mod@kmeans) — K-Means with k-means++ seeding.
 
 pub mod classify;
 pub mod complex;

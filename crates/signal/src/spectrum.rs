@@ -42,7 +42,7 @@ impl SpectrumScratch {
     }
 }
 
-/// Power spectrum (|X[k]|²) of the non-redundant half of a real signal.
+/// Power spectrum (`|X[k]|²`) of the non-redundant half of a real signal.
 ///
 /// The signal is mean-subtracted (so the DC level and its window leakage do
 /// not pollute low bins), Hann-windowed, and *truncated* to the largest

@@ -110,18 +110,6 @@ pub fn log_normal_mean_std<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64
     log_normal(rng, mu, sigma2.sqrt())
 }
 
-/// Samples a Pareto variate with scale `x_min` and shape `alpha`.
-///
-/// # Panics
-///
-/// Panics if `x_min` or `alpha` is not strictly positive.
-pub fn pareto<R: Rng + ?Sized>(rng: &mut R, x_min: f64, alpha: f64) -> f64 {
-    assert!(x_min > 0.0, "pareto x_min must be positive, got {x_min}");
-    assert!(alpha > 0.0, "pareto alpha must be positive, got {alpha}");
-    let u: f64 = rng.random();
-    x_min / (1.0 - u).powf(1.0 / alpha)
-}
-
 /// Picks an index in `[0, weights.len())` with probability proportional to
 /// the weight at that index.
 ///
@@ -194,6 +182,18 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Samples a Pareto variate with scale `x_min` and shape `alpha`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x_min` or `alpha` is not strictly positive.
+    fn pareto<R: Rng + ?Sized>(rng: &mut R, x_min: f64, alpha: f64) -> f64 {
+        assert!(x_min > 0.0, "pareto x_min must be positive, got {x_min}");
+        assert!(alpha > 0.0, "pareto alpha must be positive, got {alpha}");
+        let u: f64 = rng.random();
+        x_min / (1.0 - u).powf(1.0 / alpha)
+    }
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0xDEC0DE)

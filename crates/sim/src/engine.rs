@@ -246,12 +246,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Drops every pending event, keeping the clock where it is.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.live.clear();
-    }
 }
 
 #[cfg(test)]

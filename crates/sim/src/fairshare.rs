@@ -130,11 +130,6 @@ impl FairShare {
         self.rate
     }
 
-    /// The resource capacity.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
     /// Advances the virtual clock to `now`. Idempotent; a no-op when
     /// time has not moved or no flow is enrolled.
     pub fn advance(&mut self, now: SimTime) {
@@ -219,11 +214,6 @@ impl FairShare {
         Some(id)
     }
 
-    /// Remaining work of flow `id` under the clock's current position.
-    pub fn remaining_of(&self, id: u64) -> Option<f64> {
-        self.members.get(&id).map(|key| (key - self.v).max(0.0))
-    }
-
     /// All members in ascending id order as `(id, remaining)`, for
     /// migrating state back to progressive filling exactly. Allocates
     /// the list; the per-event operations above never walk members.
@@ -242,6 +232,18 @@ impl FairShare {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+
+    impl FairShare {
+        /// Remaining work of flow `id` under the clock's current position.
+        fn remaining_of(&self, id: u64) -> Option<f64> {
+            self.members.get(&id).map(|key| (key - self.v).max(0.0))
+        }
+
+        /// The resource capacity.
+        fn capacity(&self) -> f64 {
+            self.capacity
+        }
+    }
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)

@@ -53,12 +53,12 @@ pub struct ClusterShape {
 
 impl ClusterShape {
     /// Number of racks (the last may be partially filled).
-    pub fn n_racks(&self) -> usize {
+    pub(crate) fn n_racks(&self) -> usize {
         self.n_servers.div_ceil(self.rack_size.max(1))
     }
 
     /// The server-id range of one rack.
-    pub fn rack_servers(&self, rack: u32) -> std::ops::Range<u32> {
+    pub(crate) fn rack_servers(&self, rack: u32) -> std::ops::Range<u32> {
         let lo = (rack as usize * self.rack_size).min(self.n_servers);
         let hi = (lo + self.rack_size).min(self.n_servers);
         lo as u32..hi as u32

@@ -38,11 +38,6 @@ impl StreamingStats {
         self.max = self.max.max(x);
     }
 
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Arithmetic mean, or 0.0 if empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -53,7 +48,7 @@ impl StreamingStats {
     }
 
     /// Population variance, or 0.0 if fewer than two observations.
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -62,48 +57,13 @@ impl StreamingStats {
     }
 
     /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Coefficient of variation (σ/μ), or 0.0 if the mean is zero.
-    pub fn cv(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.std_dev() / m
-        }
     }
 
     /// Smallest observation, or +∞ if empty.
     pub fn min(&self) -> f64 {
         self.min
-    }
-
-    /// Largest observation, or -∞ if empty.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &StreamingStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -153,16 +113,6 @@ impl Percentiles {
         self.sorted = false;
     }
 
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// Returns the `q`-quantile (`q` in `[0, 1]`), or `None` if empty.
     pub fn quantile(&mut self, q: f64) -> Option<f64> {
         if !self.sorted {
@@ -171,20 +121,6 @@ impl Percentiles {
             self.sorted = true;
         }
         quantile_sorted(&self.values, q)
-    }
-
-    /// Convenience wrapper for the 99th percentile.
-    pub fn p99(&mut self) -> Option<f64> {
-        self.quantile(0.99)
-    }
-
-    /// Arithmetic mean of the retained values, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.values.is_empty() {
-            None
-        } else {
-            Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
-        }
     }
 
     /// Consumes the set into an immutable [`SortedSamples`] view so read
@@ -246,16 +182,6 @@ impl SortedSamples {
             Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
         }
     }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
 }
 
 /// Capacity of each compactor level; higher means lower rank error and
@@ -280,7 +206,7 @@ const SKETCH_LEVEL_CAP: usize = 256;
 /// `sketch_quantiles_within_bound_*` tests). Memory is `O(levels × 256)`
 /// where levels grows logarithmically with n.
 #[derive(Debug, Clone, Default)]
-pub struct QuantileSketch {
+pub(crate) struct QuantileSketch {
     levels: Vec<Vec<f64>>,
     /// Per-level survivor parity, flipped on each compaction.
     parity: Vec<bool>,
@@ -292,7 +218,7 @@ pub struct QuantileSketch {
 
 impl QuantileSketch {
     /// Creates an empty sketch.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         QuantileSketch {
             levels: vec![Vec::new()],
             parity: vec![false],
@@ -304,7 +230,7 @@ impl QuantileSketch {
     }
 
     /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         self.count += 1;
         self.sum += x;
         self.min = self.min.min(x);
@@ -333,27 +259,22 @@ impl QuantileSketch {
     }
 
     /// Number of observations (exact).
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
-    /// Whether the sketch has seen no observations.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// Smallest observation (exact), or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
+    pub(crate) fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
     }
 
     /// Largest observation (exact), or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
+    pub(crate) fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
 
     /// Arithmetic mean (exact), or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
+    pub(crate) fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
 
@@ -391,7 +312,7 @@ impl QuantileSketch {
 
     /// Merges another sketch into this one. Count/sum/min/max stay
     /// exact; rank error stays within the documented bound.
-    pub fn merge(&mut self, other: &QuantileSketch) {
+    pub(crate) fn merge(&mut self, other: &QuantileSketch) {
         if other.count == 0 {
             return;
         }
@@ -414,11 +335,6 @@ impl QuantileSketch {
             }
             i += 1;
         }
-    }
-
-    /// Total retained samples across levels (for memory-bound tests).
-    pub fn retained(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
     }
 }
 
@@ -467,18 +383,8 @@ impl Histogram {
         }
     }
 
-    /// Total number of observations (including under/overflow).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Raw bin counts (excluding under/overflow).
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
     /// The left edge of bin `i`.
-    pub fn bin_left(&self, i: usize) -> f64 {
+    pub(crate) fn bin_left(&self, i: usize) -> f64 {
         let w = (self.hi - self.lo) / self.bins.len() as f64;
         self.lo + w * i as f64
     }
@@ -500,7 +406,7 @@ impl Histogram {
 
     /// Empirical CDF evaluated at each bin's *right* edge, as fractions in
     /// `[0, 1]`. Underflow counts toward every point; overflow toward none.
-    pub fn cdf(&self) -> Vec<f64> {
+    pub(crate) fn cdf(&self) -> Vec<f64> {
         let mut acc = self.underflow;
         let total = self.count.max(1) as f64;
         self.bins
@@ -537,6 +443,100 @@ pub fn fraction_at_or_below(samples: &[f64], threshold: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Histogram {
+        /// Raw bin counts (excluding under/overflow).
+        fn bins(&self) -> &[u64] {
+            &self.bins
+        }
+
+        /// Total number of observations (including under/overflow).
+        fn count(&self) -> u64 {
+            self.count
+        }
+    }
+
+    impl QuantileSketch {
+        /// Total retained samples across levels (for memory-bound tests).
+        fn retained(&self) -> usize {
+            self.levels.iter().map(Vec::len).sum()
+        }
+
+        /// Whether the sketch has seen no observations.
+        fn is_empty(&self) -> bool {
+            self.count == 0
+        }
+    }
+
+    impl SortedSamples {
+        /// Whether the set is empty.
+        fn is_empty(&self) -> bool {
+            self.values.is_empty()
+        }
+
+        /// Number of observations.
+        fn len(&self) -> usize {
+            self.values.len()
+        }
+    }
+
+    impl Percentiles {
+        /// Arithmetic mean of the retained values, or `None` if empty.
+        fn mean(&self) -> Option<f64> {
+            if self.values.is_empty() {
+                None
+            } else {
+                Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
+            }
+        }
+
+        /// Convenience wrapper for the 99th percentile.
+        fn p99(&mut self) -> Option<f64> {
+            self.quantile(0.99)
+        }
+    }
+
+    impl StreamingStats {
+        /// Merges another accumulator into this one (parallel Welford).
+        fn merge(&mut self, other: &StreamingStats) {
+            if other.count == 0 {
+                return;
+            }
+            if self.count == 0 {
+                *self = other.clone();
+                return;
+            }
+            let n1 = self.count as f64;
+            let n2 = other.count as f64;
+            let delta = other.mean - self.mean;
+            let total = n1 + n2;
+            self.mean += delta * n2 / total;
+            self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+            self.count += other.count;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
+
+        /// Largest observation, or -∞ if empty.
+        fn max(&self) -> f64 {
+            self.max
+        }
+
+        /// Coefficient of variation (σ/μ), or 0.0 if the mean is zero.
+        fn cv(&self) -> f64 {
+            let m = self.mean();
+            if m == 0.0 {
+                0.0
+            } else {
+                self.std_dev() / m
+            }
+        }
+
+        /// Number of observations so far.
+        fn count(&self) -> u64 {
+            self.count
+        }
+    }
 
     #[test]
     fn streaming_stats_basics() {

@@ -21,22 +21,22 @@
 //! * counter `add`/`counter_set` — one bounds-checked vector write;
 //! * gauge sample — min/max/count update plus (amortized) one point
 //!   appended to a bounded series: the series holds at most
-//!   [`SERIES_CAP`] points and decimates itself (keep-every-other,
+//!   `SERIES_CAP` points and decimates itself (keep-every-other,
 //!   recording stride doubles) when full, so month-scale horizons keep
 //!   bounded memory;
 //! * histogram `observe` — amortized O(1) into a fixed-size
-//!   [`QuantileSketch`] (bounded levels of 256 slots; an occasional
+//!   `QuantileSketch` (bounded levels of 256 slots; an occasional
 //!   sort of one full level);
 //! * span — one fixed-size record (name pointer, two timestamps, up to
 //!   two inline key/value args; no per-span allocation), capped at
-//!   [`MAX_SPANS`] recorder-wide with drops counted in the exported
+//!   `MAX_SPANS` recorder-wide with drops counted in the exported
 //!   `obs/spans_dropped` counter — never silently truncated;
 //! * state transition ([`Recorder::state_enter`] /
 //!   [`Recorder::state_exit`], the wait-state hooks behind the
 //!   [`analyze`] blame tables) — one fixed-size record (entity id,
 //!   timestamp, interned state index; state names are `&'static str`
 //!   interned by a short linear scan, no allocation per event), capped
-//!   at [`MAX_TRANSITIONS`] recorder-wide with drops counted in the
+//!   at `MAX_TRANSITIONS` recorder-wide with drops counted in the
 //!   exported `transitions_dropped` field. Off-path a state hook is
 //!   the same single null branch as every other record method, and
 //!   engines keep whole wait-state blocks behind their one
@@ -92,16 +92,16 @@ use crate::time::SimTime;
 
 /// Gauge series point budget; a full series decimates keep-every-other
 /// and doubles its recording stride.
-pub const SERIES_CAP: usize = 4_096;
+pub(crate) const SERIES_CAP: usize = 4_096;
 
 /// Recorder-wide span budget across all sim-time tracks; spans past it
 /// are counted in the exported `obs/spans_dropped` counter.
-pub const MAX_SPANS: usize = 1_000_000;
+pub(crate) const MAX_SPANS: usize = 1_000_000;
 
 /// Recorder-wide state-transition budget across all state tracks;
 /// transitions past it are counted in the exported
 /// `transitions_dropped` field.
-pub const MAX_TRANSITIONS: usize = 1_000_000;
+pub(crate) const MAX_TRANSITIONS: usize = 1_000_000;
 
 /// Inline key/value slots per span (changed/occupied is the widest
 /// annotation any engine records).
@@ -200,7 +200,7 @@ struct Track {
 }
 
 /// A bounded gauge time series: stride-doubling decimation keeps at
-/// most [`SERIES_CAP`] points however long the run.
+/// most `SERIES_CAP` points however long the run.
 #[derive(Debug, Clone)]
 struct Series {
     points: Vec<(u64, f64)>,
@@ -635,7 +635,7 @@ impl Recorder {
         self.span_args(id, name, start, end, &[]);
     }
 
-    /// Records a sim-time span with up to [`SPAN_ARGS`] inline
+    /// Records a sim-time span with up to `SPAN_ARGS` inline
     /// key/value annotations (extras are dropped).
     #[inline]
     pub fn span_args(
@@ -1016,7 +1016,7 @@ pub mod json {
     /// burns one stack frame per level, so an adversarially nested
     /// document must error out long before the thread's stack does
     /// (the exporters themselves never nest past ~4).
-    pub const MAX_DEPTH: usize = 512;
+    pub(crate) const MAX_DEPTH: usize = 512;
 
     /// Parses one JSON document (trailing whitespace allowed).
     pub fn parse(text: &str) -> Result<Value, String> {

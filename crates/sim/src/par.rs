@@ -258,7 +258,8 @@ mod tests {
             for t in &p.tasks {
                 assert!(t.end_us >= t.start_us);
             }
-            assert!(p.busy_us() <= p.tasks.last().map_or(0, |t| t.end_us));
+            let busy_us: u64 = p.tasks.iter().map(|t| t.end_us - t.start_us).sum();
+            assert!(busy_us <= p.tasks.last().map_or(0, |t| t.end_us));
         }
     }
 }

@@ -21,7 +21,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Derives a child seed from a master seed and a stream label.
-pub fn derive_seed(master: u64, stream: &str) -> u64 {
+pub(crate) fn derive_seed(master: u64, stream: &str) -> u64 {
     // FNV-1a over the label, then mix with the master via SplitMix64.
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in stream.as_bytes() {

@@ -83,7 +83,7 @@ impl CancelToken {
     }
 
     /// Request cancellation. Idempotent.
-    pub fn cancel(&self) {
+    pub(crate) fn cancel(&self) {
         self.0.store(true, Ordering::Relaxed);
     }
 
@@ -146,13 +146,6 @@ pub struct WorkerProfile {
     pub tasks: Vec<TaskTiming>,
 }
 
-impl WorkerProfile {
-    /// Total microseconds this worker spent inside task closures.
-    pub fn busy_us(&self) -> u64 {
-        self.tasks.iter().map(|t| t.end_us - t.start_us).sum()
-    }
-}
-
 /// Bounded retry budget for panicking tasks.
 ///
 /// Delays reuse the stateless jittered-exponential shape of
@@ -182,7 +175,7 @@ impl Default for RetryBudget {
 impl RetryBudget {
     /// The wall-clock delay before retry number `attempt` (1-based) of
     /// `task`. Deterministic in `(seed, task, attempt)`.
-    pub fn delay_ms(&self, seed: u64, task: u64, attempt: u32) -> u64 {
+    pub(crate) fn delay_ms(&self, seed: u64, task: u64, attempt: u32) -> u64 {
         let shift = (attempt.saturating_sub(1)).min(20);
         let raw = self.base_ms.saturating_mul(1u64 << shift);
         let capped = raw.min(self.cap_ms).max(1);
@@ -197,9 +190,9 @@ pub struct SuperviseConfig {
     /// Retry budget for panicking tasks.
     pub retry: RetryBudget,
     /// Fixed per-task deadline. `None` derives one automatically: once
-    /// at least [`AUTO_MIN_SAMPLES`] tasks have completed, a task is a
-    /// straggler past `median × `[`AUTO_MULTIPLE`] (floored at
-    /// [`AUTO_FLOOR_MS`]).
+    /// at least `AUTO_MIN_SAMPLES` tasks have completed, a task is a
+    /// straggler past `median × AUTO_MULTIPLE` (floored at
+    /// `AUTO_FLOOR_MS`).
     pub deadline: Option<Duration>,
     /// Cancel overdue tasks through their [`CancelToken`] (discarding
     /// their result) instead of only flagging them. Flag-only is the
@@ -210,11 +203,11 @@ pub struct SuperviseConfig {
 }
 
 /// Completed samples required before the automatic deadline arms.
-pub const AUTO_MIN_SAMPLES: usize = 5;
+pub(crate) const AUTO_MIN_SAMPLES: usize = 5;
 /// Automatic deadline as a multiple of the running median task time.
-pub const AUTO_MULTIPLE: f64 = 8.0;
+pub(crate) const AUTO_MULTIPLE: f64 = 8.0;
 /// Floor for the automatic deadline, in milliseconds.
-pub const AUTO_FLOOR_MS: u64 = 1000;
+pub(crate) const AUTO_FLOOR_MS: u64 = 1000;
 
 /// How often the watchdog checks in-flight tasks against the deadline.
 const POLL: Duration = Duration::from_millis(10);
@@ -241,7 +234,7 @@ pub struct Supervised<R> {
 }
 
 /// Renders a caught panic payload as a string.
-pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -74,7 +74,7 @@ pub enum UtilGen {
 
 impl UtilGen {
     /// The pattern this generator is designed to produce.
-    pub fn intended_pattern(&self) -> UtilizationPattern {
+    pub(crate) fn intended_pattern(&self) -> UtilizationPattern {
         match self {
             UtilGen::Periodic(_) => UtilizationPattern::Periodic,
             UtilGen::Constant(_) => UtilizationPattern::Constant,

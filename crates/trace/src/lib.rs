@@ -34,7 +34,7 @@ pub use timeseries::TimeSeries;
 pub const SAMPLES_PER_DAY: usize = 720;
 
 /// Days in the canonical characterization month.
-pub const DAYS_PER_MONTH: usize = 30;
+pub(crate) const DAYS_PER_MONTH: usize = 30;
 
 /// Two-minute samples in the canonical month.
 pub const SAMPLES_PER_MONTH: usize = SAMPLES_PER_DAY * DAYS_PER_MONTH;

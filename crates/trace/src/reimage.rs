@@ -173,21 +173,9 @@ pub fn tenant_monthly_rate(events: &[ReimageEvent], n_servers: usize, months: us
     events.len() as f64 / (n_servers as f64 * months as f64)
 }
 
-/// Per-month reimage counts for a tenant (for the Figure 6 analysis).
-pub fn monthly_counts(events: &[ReimageEvent], months: usize) -> Vec<u64> {
-    let mut counts = vec![0u64; months];
-    for e in events {
-        let m = (e.time.as_millis() / MONTH.as_millis()) as usize;
-        if m < months {
-            counts[m] += 1;
-        }
-    }
-    counts
-}
-
 /// Reimage frequency groups (Figure 6 / Algorithm 2's durability axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum FrequencyGroup {
+pub(crate) enum FrequencyGroup {
     /// Bottom third of tenants by reimage rate.
     Infrequent,
     /// Middle third.
@@ -202,7 +190,7 @@ pub enum FrequencyGroup {
 /// index so the split is deterministic and the groups have sizes as equal
 /// as possible (paper: "three frequency groups, each with the same number
 /// of tenants").
-pub fn frequency_groups(rates: &[f64]) -> Vec<FrequencyGroup> {
+pub(crate) fn frequency_groups(rates: &[f64]) -> Vec<FrequencyGroup> {
     let n = rates.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| {
@@ -253,6 +241,18 @@ pub fn group_changes(monthly_tenant_rates: &[Vec<f64>]) -> Vec<u32> {
 mod tests {
     use super::*;
     use harvest_sim::rng::stream_rng;
+
+    /// Per-month reimage counts for a tenant (for the Figure 6 analysis).
+    fn monthly_counts(events: &[ReimageEvent], months: usize) -> Vec<u64> {
+        let mut counts = vec![0u64; months];
+        for e in events {
+            let m = (e.time.as_millis() / MONTH.as_millis()) as usize;
+            if m < months {
+                counts[m] += 1;
+            }
+        }
+        counts
+    }
 
     fn model() -> TenantReimageModel {
         TenantReimageModel {

@@ -76,7 +76,7 @@ impl ScalingKind {
 }
 
 /// Multiplies every sample by `factor`, saturating at 1.0.
-pub fn scale_linear(ts: &TimeSeries, factor: f64) -> TimeSeries {
+pub(crate) fn scale_linear(ts: &TimeSeries, factor: f64) -> TimeSeries {
     ScalingKind::Linear.check_param(factor);
     ts.map_clamped(|v| ScalingKind::Linear.unclamped(v, factor))
 }
@@ -85,7 +85,7 @@ pub fn scale_linear(ts: &TimeSeries, factor: f64) -> TimeSeries {
 ///
 /// `e = 1/n` is the paper's nth-root scaling (raises utilization);
 /// `e > 1` lowers it. Saturation is impossible since `u ∈ [0, 1]`.
-pub fn scale_root(ts: &TimeSeries, exponent: f64) -> TimeSeries {
+pub(crate) fn scale_root(ts: &TimeSeries, exponent: f64) -> TimeSeries {
     ScalingKind::Root.check_param(exponent);
     ts.map_clamped(|v| ScalingKind::Root.unclamped(v, exponent))
 }

@@ -87,32 +87,11 @@ impl TimeSeries {
         self.values[idx % self.values.len()]
     }
 
-    /// The sample at index `i`, wrapping.
-    pub fn at_index(&self, i: usize) -> f64 {
-        self.values[i % self.values.len()]
-    }
-
     /// The sample at slot `slot` (a slot is one interval), wrapping —
     /// identical to [`TimeSeries::at`] for any instant inside the slot.
     #[inline]
     pub fn at_slot(&self, slot: u64) -> f64 {
         self.values[(slot % self.values.len() as u64) as usize]
-    }
-
-    /// Whether the sample at `slot` differs (bitwise) from the sample at
-    /// the previous slot. Slot 0 always counts as changed — there is no
-    /// previous sample to match. Lets playback callers skip work for
-    /// series that sat still across a sampling boundary.
-    pub fn sample_changed(&self, slot: u64) -> bool {
-        if slot == 0 {
-            return true;
-        }
-        self.at_slot(slot).to_bits() != self.at_slot(slot - 1).to_bits()
-    }
-
-    /// The total time the series spans.
-    pub fn span(&self) -> SimDuration {
-        SimDuration::from_millis(self.interval.as_millis() * self.values.len() as u64)
     }
 
     /// Arithmetic mean of the samples.
@@ -128,13 +107,8 @@ impl TimeSeries {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Minimum sample.
-    pub fn min(&self) -> f64 {
-        self.values.iter().cloned().fold(f64::INFINITY, f64::min)
-    }
-
     /// Population standard deviation of the samples.
-    pub fn std_dev(&self) -> f64 {
+    pub(crate) fn std_dev(&self) -> f64 {
         let mean = self.mean();
         let var =
             self.values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / self.values.len() as f64;
@@ -151,47 +125,8 @@ impl TimeSeries {
         }
     }
 
-    /// The `q`-quantile of the samples (`q` in `[0, 1]`), by linear
-    /// interpolation.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let mut sorted = self.values.to_vec();
-        sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-        let q = q.clamp(0.0, 1.0);
-        let n = sorted.len();
-        if n == 1 {
-            return sorted[0];
-        }
-        let pos = q * (n - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
-
-    /// Element-wise average of several series (the paper's "average
-    /// server" of a primary tenant, §3.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `series` is empty or lengths/intervals differ.
-    pub fn average_of(series: &[&TimeSeries]) -> TimeSeries {
-        assert!(!series.is_empty(), "cannot average zero series");
-        let first = series[0];
-        assert!(
-            series
-                .iter()
-                .all(|s| s.len() == first.len() && s.interval == first.interval),
-            "series must share length and interval"
-        );
-        let n = series.len() as f64;
-        let values = (0..first.len())
-            .map(|i| series.iter().map(|s| s.values[i]).sum::<f64>() / n)
-            .collect();
-        TimeSeries::from_shared(first.interval, values)
-    }
-
     /// Returns a copy transformed sample-wise by `f`, clamped to `[0, 1]`.
-    pub fn map_clamped(&self, f: impl Fn(f64) -> f64) -> TimeSeries {
+    pub(crate) fn map_clamped(&self, f: impl Fn(f64) -> f64) -> TimeSeries {
         TimeSeries {
             interval: self.interval,
             values: self.values.iter().map(|&v| f(v).clamp(0.0, 1.0)).collect(),
@@ -202,6 +137,73 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TimeSeries {
+        /// Element-wise average of several series (the paper's "average
+        /// server" of a primary tenant, §3.2).
+        ///
+        /// # Panics
+        ///
+        /// Panics if `series` is empty or lengths/intervals differ.
+        fn average_of(series: &[&TimeSeries]) -> TimeSeries {
+            assert!(!series.is_empty(), "cannot average zero series");
+            let first = series[0];
+            assert!(
+                series
+                    .iter()
+                    .all(|s| s.len() == first.len() && s.interval == first.interval),
+                "series must share length and interval"
+            );
+            let n = series.len() as f64;
+            let values = (0..first.len())
+                .map(|i| series.iter().map(|s| s.values[i]).sum::<f64>() / n)
+                .collect();
+            TimeSeries::from_shared(first.interval, values)
+        }
+
+        /// The `q`-quantile of the samples (`q` in `[0, 1]`), by linear
+        /// interpolation.
+        fn quantile(&self, q: f64) -> f64 {
+            let mut sorted = self.values.to_vec();
+            sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+            let q = q.clamp(0.0, 1.0);
+            let n = sorted.len();
+            if n == 1 {
+                return sorted[0];
+            }
+            let pos = q * (n - 1) as f64;
+            let lo = pos.floor() as usize;
+            let hi = pos.ceil() as usize;
+            let frac = pos - lo as f64;
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        }
+
+        /// Minimum sample.
+        fn min(&self) -> f64 {
+            self.values.iter().cloned().fold(f64::INFINITY, f64::min)
+        }
+
+        /// The total time the series spans.
+        fn span(&self) -> SimDuration {
+            SimDuration::from_millis(self.interval.as_millis() * self.values.len() as u64)
+        }
+
+        /// Whether the sample at `slot` differs (bitwise) from the sample at
+        /// the previous slot. Slot 0 always counts as changed — there is no
+        /// previous sample to match. Lets playback callers skip work for
+        /// series that sat still across a sampling boundary.
+        fn sample_changed(&self, slot: u64) -> bool {
+            if slot == 0 {
+                return true;
+            }
+            self.at_slot(slot).to_bits() != self.at_slot(slot - 1).to_bits()
+        }
+
+        /// The sample at index `i`, wrapping.
+        fn at_index(&self, i: usize) -> f64 {
+            self.values[i % self.values.len()]
+        }
+    }
 
     fn mins(m: u64) -> SimDuration {
         SimDuration::from_mins(m)
