@@ -645,6 +645,44 @@ mod tests {
         assert_eq!(a.fault_down_ticks, b.fault_down_ticks);
     }
 
+    /// Every named fault profile, drawn for the cluster over the span:
+    /// the faulted result is pinned bitwise (FNV-1a over its `Debug`
+    /// rendering), so a change to how plans become down intervals
+    /// cannot move a failure or a fault-down tick.
+    #[test]
+    fn faulted_profiles_are_pinned() {
+        use harvest_sim::fault::{ClusterShape, FaultProfile};
+        let (dc, view) = setup(0.5);
+        let shape = ClusterShape {
+            n_servers: dc.n_servers(),
+            rack_size: harvest_cluster::datacenter::RACK_SIZE as usize,
+        };
+        let pins: [(FaultProfile, u64); 4] = [
+            (FaultProfile::RackLoss, 0x7aa7_b89e_ffb2_7937),
+            (FaultProfile::LinkFlap, 0x25d7_ce2d_f581_9ef6),
+            (FaultProfile::DiskRot, 0xe756_ed35_36f2_dc31),
+            (FaultProfile::CorrelatedStorm, 0xbb8e_e427_4158_b535),
+        ];
+        let got: Vec<(FaultProfile, u64)> = pins
+            .iter()
+            .map(|&(profile, _)| {
+                let mut cfg = AvailabilityConfig::paper(PlacementPolicy::Stock, 3, 7);
+                cfg.span = SimDuration::from_days(2);
+                cfg.accesses_per_second = 5.0;
+                cfg.network = Some(NetworkConfig::datacenter());
+                cfg.faults = profile.plan(7, shape, cfg.span);
+                let r = simulate_availability(&dc, &view, &cfg);
+                let hash = format!("{r:?}")
+                    .bytes()
+                    .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+                    });
+                (profile, hash)
+            })
+            .collect();
+        assert_eq!(got, pins, "a faulted availability result moved");
+    }
+
     #[test]
     fn disk_model_is_deterministic() {
         let a = run_with_disk(0.5, DiskConfig::datacenter(), true);

@@ -1961,6 +1961,51 @@ mod tests {
         );
     }
 
+    /// Every named fault profile, drawn for the testbed over the run's
+    /// horizon plus drain, with the data-movement models off and on:
+    /// the faulted outcome is pinned bitwise, so a change to how plans
+    /// reach the event loop cannot move a kill, a retry or a shuffle.
+    #[test]
+    fn faulted_profiles_are_pinned() {
+        use harvest_sim::fault::{ClusterShape, FaultProfile};
+        let shape = ClusterShape {
+            n_servers: 102,
+            rack_size: harvest_cluster::datacenter::RACK_SIZE as usize,
+        };
+        let pins: [(FaultProfile, u64, u64); 4] = [
+            (
+                FaultProfile::RackLoss,
+                0xbd25_ff49_e134_29c9,
+                0x13d5_2570_baa5_5caf,
+            ),
+            (
+                FaultProfile::LinkFlap,
+                0x0ca4_b372_143f_57a4,
+                0xd0fb_46d3_ea62_94db,
+            ),
+            (
+                FaultProfile::DiskRot,
+                0x0ca4_b372_143f_57a4,
+                0x9276_2a2d_bb3f_c292,
+            ),
+            (
+                FaultProfile::CorrelatedStorm,
+                0x409d_18c4_c01a_8264,
+                0x37a7_7940_7526_1d0a,
+            ),
+        ];
+        let got: Vec<(FaultProfile, u64, u64)> = pins
+            .iter()
+            .map(|&(profile, ..)| {
+                let plan = profile.plan(39, shape, SimDuration::from_hours(5));
+                let plain = fingerprint(&run_faulted(39, plan.clone(), false));
+                let io = fingerprint(&run_faulted(39, plan, true));
+                (profile, plain, io)
+            })
+            .collect();
+        assert_eq!(got, pins, "a faulted outcome moved");
+    }
+
     /// The observability oracle: running with a live recorder must not
     /// perturb the trajectory — the returned stats are bitwise identical
     /// to a recorder-off run, while the recorder itself mirrors the
