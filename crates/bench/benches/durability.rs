@@ -4,6 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use harvest_cluster::Datacenter;
 use harvest_dfs::durability::{simulate_durability, DurabilityConfig};
 use harvest_dfs::placement::PlacementPolicy;
+use harvest_sim::obs::Recorder;
 use harvest_trace::datacenter::DatacenterProfile;
 use std::hint::black_box;
 
@@ -16,7 +17,11 @@ fn bench_durability(c: &mut Criterion) {
             b.iter(|| {
                 let mut cfg = DurabilityConfig::paper(policy, 3, 7);
                 cfg.months = 6;
-                black_box(simulate_durability(black_box(&dc), &cfg))
+                black_box(simulate_durability(
+                    black_box(&dc),
+                    &cfg,
+                    &mut Recorder::off(),
+                ))
             })
         });
     }

@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use harvest_service::{LatencyModel, SearchServer};
+use harvest_sim::obs::Recorder;
 use std::hint::black_box;
 
 fn bench_latency(c: &mut Criterion) {
@@ -25,7 +26,7 @@ fn bench_latency(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig10_queueing_sim_10k_requests");
     group.sample_size(10);
     group.bench_function("rho_0.5", |b| {
-        b.iter(|| black_box(server.run(0.5, 10_000, 1)))
+        b.iter(|| black_box(server.run(0.5, 10_000, 1, &mut Recorder::off())))
     });
     group.finish();
 }

@@ -32,6 +32,7 @@
 use std::time::Instant;
 
 use harvest_core::{run_experiment, Scale};
+use harvest_sim::obs::Recorder;
 use harvest_sim::par::default_jobs;
 
 /// The recorded sequential baseline out of a previous `BENCH_suite.json`,
@@ -68,7 +69,7 @@ fn run_suite(scale: &Scale) -> (f64, Vec<String>) {
     let t0 = Instant::now();
     let reports: Vec<String> = EXPERIMENTS
         .iter()
-        .map(|id| run_experiment(id, scale).expect("experiment runs"))
+        .map(|id| run_experiment(id, scale, &mut Recorder::off()).expect("experiment runs"))
         .collect();
     (t0.elapsed().as_secs_f64(), reports)
 }

@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use harvest_core::{run_experiment, Checkpoint, Scale};
+use harvest_sim::obs::Recorder;
 use harvest_sim::par::default_jobs;
 
 const EXPERIMENT: &str = "fig15";
@@ -49,7 +50,7 @@ fn run(smoke: bool, write: Option<&str>, resume: Option<&str>) -> (f64, String, 
         .map(|(cp, _, _)| Arc::new(cp));
     s.harness.checkpoint = cp.clone();
     let t0 = Instant::now();
-    let report = run_experiment(EXPERIMENT, &s).expect("experiment runs");
+    let report = run_experiment(EXPERIMENT, &s, &mut Recorder::off()).expect("experiment runs");
     let secs = t0.elapsed().as_secs_f64();
     if let Some(cp) = cp {
         cp.flush().expect("journal flushes");

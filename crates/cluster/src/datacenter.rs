@@ -1,6 +1,7 @@
 //! Instantiating a concrete datacenter from a profile.
 
 use harvest_sim::dist;
+use harvest_sim::fault::ClusterShape;
 use harvest_sim::rng::indexed_rng;
 use harvest_trace::datacenter::{DatacenterProfile, TenantSpec};
 use harvest_trace::SAMPLES_PER_MONTH;
@@ -121,14 +122,16 @@ impl Datacenter {
         &self.servers[id.0 as usize]
     }
 
-    /// The server-id range of one rack. Racks fill contiguously in id
-    /// order ([`RACK_SIZE`] servers each, the last possibly partial),
-    /// so the range is computable without scanning — fault injection
-    /// expands rack-level events (power loss, uplink death) with this.
-    pub fn servers_in_rack(&self, rack: u32) -> std::ops::Range<u32> {
-        let lo = (rack * RACK_SIZE).min(self.servers.len() as u32);
-        let hi = (lo + RACK_SIZE).min(self.servers.len() as u32);
-        lo..hi
+    /// The rack layout as fault plans see it: racks fill contiguously
+    /// in id order, [`RACK_SIZE`] servers each, the last possibly
+    /// partial. Profiles draw plans for this shape, and
+    /// [`FaultPlan::actions`](harvest_sim::fault::FaultPlan::actions)
+    /// fans rack-level events out over it.
+    pub fn cluster_shape(&self) -> ClusterShape {
+        ClusterShape {
+            n_servers: self.servers.len(),
+            rack_size: RACK_SIZE as usize,
+        }
     }
 
     /// The tenant with the given id.
@@ -215,17 +218,22 @@ mod tests {
     #[test]
     fn servers_in_rack_matches_the_assignment() {
         let dc = small_dc();
+        let shape = dc.cluster_shape();
         for rack in 0..dc.n_racks() as u32 {
-            for sid in dc.servers_in_rack(rack) {
+            for sid in shape.rack_servers(rack) {
                 assert_eq!(dc.server(ServerId(sid)).rack.0, rack);
             }
         }
+        for s in &dc.servers {
+            assert!(shape.rack_servers(s.rack.0).contains(&s.id.0));
+        }
         let total: usize = (0..dc.n_racks() as u32)
-            .map(|r| dc.servers_in_rack(r).len())
+            .map(|r| shape.rack_servers(r).len())
             .sum();
         assert_eq!(total, dc.n_servers());
         // Out-of-range racks yield an empty range, not a panic.
-        assert!(dc.servers_in_rack(10_000).is_empty());
+        assert!(shape.rack_servers(10_000).is_empty());
+        assert!(shape.rack_servers(u32::MAX).is_empty());
     }
 
     #[test]

@@ -51,7 +51,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::Arc;
 
-use harvest_core::{run_experiment_recorded, Checkpoint, Scale, SweepSnapshot, ALL_EXPERIMENTS};
+use harvest_core::{run_experiment, Checkpoint, Scale, SweepSnapshot, ALL_EXPERIMENTS};
 use harvest_sim::fault::FaultProfile;
 use harvest_sim::obs::Recorder;
 
@@ -409,7 +409,7 @@ fn run() -> Result<ExitCode, String> {
         // child is absorbed back, so exports still see everything.
         let result = if opts.explain {
             let mut erec = rec.child();
-            let r = run_experiment_recorded(id, &scale, &mut erec);
+            let r = run_experiment(id, &scale, &mut erec);
             if r.is_ok() {
                 match harvest_sim::obs::analyze::analyze_recorder(&erec) {
                     Ok(analysis) => {
@@ -443,7 +443,7 @@ fn run() -> Result<ExitCode, String> {
             rec.absorb(erec);
             r
         } else {
-            run_experiment_recorded(id, &scale, &mut rec)
+            run_experiment(id, &scale, &mut rec)
         };
         match result {
             Ok(report) => {

@@ -113,11 +113,7 @@ pub(crate) fn fig16(scale: &Scale) -> String {
             // Every cell of a run index sees the same storm, so the policy
             // comparison is under identical fault pressure. Empty plan
             // (bitwise no-op) without `--faults PROFILE`.
-            cfg.faults = scale.fault_plan(
-                dc.n_servers(),
-                scale.run_seed("fig16-faults", t.r),
-                cfg.span,
-            );
+            cfg.faults = scale.fault_plan(&dc, scale.run_seed("fig16-faults", t.r), cfg.span);
             simulate_availability(&dc, &views[t.util], &cfg)
         },
     );

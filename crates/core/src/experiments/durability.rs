@@ -7,7 +7,7 @@ use harvest_dfs::placement::PlacementPolicy;
 use harvest_disk::DiskConfig;
 use harvest_net::NetworkConfig;
 use harvest_sim::fault::FaultPlan;
-use harvest_sim::obs::json;
+use harvest_sim::obs::{json, Recorder};
 use harvest_sim::par::par_map;
 use harvest_sim::SimDuration;
 use harvest_trace::datacenter::DatacenterProfile;
@@ -115,7 +115,7 @@ pub fn run_loss(
     cfg.network = network;
     cfg.disk = disk;
     cfg.faults = faults.clone();
-    let result = simulate_durability(dc, &cfg);
+    let result = simulate_durability(dc, &cfg, &mut Recorder::off());
     let mut stale = 0u64;
     let mut peak = 0usize;
     if let Some(f) = result.fabric {
@@ -273,13 +273,7 @@ pub(crate) fn fig15(scale: &Scale) -> String {
     let plans: Vec<FaultPlan> = dcs
         .iter()
         .enumerate()
-        .map(|(dc_id, dc)| {
-            scale.fault_plan(
-                dc.n_servers(),
-                scale.run_seed("fig15-faults", dc_id),
-                horizon,
-            )
-        })
+        .map(|(dc_id, dc)| scale.fault_plan(dc, scale.run_seed("fig15-faults", dc_id), horizon))
         .collect();
 
     // The task matrix, dc-major then cell then run, so each (dc, cell)
@@ -521,14 +515,10 @@ mod tests {
 
     #[test]
     fn armed_profile_reports_fault_churn() {
-        use harvest_sim::fault::{ClusterShape, FaultProfile};
+        use harvest_sim::fault::FaultProfile;
         let profile = DatacenterProfile::dc(3).scaled(0.02);
         let dc = Datacenter::generate(&profile, 42);
-        let shape = ClusterShape {
-            n_servers: dc.n_servers(),
-            rack_size: harvest_cluster::datacenter::RACK_SIZE as usize,
-        };
-        let plan = FaultProfile::RackLoss.plan(7, shape, SimDuration::from_days(90));
+        let plan = FaultProfile::RackLoss.plan(7, dc.cluster_shape(), SimDuration::from_days(90));
         let r = run_loss(&dc, PlacementPolicy::Stock, 3, 3, 7, 0, None, None, &plan);
         assert!(r.faults_injected > 0, "rack-loss plan never fired");
         // Determinism: the same plan and seed reproduce the run bitwise.

@@ -195,7 +195,7 @@ fn record_showcase(scale: &Scale, rec: &mut harvest_sim::obs::Recorder) {
     // A recorded search-server run: per-request queued/running wait
     // states on the `service/request` state track.
     let server = harvest_service::lucene::SearchServer::lucene_like();
-    let _ = server.run_recorded(0.9, 2_000, scale.seed, rec);
+    let _ = server.run(0.9, 2_000, scale.seed, rec);
 
     // A parallel sweep: per-worker busy/idle wall-time tracks.
     let queries = tpcds_suite();

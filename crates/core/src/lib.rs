@@ -52,20 +52,15 @@ pub use scale::Scale;
 /// Ids: `fig1`–`fig8`, `fig10`–`fig16`, `micro`. (`fig9` is the paper's
 /// architecture diagram and `table1` its extension inventory — both are
 /// documentation, not experiments.)
-pub fn run_experiment(id: &str, scale: &Scale) -> Result<String, String> {
-    let mut rec = harvest_sim::obs::Recorder::off();
-    run_experiment_recorded(id, scale, &mut rec)
-}
-
-/// [`run_experiment`] with an observability
-/// [`Recorder`](harvest_sim::obs::Recorder)
-/// (`harvest_sim::obs::Recorder`): recording-aware experiments
-/// (currently `micro`, which replays a recorded scheduling run, a
-/// recorded reimage storm, and a profiled supervised sweep) feed spans,
-/// counters, and histograms into `rec`; every other experiment ignores
-/// it. The returned report is byte-identical to [`run_experiment`]'s —
-/// recording is invisible on stdout.
-pub fn run_experiment_recorded(
+///
+/// Recording-aware experiments (currently `micro`, which replays a
+/// recorded scheduling run, a recorded reimage storm, and a profiled
+/// supervised sweep) feed spans, counters, and histograms into `rec`;
+/// every other experiment ignores it, and
+/// [`Recorder::off`](harvest_sim::obs::Recorder::off) records nothing.
+/// The report is byte-identical either way — recording is invisible on
+/// stdout.
+pub fn run_experiment(
     id: &str,
     scale: &Scale,
     rec: &mut harvest_sim::obs::Recorder,

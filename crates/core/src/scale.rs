@@ -7,9 +7,10 @@
 //! across scales because block density, reserve fractions, and tenant
 //! mixes are scale-invariant.
 
+use harvest_cluster::Datacenter;
 use harvest_disk::DiskConfig;
 use harvest_net::NetworkConfig;
-use harvest_sim::fault::{ClusterShape, FaultPlan, FaultProfile};
+use harvest_sim::fault::{FaultPlan, FaultProfile};
 use harvest_sim::SimDuration;
 
 /// Scale parameters shared by the experiments.
@@ -106,26 +107,14 @@ impl Scale {
         harvest_sim::rng::derive_seed_indexed(self.seed, experiment, r as u64)
     }
 
-    /// The fault plan one run should inject into a cluster of
-    /// `n_servers` servers over `horizon`: the armed profile's draw
-    /// (deterministic in `(profile, seed, shape, horizon)`), or
-    /// [`FaultPlan::none`] when no profile is armed.
-    pub(crate) fn fault_plan(
-        &self,
-        n_servers: usize,
-        seed: u64,
-        horizon: SimDuration,
-    ) -> FaultPlan {
+    /// The fault plan one run should inject into `dc` over `horizon`:
+    /// the armed profile's draw (deterministic in `(profile, seed,
+    /// shape, horizon)`), or [`FaultPlan::none`] when no profile is
+    /// armed.
+    pub(crate) fn fault_plan(&self, dc: &Datacenter, seed: u64, horizon: SimDuration) -> FaultPlan {
         match self.faults {
             None => FaultPlan::none(),
-            Some(profile) => profile.plan(
-                seed,
-                ClusterShape {
-                    n_servers,
-                    rack_size: harvest_cluster::datacenter::RACK_SIZE as usize,
-                },
-                horizon,
-            ),
+            Some(profile) => profile.plan(seed, dc.cluster_shape(), horizon),
         }
     }
 }
@@ -160,11 +149,13 @@ mod tests {
     fn fault_plan_follows_the_armed_profile() {
         let mut s = Scale::quick();
         let horizon = SimDuration::from_days(30);
-        assert!(s.fault_plan(100, 7, horizon).is_none());
+        let specs = harvest_trace::datacenter::DatacenterProfile::testbed_dc9(7);
+        let dc = Datacenter::from_specs("testbed".into(), &specs, 7);
+        assert!(s.fault_plan(&dc, 7, horizon).is_none());
         s.faults = Some(FaultProfile::RackLoss);
-        let plan = s.fault_plan(100, 7, horizon);
+        let plan = s.fault_plan(&dc, 7, horizon);
         assert!(!plan.is_none());
         // Deterministic: the same scale draws the same plan.
-        assert_eq!(plan, s.fault_plan(100, 7, horizon));
+        assert_eq!(plan, s.fault_plan(&dc, 7, horizon));
     }
 }

@@ -18,6 +18,7 @@
 //! two runs, parallel or not.
 
 use harvest_core::{run_experiment, Scale};
+use harvest_sim::obs::Recorder;
 
 /// A scale small enough to run every experiment twice in a test, while
 /// still fanning out multiple tasks per experiment (2 runs, 2 scalings,
@@ -46,8 +47,9 @@ const EXPERIMENTS: [&str; 13] = [
 #[test]
 fn reports_are_byte_identical_at_any_thread_count() {
     for id in EXPERIMENTS {
-        let sequential = run_experiment(id, &tiny(1)).expect("experiment runs");
-        let parallel = run_experiment(id, &tiny(4)).expect("experiment runs");
+        let sequential =
+            run_experiment(id, &tiny(1), &mut Recorder::off()).expect("experiment runs");
+        let parallel = run_experiment(id, &tiny(4), &mut Recorder::off()).expect("experiment runs");
         assert!(
             sequential == parallel,
             "{id} report differs between --jobs 1 and --jobs 4:\n\
@@ -62,8 +64,10 @@ fn fig16_is_byte_identical_at_any_thread_count() {
     // fig16 appends two extra utilization points (0.70, 0.80), so it is
     // the widest sweep in the suite — kept out of the shared loop so a
     // failure names it directly.
-    let sequential = run_experiment("fig16", &tiny(1)).expect("experiment runs");
-    let parallel = run_experiment("fig16", &tiny(4)).expect("experiment runs");
+    let sequential =
+        run_experiment("fig16", &tiny(1), &mut Recorder::off()).expect("experiment runs");
+    let parallel =
+        run_experiment("fig16", &tiny(4), &mut Recorder::off()).expect("experiment runs");
     assert_eq!(sequential, parallel);
 }
 

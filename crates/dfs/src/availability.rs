@@ -24,7 +24,7 @@ use harvest_cluster::{Datacenter, ServerId, UtilizationView};
 use harvest_disk::{DiskConfig, MIN_SERVE_FRACTION};
 use harvest_net::{NetworkConfig, Topology};
 use harvest_signal::classify::UtilizationPattern;
-use harvest_sim::fault::{FaultKind, FaultPlan};
+use harvest_sim::fault::{FaultAction, FaultPlan};
 use harvest_sim::metrics::Histogram;
 use harvest_sim::rng::stream_rng;
 use harvest_sim::{dist, SimDuration, SimTime};
@@ -311,50 +311,31 @@ pub fn simulate_availability(
     }
 }
 
-/// Expands a fault plan into `(start, end, server)` down intervals: a
-/// crash (or rack power loss) opens an interval that the matching
-/// restart closes, and a disk failure keeps the server's replicas
-/// offline through the end of the span. Uplink and brown-out events do
-/// not produce intervals (see [`AvailabilityConfig::faults`]).
+/// Turns a fault plan's actions into `(start, end, server)` down
+/// intervals: a crash (or rack power loss) opens an interval that the
+/// matching restart closes, and a disk failure keeps the server's
+/// replicas offline through the end of the span. Only actions strictly
+/// before `span_end` count. Uplink and brown-out actions do not produce
+/// intervals (see [`AvailabilityConfig::faults`]).
 fn fault_down_intervals(
     dc: &Datacenter,
     plan: &FaultPlan,
     span_end: SimTime,
 ) -> Vec<(SimTime, SimTime, u32)> {
-    let n = dc.n_servers() as u32;
-    // Per-server (time, down?) edges, in plan order (already sorted).
-    let mut edges: Vec<(SimTime, bool, u32)> = Vec::new();
-    for ev in plan.events.iter().filter(|e| e.at < span_end) {
-        match ev.kind {
-            FaultKind::ServerCrash { server } if server < n => {
-                edges.push((ev.at, true, server));
-            }
-            FaultKind::ServerRestart { server } if server < n => {
-                edges.push((ev.at, false, server));
-            }
-            FaultKind::RackPowerLoss { rack } => {
-                for s in dc.servers_in_rack(rack) {
-                    edges.push((ev.at, true, s));
-                }
-            }
-            FaultKind::RackPowerRestore { rack } => {
-                for s in dc.servers_in_rack(rack) {
-                    edges.push((ev.at, false, s));
-                }
-            }
-            FaultKind::DiskFail { server } if server < n => {
-                edges.push((ev.at, true, server));
-            }
-            _ => {}
-        }
-    }
     let mut open: std::collections::HashMap<u32, SimTime> = std::collections::HashMap::new();
     let mut intervals = Vec::new();
-    for (at, goes_down, server) in edges {
-        if goes_down {
-            open.entry(server).or_insert(at);
-        } else if let Some(start) = open.remove(&server) {
-            intervals.push((start, at, server));
+    let actions = plan.actions(dc.cluster_shape(), span_end);
+    for (at, action) in actions.into_iter().filter(|&(at, _)| at < span_end) {
+        match action {
+            FaultAction::Crash(server) | FaultAction::DiskFail(server) => {
+                open.entry(server).or_insert(at);
+            }
+            FaultAction::Restore(server) => {
+                if let Some(start) = open.remove(&server) {
+                    intervals.push((start, at, server));
+                }
+            }
+            _ => {}
         }
     }
     let mut dangling: Vec<(u32, SimTime)> = open.into_iter().collect();
@@ -375,6 +356,7 @@ pub fn busy_mask(dc: &Datacenter, view: &UtilizationView, now: SimTime) -> Vec<b
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harvest_sim::fault::FaultKind;
     use harvest_trace::datacenter::DatacenterProfile;
     use harvest_trace::scaling::{calibrate, ScalingKind};
 
@@ -651,12 +633,9 @@ mod tests {
     /// cannot move a failure or a fault-down tick.
     #[test]
     fn faulted_profiles_are_pinned() {
-        use harvest_sim::fault::{ClusterShape, FaultProfile};
+        use harvest_sim::fault::FaultProfile;
         let (dc, view) = setup(0.5);
-        let shape = ClusterShape {
-            n_servers: dc.n_servers(),
-            rack_size: harvest_cluster::datacenter::RACK_SIZE as usize,
-        };
+        let shape = dc.cluster_shape();
         let pins: [(FaultProfile, u64); 4] = [
             (FaultProfile::RackLoss, 0x7aa7_b89e_ffb2_7937),
             (FaultProfile::LinkFlap, 0x25d7_ce2d_f581_9ef6),

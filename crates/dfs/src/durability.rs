@@ -115,24 +115,20 @@ pub struct DurabilityResult {
     pub disk: Option<harvest_disk::DiskStats>,
 }
 
-/// Runs the durability simulation.
-pub fn simulate_durability(dc: &Datacenter, cfg: &DurabilityConfig) -> DurabilityResult {
-    simulate_durability_recorded(dc, cfg, Recorder::off()).0
-}
-
-/// Runs the durability simulation with observability: fault injections
-/// land as `fault/*` instants on the `dfs/fault` track, every
-/// fault-aborted repair walks the `failed` → `retrying` states on the
+/// Runs the durability simulation, recording into `rec`
+/// ([`Recorder::off`] records nothing): fault injections land as
+/// `fault/*` instants on the `dfs/fault` track, every fault-aborted
+/// repair walks the `failed` → `retrying` states on the
 /// `dfs/repair_retry` state track (entity = block id), and with a
 /// transfer model each re-replication walks the `dfs/repair` track
 /// exactly as in [`crate::repair::simulate_reimage_storm_recorded`], so
 /// blame analysis can attribute failure time. Recording never changes
 /// the simulated outcome.
-pub fn simulate_durability_recorded(
+pub fn simulate_durability(
     dc: &Datacenter,
     cfg: &DurabilityConfig,
-    mut rec: Recorder,
-) -> (DurabilityResult, Recorder) {
+    rec: &mut Recorder,
+) -> DurabilityResult {
     assert!(
         (0.0..=0.95).contains(&cfg.fill_fraction),
         "fill fraction must be in [0, 0.95]"
@@ -155,9 +151,9 @@ pub fn simulate_durability_recorded(
             faults: &cfg.faults,
             horizon: SimTime::ZERO + SimDuration::from_days(30 * cfg.months as u64),
         },
-        &mut rec,
+        rec,
     );
-    let result = DurabilityResult {
+    DurabilityResult {
         n_blocks: r.n_blocks,
         lost_blocks: r.lost_blocks,
         reimages: n_reimages,
@@ -175,8 +171,7 @@ pub fn simulate_durability_recorded(
         repairs_shed: r.repairs_shed,
         fabric: r.fabric,
         disk: r.disk,
-    };
-    (result, rec)
+    }
 }
 
 /// Every tenant's generated reimages over `cfg.months`, each tenant
@@ -205,19 +200,12 @@ fn reimage_schedule(dc: &Datacenter, cfg: &DurabilityConfig) -> Vec<(SimTime, Se
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repair::{expand_fault_plan, FaultAction};
-    use harvest_sim::fault::{ClusterShape, FaultEvent, FaultKind, FaultProfile};
+    use crate::repair::{fault_schedule, Fault};
+    use harvest_sim::fault::{FaultAction, FaultEvent, FaultKind, FaultProfile};
     use harvest_trace::datacenter::DatacenterProfile;
 
     fn dc(scale: f64) -> Datacenter {
         Datacenter::generate(&DatacenterProfile::dc(3).scaled(scale), 23)
-    }
-
-    fn shape_of(dc: &Datacenter) -> ClusterShape {
-        ClusterShape {
-            n_servers: dc.n_servers(),
-            rack_size: harvest_cluster::datacenter::RACK_SIZE as usize,
-        }
     }
 
     fn fingerprint(
@@ -246,14 +234,14 @@ mod tests {
         let dc = dc(0.02);
         let mut cfg = DurabilityConfig::paper(policy, replication, 5);
         cfg.months = months;
-        simulate_durability(&dc, &cfg)
+        simulate_durability(&dc, &cfg, &mut Recorder::off())
     }
 
     #[test]
     fn blocks_are_created_to_fill_target() {
         let dc = dc(0.02);
         let cfg = DurabilityConfig::paper(PlacementPolicy::Stock, 3, 1);
-        let result = simulate_durability(&dc, &cfg);
+        let result = simulate_durability(&dc, &cfg, &mut Recorder::off());
         let expected = dc.total_harvest_blocks() / 2 / 3;
         assert!(
             result.n_blocks as f64 > expected as f64 * 0.95,
@@ -329,8 +317,8 @@ mod tests {
             oversubscription: 8.0,
             ..NetworkConfig::datacenter()
         });
-        let r_off = simulate_durability(&dc, &off);
-        let r_on = simulate_durability(&dc, &on);
+        let r_off = simulate_durability(&dc, &off, &mut Recorder::off());
+        let r_on = simulate_durability(&dc, &on, &mut Recorder::off());
         assert!(r_on.repairs > 0, "no repairs landed through the fabric");
         assert!(r_on.lost_blocks > 0, "DC-3 over 4 months must lose blocks");
         // The fabric delays each repair by seconds against a 10-minute
@@ -353,8 +341,8 @@ mod tests {
         let mut cfg = DurabilityConfig::paper(PlacementPolicy::History, 3, 5);
         cfg.months = 2;
         cfg.network = Some(NetworkConfig::datacenter());
-        let a = simulate_durability(&dc, &cfg);
-        let b = simulate_durability(&dc, &cfg);
+        let a = simulate_durability(&dc, &cfg, &mut Recorder::off());
+        let b = simulate_durability(&dc, &cfg, &mut Recorder::off());
         assert_eq!(a.lost_blocks, b.lost_blocks);
         assert_eq!(a.repairs, b.repairs);
         assert_eq!(a.repairs_too_late, b.repairs_too_late);
@@ -373,8 +361,8 @@ mod tests {
         off.months = 4;
         let mut on = off.clone();
         on.disk = Some(DiskConfig::datacenter());
-        let r_off = simulate_durability(&dc, &off);
-        let r_on = simulate_durability(&dc, &on);
+        let r_off = simulate_durability(&dc, &off, &mut Recorder::off());
+        let r_on = simulate_durability(&dc, &on, &mut Recorder::off());
         assert!(r_on.repairs > 0, "no repairs landed through the disks");
         assert!(r_on.lost_blocks > 0, "DC-3 over 4 months must lose blocks");
         let ratio = r_on.lost_blocks as f64 / r_off.lost_blocks.max(1) as f64;
@@ -402,8 +390,8 @@ mod tests {
             at: SimTime::ZERO + SimDuration::from_days(365),
             kind: FaultKind::ServerCrash { server: 0 },
         }]);
-        let a = simulate_durability(&dc, &base);
-        let b = simulate_durability(&dc, &armed);
+        let a = simulate_durability(&dc, &base, &mut Recorder::off());
+        let b = simulate_durability(&dc, &armed, &mut Recorder::off());
         assert_eq!(fingerprint(&a), fingerprint(&b));
         assert_eq!(b.faults_injected, 0);
         assert_eq!(b.repairs_aborted, 0);
@@ -429,25 +417,36 @@ mod tests {
                 at: t0,
                 kind: FaultKind::RackPowerLoss { rack: 1 },
             },
+            FaultEvent {
+                at: t0 + detection,
+                kind: FaultKind::DiskFail { server: 0 },
+            },
         ]);
-        let actions = expand_fault_plan(&dc, &plan, detection, horizon);
-        let rack_servers = dc.servers_in_rack(1).len();
+        let actions = fault_schedule(&dc, &plan, detection, horizon);
+        let rack_servers = dc.cluster_shape().rack_servers(1).len();
         let crashes = actions
             .iter()
-            .filter(|(_, a)| matches!(a, FaultAction::Crash(_)))
+            .filter(|(_, a)| matches!(a, Fault::Plan(FaultAction::Crash(_))))
             .count();
         assert_eq!(crashes, rack_servers + 1);
         // Server 0 restarts inside the heartbeat window, so only the
         // powered-off rack gets declared dead.
         assert!(!actions
             .iter()
-            .any(|(_, a)| matches!(a, FaultAction::DeclareDead { server, .. } if server.0 == 0)));
-        let deads = actions
-            .iter()
-            .filter(|(_, a)| matches!(a, FaultAction::DeclareDead { .. }))
-            .count();
-        assert_eq!(deads, rack_servers);
+            .any(|(_, a)| matches!(a, Fault::DeclareDead { server, .. } if server.0 == 0)));
+        let deads: Vec<usize> = (0..actions.len())
+            .filter(|&i| matches!(actions[i].1, Fault::DeclareDead { .. }))
+            .collect();
+        assert_eq!(deads.len(), rack_servers);
         assert!(actions.windows(2).all(|w| w[0].0 <= w[1].0));
+        // The deaths fall at the disk failure's instant and sort after
+        // it: plan actions come first within an instant.
+        let disk_fail = actions
+            .iter()
+            .position(|(_, a)| matches!(a, Fault::Plan(FaultAction::DiskFail(0))))
+            .expect("disk failure scheduled");
+        assert!(deads.iter().all(|&i| i > disk_fail));
+        assert!(deads.iter().all(|&i| actions[i].0 == t0 + detection));
     }
 
     #[test]
@@ -459,11 +458,11 @@ mod tests {
         let dc = Datacenter::generate(&DatacenterProfile::dc(9).scaled(0.02), 23);
         let mut cfg = DurabilityConfig::paper(PlacementPolicy::Stock, 3, 5);
         cfg.months = 2;
-        let clean = simulate_durability(&dc, &cfg);
+        let clean = simulate_durability(&dc, &cfg, &mut Recorder::off());
         let mut faulted_cfg = cfg.clone();
         faulted_cfg.faults =
-            FaultProfile::RackLoss.plan(5, shape_of(&dc), SimDuration::from_days(60));
-        let faulted = simulate_durability(&dc, &faulted_cfg);
+            FaultProfile::RackLoss.plan(5, dc.cluster_shape(), SimDuration::from_days(60));
+        let faulted = simulate_durability(&dc, &faulted_cfg, &mut Recorder::off());
         assert!(faulted.faults_injected > 0, "no faults applied");
         assert!(
             faulted.lost_blocks > clean.lost_blocks,
@@ -522,8 +521,9 @@ mod tests {
         let mut without = cfg.clone();
         without.faults = plan;
         without.faults.max_retries = 0;
-        let (w, rec) = simulate_durability_recorded(&dc, &with, Recorder::new("retries"));
-        let wo = simulate_durability(&dc, &without);
+        let mut rec = Recorder::new("retries");
+        let w = simulate_durability(&dc, &with, &mut rec);
+        let wo = simulate_durability(&dc, &without, &mut Recorder::off());
         // Transfers (by repair id) and fault retries (by block id) keep
         // separate state tracks, and both tile every entity's lifetime,
         // aborted transfers included.
@@ -562,9 +562,9 @@ mod tests {
         cfg.network = Some(NetworkConfig::datacenter());
         cfg.disk = Some(DiskConfig::datacenter());
         cfg.faults =
-            FaultProfile::CorrelatedStorm.plan(9, shape_of(&dc), SimDuration::from_days(60));
-        let a = simulate_durability(&dc, &cfg);
-        let b = simulate_durability(&dc, &cfg);
+            FaultProfile::CorrelatedStorm.plan(9, dc.cluster_shape(), SimDuration::from_days(60));
+        let a = simulate_durability(&dc, &cfg, &mut Recorder::off());
+        let b = simulate_durability(&dc, &cfg, &mut Recorder::off());
         assert_eq!(fingerprint(&a), fingerprint(&b));
         assert_eq!(a.faults_injected, b.faults_injected);
         assert_eq!(a.repairs_aborted, b.repairs_aborted);
@@ -578,9 +578,11 @@ mod tests {
         let mut cfg = DurabilityConfig::paper(PlacementPolicy::Stock, 3, 5);
         cfg.months = 2;
         cfg.network = Some(NetworkConfig::datacenter());
-        cfg.faults = FaultProfile::RackLoss.plan(11, shape_of(&dc), SimDuration::from_days(60));
-        let plain = simulate_durability(&dc, &cfg);
-        let (recorded, rec) = simulate_durability_recorded(&dc, &cfg, Recorder::new("durability"));
+        cfg.faults =
+            FaultProfile::RackLoss.plan(11, dc.cluster_shape(), SimDuration::from_days(60));
+        let plain = simulate_durability(&dc, &cfg, &mut Recorder::off());
+        let mut rec = Recorder::new("durability");
+        let recorded = simulate_durability(&dc, &cfg, &mut rec);
         assert_eq!(fingerprint(&plain), fingerprint(&recorded));
         assert_eq!(
             rec.counter_value("dfs/faults_injected"),
@@ -599,8 +601,8 @@ mod tests {
         cfg.months = 2;
         cfg.network = Some(NetworkConfig::datacenter());
         cfg.disk = Some(DiskConfig::datacenter());
-        let a = simulate_durability(&dc, &cfg);
-        let b = simulate_durability(&dc, &cfg);
+        let a = simulate_durability(&dc, &cfg, &mut Recorder::off());
+        let b = simulate_durability(&dc, &cfg, &mut Recorder::off());
         assert!(a.repairs > 0, "no repairs with both models on");
         assert_eq!(a.lost_blocks, b.lost_blocks);
         assert_eq!(a.repairs, b.repairs);

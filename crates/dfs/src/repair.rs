@@ -30,7 +30,7 @@ use std::collections::{BTreeSet, BinaryHeap, HashSet};
 use harvest_cluster::{Datacenter, ServerId, TenantId};
 use harvest_disk::{DiskConfig, DiskPool, DiskStats, IoDir};
 use harvest_net::{Fabric, FabricStats, NetworkConfig};
-use harvest_sim::fault::{FaultKind, FaultPlan};
+use harvest_sim::fault::{FaultAction, FaultPlan};
 use harvest_sim::idmap::{sorted_ids, IdBuildHasher, IdMap};
 use harvest_sim::obs::{HistogramId, Recorder, StateTrackId, TrackId};
 use harvest_sim::rng::stream_rng;
@@ -381,11 +381,7 @@ pub(crate) fn replay(dc: &Datacenter, spec: Replay<'_>, rec: &mut Recorder) -> R
             p.set_recorder(rec.child());
         }
     }
-    let actions = if armed {
-        expand_fault_plan(dc, spec.faults, spec.repair.detection_delay, spec.horizon)
-    } else {
-        Vec::new()
-    };
+    let actions = fault_schedule(dc, spec.faults, spec.repair.detection_delay, spec.horizon);
     let mut d = Driver {
         dc,
         placer,
@@ -532,113 +528,53 @@ struct InFlight {
     doomed: bool,
 }
 
-/// A single server-granular fault consequence, expanded from the plan's
-/// rack- and server-level events.
+/// One step of the driver's fault source: a plan action, or the
+/// namenode writing off a crashed server whose heartbeats stopped.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum FaultAction {
-    /// The server stops heartbeating: links die, streams die, in-flight
-    /// repairs touching it abort. Its replicas are still on disk.
-    Crash(ServerId),
+pub(crate) enum Fault {
+    /// A server-granular plan action. A crash stops the server's
+    /// heartbeats (links, streams and repairs touching it die, its
+    /// replicas stay on disk); a restore brings it back, empty if it
+    /// was declared dead; a disk failure is an unplanned reimage of a
+    /// server that stays reachable.
+    Plan(FaultAction),
     /// The heartbeat timeout elapsed without a restart: the namenode
     /// writes the server off and queues re-replication for its blocks.
     DeclareDead { server: ServerId, crashed: SimTime },
-    /// The server comes back. If it was declared dead it returns empty
-    /// (already reimaged); otherwise its replicas were never lost.
-    Restore(ServerId),
-    /// Both rack↔agg links die (flows crossing them abort and retry).
-    UplinkDown(u32),
-    /// Both rack↔agg links recover (parked flows rescue).
-    UplinkUp(u32),
-    /// The disk dies and is replaced: an unplanned reimage while the
-    /// server itself stays reachable.
-    DiskFail(ServerId),
-    /// Brown-out: the disk's secondary bandwidth scales by a factor.
-    DiskDegrade(ServerId, f64),
 }
 
-/// Expands a [`FaultPlan`] into the server-granular action list the
-/// driver consumes: rack power events fan out to every server in the
-/// rack, and each crash that no restart beats to the heartbeat deadline
-/// gets a `DeclareDead` at crash + detection delay. Events past
-/// `horizon` (the simulated span) are dropped so an armed plan whose
-/// events never fire is exactly a no-op.
-pub(crate) fn expand_fault_plan(
+/// The plan's actions up to `horizon` (the simulated span), plus a
+/// `DeclareDead` at crash + detection delay for each crash that no
+/// restart beats to the heartbeat deadline. Stable time order, with a
+/// declared death after the plan actions of its instant.
+pub(crate) fn fault_schedule(
     dc: &Datacenter,
     plan: &FaultPlan,
     detection: SimDuration,
     horizon: SimTime,
-) -> Vec<(SimTime, FaultAction)> {
-    let n = dc.n_servers() as u32;
-    let n_racks = dc.n_racks() as u32;
-    let mut raw: Vec<(SimTime, u32, FaultAction)> = Vec::new();
-    let mut seq = 0u32;
-    for ev in plan.events.iter().filter(|e| e.at <= horizon) {
-        let mut add = |action: FaultAction| {
-            raw.push((ev.at, seq, action));
-            seq += 1;
+) -> Vec<(SimTime, Fault)> {
+    let actions = plan.actions(dc.cluster_shape(), horizon);
+    let mut deaths = Vec::new();
+    for &(t, action) in &actions {
+        let FaultAction::Crash(s) = action else {
+            continue;
         };
-        match ev.kind {
-            FaultKind::ServerCrash { server } if server < n => {
-                add(FaultAction::Crash(ServerId(server)));
-            }
-            FaultKind::ServerRestart { server } if server < n => {
-                add(FaultAction::Restore(ServerId(server)));
-            }
-            FaultKind::RackPowerLoss { rack } if rack < n_racks => {
-                for s in dc.servers_in_rack(rack) {
-                    add(FaultAction::Crash(ServerId(s)));
-                }
-            }
-            FaultKind::RackPowerRestore { rack } if rack < n_racks => {
-                for s in dc.servers_in_rack(rack) {
-                    add(FaultAction::Restore(ServerId(s)));
-                }
-            }
-            FaultKind::RackUplinkDown { rack } if rack < n_racks => {
-                add(FaultAction::UplinkDown(rack));
-            }
-            FaultKind::RackUplinkUp { rack } if rack < n_racks => {
-                add(FaultAction::UplinkUp(rack));
-            }
-            FaultKind::DiskFail { server } if server < n => {
-                add(FaultAction::DiskFail(ServerId(server)));
-            }
-            FaultKind::DiskDegrade { server, factor }
-                if server < n && factor.is_finite() && factor >= 0.0 =>
-            {
-                add(FaultAction::DiskDegrade(ServerId(server), factor));
-            }
-            // Out-of-range targets (a plan drawn for a different
-            // cluster shape) are skipped rather than panicking.
-            _ => {}
-        }
-    }
-    let crashes: Vec<(SimTime, ServerId)> = raw
-        .iter()
-        .filter_map(|&(t, _, a)| match a {
-            FaultAction::Crash(s) => Some((t, s)),
-            _ => None,
-        })
-        .collect();
-    for (t, s) in crashes {
         let dead_at = t + detection;
-        let restored_in_time = raw.iter().any(|&(rt, _, a)| {
-            matches!(a, FaultAction::Restore(rs) if rs == s) && rt > t && rt < dead_at
-        });
+        let restored_in_time = actions
+            .iter()
+            .any(|&(rt, a)| a == FaultAction::Restore(s) && rt > t && rt < dead_at);
         if !restored_in_time {
-            raw.push((
-                dead_at,
-                seq,
-                FaultAction::DeclareDead {
-                    server: s,
-                    crashed: t,
-                },
-            ));
-            seq += 1;
+            let server = ServerId(s);
+            deaths.push((dead_at, Fault::DeclareDead { server, crashed: t }));
         }
     }
-    raw.sort_by_key(|&(t, q, _)| (t, q));
-    raw.into_iter().map(|(t, _, a)| (t, a)).collect()
+    let mut out: Vec<(SimTime, Fault)> = actions
+        .into_iter()
+        .map(|(t, a)| (t, Fault::Plan(a)))
+        .chain(deaths)
+        .collect();
+    out.sort_by_key(|&(t, _)| t);
+    out
 }
 
 /// Recorder handles, registered once when recording is on.
@@ -1024,25 +960,31 @@ impl Driver<'_> {
             .map(|(&rid, _)| rid)
     }
 
-    fn apply_fault(&mut self, action: FaultAction, now: SimTime) {
-        let name = match action {
-            FaultAction::Crash(_) => "fault/crash",
-            FaultAction::DeclareDead { .. } => "fault/declare-dead",
-            FaultAction::Restore(_) => "fault/restart",
-            FaultAction::UplinkDown(_) => "fault/uplink-down",
-            FaultAction::UplinkUp(_) => "fault/uplink-up",
-            FaultAction::DiskFail(_) => "fault/disk-fail",
-            FaultAction::DiskDegrade(..) => "fault/disk-degrade",
+    fn apply_fault(&mut self, fault: Fault, now: SimTime) {
+        let name = match fault {
+            Fault::Plan(action) => action.label(),
+            Fault::DeclareDead { .. } => "fault/declare-dead",
         };
         if let Some((track, _)) = self.obs.and_then(|o| o.faults) {
             self.rec.instant(track, name, now);
         }
-        // A declared death follows a crash already counted.
-        if !matches!(action, FaultAction::DeclareDead { .. }) {
-            self.out.faults_injected += 1;
+        match fault {
+            Fault::Plan(action) => {
+                self.out.faults_injected += 1;
+                self.react(action, now);
+            }
+            // The namenode writes the server off; its blocks are paced
+            // by the throttle from the crash instant. The crash itself
+            // was already counted.
+            Fault::DeclareDead { server, crashed } => self.reimage(server, crashed),
         }
+    }
+
+    /// The driver's reaction to one plan action.
+    fn react(&mut self, action: FaultAction, now: SimTime) {
         match action {
             FaultAction::Crash(s) => {
+                let s = ServerId(s);
                 if !self.faults.down[s.0 as usize] {
                     self.faults.down[s.0 as usize] = true;
                     // Tear down everything touching the server: its NIC
@@ -1060,16 +1002,11 @@ impl Driver<'_> {
                     self.abort(rids, now);
                 }
             }
-            FaultAction::DeclareDead { server, crashed } => {
-                // The namenode writes the server off; its blocks are
-                // paced by the throttle from the crash instant.
-                self.reimage(server, crashed);
-            }
             FaultAction::Restore(s) => {
-                if self.faults.down[s.0 as usize] {
-                    self.faults.down[s.0 as usize] = false;
+                if self.faults.down[s as usize] {
+                    self.faults.down[s as usize] = false;
                     if let Some(f) = self.fabric.as_mut() {
-                        f.restore_endpoint(now, s);
+                        f.restore_endpoint(now, ServerId(s));
                     }
                 }
             }
@@ -1078,23 +1015,20 @@ impl Driver<'_> {
                 // repairs.
                 let mut rids = BTreeSet::new();
                 if let Some(f) = self.fabric.as_mut() {
-                    let (up, dn) = (f.topology().rack_up(rack), f.topology().rack_down(rack));
-                    rids.extend(f.set_link_down(now, up));
-                    rids.extend(f.set_link_down(now, dn));
+                    rids.extend(f.fail_uplink(now, rack));
                 }
                 self.abort(rids, now);
             }
             FaultAction::UplinkUp(rack) => {
                 if let Some(f) = self.fabric.as_mut() {
-                    let (up, dn) = (f.topology().rack_up(rack), f.topology().rack_down(rack));
-                    f.set_link_up(now, up);
-                    f.set_link_up(now, dn);
+                    f.restore_uplink(now, rack);
                 }
             }
             FaultAction::DiskFail(s) => {
                 // The server stays up: repairs reading from or writing
                 // to the dead disk abort and retry, then its blocks are
                 // gone as in a reimage.
+                let s = ServerId(s);
                 let mut rids = BTreeSet::new();
                 if let Some(p) = self.disks.as_mut() {
                     rids.extend(p.fail_server(now, s));
@@ -1105,7 +1039,7 @@ impl Driver<'_> {
             }
             FaultAction::DiskDegrade(s, factor) => {
                 if let Some(p) = self.disks.as_mut() {
-                    p.set_degrade(now, s, factor);
+                    p.set_degrade(now, ServerId(s), factor);
                 }
             }
         }

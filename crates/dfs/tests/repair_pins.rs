@@ -9,14 +9,13 @@
 //! blame line of its recorded trace. A change to how repairs are
 //! queued, placed, transferred or landed moves a hash.
 
-use harvest_cluster::datacenter::RACK_SIZE;
 use harvest_cluster::Datacenter;
 use harvest_dfs::durability::{simulate_durability, DurabilityConfig};
 use harvest_dfs::placement::PlacementPolicy;
 use harvest_dfs::repair::{simulate_reimage_storm_recorded, StormConfig};
 use harvest_disk::DiskConfig;
 use harvest_net::NetworkConfig;
-use harvest_sim::fault::{ClusterShape, FaultProfile};
+use harvest_sim::fault::FaultProfile;
 use harvest_sim::obs::{analyze, Recorder};
 use harvest_sim::SimDuration;
 use harvest_trace::datacenter::DatacenterProfile;
@@ -71,16 +70,12 @@ fn durability_case(
     replication: usize,
     profile: FaultProfile,
 ) -> u64 {
-    let shape = ClusterShape {
-        n_servers: dc.n_servers(),
-        rack_size: RACK_SIZE as usize,
-    };
     let mut cfg = DurabilityConfig::paper(policy, replication, 5);
     cfg.months = 2;
     cfg.network = Some(NetworkConfig::datacenter());
     cfg.disk = Some(DiskConfig::datacenter());
-    cfg.faults = profile.plan(5, shape, SimDuration::from_days(60));
-    let r = simulate_durability(dc, &cfg);
+    cfg.faults = profile.plan(5, dc.cluster_shape(), SimDuration::from_days(60));
+    let r = simulate_durability(dc, &cfg, &mut Recorder::off());
     fnv(&format!("{r:?} {:016x}", r.lost_percent.to_bits()))
 }
 

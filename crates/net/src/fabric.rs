@@ -588,6 +588,21 @@ impl Fabric {
         self.set_link_up(now, self.topo.server_rx(server));
     }
 
+    /// Takes a rack's uplink down in both directions (rack→agg, then
+    /// agg→rack): every flow crossing it aborts, and no new transfer
+    /// can route through it. Returns the aborted flows' tags.
+    pub fn fail_uplink(&mut self, now: SimTime, rack: u32) -> Vec<u64> {
+        let mut tags = self.set_link_down(now, self.topo.rack_up(rack));
+        tags.extend(self.set_link_down(now, self.topo.rack_down(rack)));
+        tags
+    }
+
+    /// Brings a rack's uplink back up in both directions.
+    pub fn restore_uplink(&mut self, now: SimTime, rack: u32) {
+        self.set_link_up(now, self.topo.rack_up(rack));
+        self.set_link_up(now, self.topo.rack_down(rack));
+    }
+
     /// Aborts every flow (active or scheduled) whose tag is in `tags` —
     /// the fault path for "this transfer's purpose just died" (e.g. a
     /// repair whose destination crashed). Returns the number aborted.

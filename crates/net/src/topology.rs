@@ -184,7 +184,7 @@ impl Topology {
     }
 
     /// A rack's uplink (ToR → core).
-    pub fn rack_up(&self, rack: u32) -> LinkId {
+    pub(crate) fn rack_up(&self, rack: u32) -> LinkId {
         LinkId(2 * self.n_servers + rack)
     }
 

@@ -90,7 +90,7 @@ use harvest_jobs::shuffle::{stage_shuffle_bytes, DEFAULT_BYTES_PER_TASK};
 use harvest_jobs::workload::Workload;
 use harvest_net::{Fabric, NetworkConfig};
 use harvest_sim::engine::EventQueue;
-use harvest_sim::fault::{FaultKind, FaultPlan};
+use harvest_sim::fault::{FaultAction, FaultPlan};
 use harvest_sim::obs::{GaugeId, HistogramId, Recorder, StateTrackId, TrackId};
 use harvest_sim::rng::stream_rng;
 use harvest_sim::supervise::CancelToken;
@@ -190,7 +190,7 @@ enum Ev {
     /// Wake-up so in-flight shuffle completions are observed promptly
     /// rather than at the next two-minute tick.
     NetWake,
-    /// An injected fault fires (index into the expanded action list).
+    /// An injected fault fires (index into the plan's action list).
     /// Only queued when the fault plan is non-empty, so the fault-free
     /// event stream is untouched.
     Fault(usize),
@@ -198,81 +198,6 @@ enum Ev {
     /// the stage entity `job << 32 | stage`): the stage becomes
     /// placeable again.
     Retry(u64),
-}
-
-/// A server-granular fault consequence, expanded from the plan's rack-
-/// and server-level events (rack power events fan out to every server
-/// in the rack). Unlike the durability engine there is no heartbeat
-/// grace here: the RM sees a dead node manager at crash time.
-#[derive(Debug, Clone, Copy)]
-enum SchedFaultAction {
-    /// The node manager dies: its containers are lost, in-flight
-    /// shuffle parts touching it abort, and placement skips it.
-    Crash(ServerId),
-    /// The server rejoins the cluster (empty — tasks do not survive).
-    Restore(ServerId),
-    /// Both rack↔agg links die (shuffles crossing them abort).
-    UplinkDown(u32),
-    /// Both rack↔agg links recover.
-    UplinkUp(u32),
-    /// The disk dies and is replaced: streams on it abort once.
-    DiskFail(ServerId),
-    /// Brown-out: the disk's secondary bandwidth scales by a factor.
-    DiskDegrade(ServerId, f64),
-}
-
-/// Expands a [`FaultPlan`] into the server-granular actions the event
-/// loop consumes. Events past `horizon` are dropped, so an armed plan
-/// whose events never fire is exactly a no-op; out-of-range targets (a
-/// plan drawn for a different cluster shape) are skipped.
-fn expand_sched_fault_plan(
-    dc: &Datacenter,
-    plan: &FaultPlan,
-    horizon: SimTime,
-) -> Vec<(SimTime, SchedFaultAction)> {
-    let n = dc.n_servers() as u32;
-    let n_racks = dc.n_racks() as u32;
-    let mut out: Vec<(SimTime, SchedFaultAction)> = Vec::new();
-    for ev in plan.events.iter().filter(|e| e.at <= horizon) {
-        let mut add = |action: SchedFaultAction| out.push((ev.at, action));
-        match ev.kind {
-            FaultKind::ServerCrash { server } if server < n => {
-                add(SchedFaultAction::Crash(ServerId(server)));
-            }
-            FaultKind::ServerRestart { server } if server < n => {
-                add(SchedFaultAction::Restore(ServerId(server)));
-            }
-            FaultKind::RackPowerLoss { rack } if rack < n_racks => {
-                for s in dc.servers_in_rack(rack) {
-                    add(SchedFaultAction::Crash(ServerId(s)));
-                }
-            }
-            FaultKind::RackPowerRestore { rack } if rack < n_racks => {
-                for s in dc.servers_in_rack(rack) {
-                    add(SchedFaultAction::Restore(ServerId(s)));
-                }
-            }
-            FaultKind::RackUplinkDown { rack } if rack < n_racks => {
-                add(SchedFaultAction::UplinkDown(rack));
-            }
-            FaultKind::RackUplinkUp { rack } if rack < n_racks => {
-                add(SchedFaultAction::UplinkUp(rack));
-            }
-            FaultKind::DiskFail { server } if server < n => {
-                add(SchedFaultAction::DiskFail(ServerId(server)));
-            }
-            FaultKind::DiskDegrade { server, factor }
-                if server < n && factor.is_finite() && factor >= 0.0 =>
-            {
-                add(SchedFaultAction::DiskDegrade(ServerId(server), factor));
-            }
-            _ => {}
-        }
-    }
-    // The plan is already time-sorted and the expansion preserves
-    // order, so same-time actions keep their plan order via the event
-    // queue's FIFO tie-break.
-    out
 }
 
 /// How many aggregate flows one stage's shuffle is split into (one per
@@ -436,8 +361,10 @@ struct Runner<'a> {
     /// on, so the tick pays one `Option` check when off.
     rec: Recorder,
     obs: Option<SchedObs>,
-    /// Expanded fault actions, indexed by `Ev::Fault`.
-    fault_actions: Vec<(SimTime, SchedFaultAction)>,
+    /// The plan's server-granular actions, indexed by `Ev::Fault`.
+    /// Unlike the durability engine there is no heartbeat grace here:
+    /// the RM sees a dead node manager at crash time.
+    fault_actions: Vec<(SimTime, FaultAction)>,
     /// Whether the fault plan is non-empty. Every branch that could
     /// perturb the fault-free trajectory checks this first.
     fault_armed: bool,
@@ -503,11 +430,7 @@ impl<'a> Runner<'a> {
         }
         let end_of_time = SimTime::ZERO + sim.cfg.horizon + sim.cfg.drain;
         let fault_armed = !sim.cfg.faults.is_none();
-        let fault_actions = if fault_armed {
-            expand_sched_fault_plan(sim.dc, &sim.cfg.faults, end_of_time)
-        } else {
-            Vec::new()
-        };
+        let fault_actions = sim.cfg.faults.actions(sim.dc.cluster_shape(), end_of_time);
         Runner {
             sim,
             rng: stream_rng(sim.cfg.seed, "sched-sim"),
@@ -1066,7 +989,7 @@ impl<'a> Runner<'a> {
         entity
     }
 
-    /// Applies one expanded fault action. Ordering within the event:
+    /// Applies one fault action. Ordering within the event:
     /// containers on the faulted server die first, then the fabric and
     /// disk models abort in-flight shuffle parts touching it, then
     /// every stage whose shuffle lost a part tears the rest of its
@@ -1076,22 +999,15 @@ impl<'a> Runner<'a> {
     fn on_fault(&mut self, i: usize, now: SimTime) {
         let (_, action) = self.fault_actions[i];
         if let Some(obs) = &self.obs {
-            let name = match action {
-                SchedFaultAction::Crash(_) => "fault/crash",
-                SchedFaultAction::Restore(_) => "fault/restart",
-                SchedFaultAction::UplinkDown(_) => "fault/uplink-down",
-                SchedFaultAction::UplinkUp(_) => "fault/uplink-up",
-                SchedFaultAction::DiskFail(_) => "fault/disk-fail",
-                SchedFaultAction::DiskDegrade(..) => "fault/disk-degrade",
-            };
-            self.rec.instant(obs.track, name, now);
+            self.rec.instant(obs.track, action.label(), now);
         }
         // Stage entities interrupted by this action (container kills
         // and gate teardowns), deduplicated and in deterministic order.
         let mut hit: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
         let mut tags: Vec<u64> = Vec::new();
         match action {
-            SchedFaultAction::Crash(s) => {
+            FaultAction::Crash(s) => {
+                let s = ServerId(s);
                 if !self.down[s.0 as usize] {
                     self.down[s.0 as usize] = true;
                     loop {
@@ -1109,42 +1025,32 @@ impl<'a> Runner<'a> {
                     }
                 }
             }
-            SchedFaultAction::Restore(s) => {
-                if self.down[s.0 as usize] {
-                    self.down[s.0 as usize] = false;
+            FaultAction::Restore(s) => {
+                if self.down[s as usize] {
+                    self.down[s as usize] = false;
                     if let Some(f) = self.fabric.as_mut() {
-                        f.restore_endpoint(now, s);
+                        f.restore_endpoint(now, ServerId(s));
                     }
                 }
             }
-            SchedFaultAction::UplinkDown(rack) => {
+            FaultAction::UplinkDown(rack) => {
                 if let Some(f) = self.fabric.as_mut() {
-                    let (up, dn) = {
-                        let t = f.topology();
-                        (t.rack_up(rack), t.rack_down(rack))
-                    };
-                    tags.extend(f.set_link_down(now, up));
-                    tags.extend(f.set_link_down(now, dn));
+                    tags.extend(f.fail_uplink(now, rack));
                 }
             }
-            SchedFaultAction::UplinkUp(rack) => {
+            FaultAction::UplinkUp(rack) => {
                 if let Some(f) = self.fabric.as_mut() {
-                    let (up, dn) = {
-                        let t = f.topology();
-                        (t.rack_up(rack), t.rack_down(rack))
-                    };
-                    f.set_link_up(now, up);
-                    f.set_link_up(now, dn);
+                    f.restore_uplink(now, rack);
                 }
             }
-            SchedFaultAction::DiskFail(s) => {
+            FaultAction::DiskFail(s) => {
                 if let Some(d) = self.disks.as_mut() {
-                    tags.extend(d.fail_server(now, s));
+                    tags.extend(d.fail_server(now, ServerId(s)));
                 }
             }
-            SchedFaultAction::DiskDegrade(s, factor) => {
+            FaultAction::DiskDegrade(s, factor) => {
                 if let Some(d) = self.disks.as_mut() {
-                    d.set_degrade(now, s, factor);
+                    d.set_degrade(now, ServerId(s), factor);
                 }
             }
         }
@@ -1576,6 +1482,7 @@ impl<'a> Runner<'a> {
 mod tests {
     use super::*;
     use harvest_jobs::tpcds::tpcds_suite;
+    use harvest_sim::fault::FaultKind;
     use harvest_trace::datacenter::DatacenterProfile;
 
     fn testbed() -> (Datacenter, UtilizationView) {
@@ -1967,11 +1874,8 @@ mod tests {
     /// reach the event loop cannot move a kill, a retry or a shuffle.
     #[test]
     fn faulted_profiles_are_pinned() {
-        use harvest_sim::fault::{ClusterShape, FaultProfile};
-        let shape = ClusterShape {
-            n_servers: 102,
-            rack_size: harvest_cluster::datacenter::RACK_SIZE as usize,
-        };
+        use harvest_sim::fault::FaultProfile;
+        let shape = testbed().0.cluster_shape();
         let pins: [(FaultProfile, u64, u64); 4] = [
             (
                 FaultProfile::RackLoss,

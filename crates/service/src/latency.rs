@@ -87,68 +87,6 @@ impl LatencyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harvest_disk::DiskConfig;
-    use harvest_signal::classify::UtilizationPattern;
-
-    /// Gain of the disk-interference term: how fast the disk's contribution
-    /// to p99 grows with its effective utilization. Higher than the CPU
-    /// `kappa` because a query's index read cannot be parallelized away —
-    /// one slow seek is one slow query.
-    const DISK_KAPPA: f64 = 4.0;
-
-    /// Fraction of the disk time ceded to secondary streams that a primary
-    /// operation actually waits behind: the primary's reservation has
-    /// priority, but an op cannot preempt a secondary transfer already in
-    /// service, so on average it waits out half of one.
-    const RESIDUAL_INTERFERENCE: f64 = 0.5;
-
-    impl LatencyModel {
-        /// p99 including a disk-interference term (§6): each query pays an
-        /// index read whose queueing grows with the disk's effective
-        /// utilization as seen by a *primary* operation.
-        ///
-        /// The primary's bandwidth reservation is never taken by
-        /// secondaries (the disk model grants the primary's demand first),
-        /// so the interference is op-granular, not bandwidth-granular: a
-        /// query's read cannot preempt a secondary transfer already in
-        /// service, and on average it finds one mid-flight half the time
-        /// the disk is doing secondary work. Its effective utilization is
-        /// therefore its own demand plus [`RESIDUAL_INTERFERENCE`] of the
-        /// time fraction the throttle cedes to active secondary streams —
-        /// bounded away from saturation, so the term degrades smoothly
-        /// instead of pinning at the cap.
-        ///
-        /// Under the paper's isolation manager a hot primary pushes the
-        /// secondaries to their floor, so the ceded fraction collapses and
-        /// the disk term falls back toward the primary-only wait — the
-        /// protection Figure 10 credits to the manager. Without it
-        /// (fair-share), active spill streams keep inflating every query's
-        /// disk wait as the primary grows busier.
-        fn p99_disk_ms(
-            &self,
-            util: f64,
-            secondary_cores: u32,
-            disk: &DiskConfig,
-            pattern: UtilizationPattern,
-            secondary_streams: u32,
-        ) -> f64 {
-            let cpu = self.p99_ms(util, secondary_cores);
-            if cpu >= self.cap_ms {
-                return self.cap_ms;
-            }
-            let primary = disk.primary.demand_fraction(pattern, util);
-            // Secondary spill/fetch streams saturate whatever share the
-            // throttle leaves them; none active, none used.
-            let ceded = if secondary_streams > 0 {
-                disk.throttle.secondary_fraction(primary)
-            } else {
-                0.0
-            };
-            let rho = (primary + ceded * RESIDUAL_INTERFERENCE).min(0.95);
-            let disk_ms = disk.seek_ms * (1.0 + DISK_KAPPA * rho / (1.0 - rho));
-            (cpu + disk_ms).min(self.cap_ms)
-        }
-    }
 
     #[test]
     fn calibration_hits_figure_10_band() {
@@ -214,62 +152,6 @@ mod tests {
         let hi = m.p99_ms(0.6, 0) + m.noise_ms;
         assert!(fleet > lo && fleet < hi);
         assert_eq!(m.fleet_p99_ms(&[], 1, 0), 0.0);
-    }
-
-    #[test]
-    fn disk_term_is_benign_when_idle() {
-        let m = LatencyModel::paper_calibrated();
-        let d = DiskConfig::datacenter();
-        let base = m.p99_ms(0.33, 0);
-        let with_disk = m.p99_disk_ms(0.33, 0, &d, UtilizationPattern::Periodic, 0);
-        // No harvested streams: the query pays its own index read plus
-        // modest queueing behind the primary's background I/O.
-        assert!(with_disk > base);
-        assert!(with_disk - base < 100.0, "idle disk term too large");
-    }
-
-    #[test]
-    fn isolation_manager_protects_the_disk_tail() {
-        // §6 / Figure 10's claim, disk edition: with harvested streams
-        // spilling, the isolation manager keeps the primary's disk wait
-        // near baseline while naive fair sharing inflates it.
-        let m = LatencyModel::paper_calibrated();
-        let isolated = DiskConfig::datacenter();
-        let fair = DiskConfig::fair_share();
-        let util = 0.6; // periodic demand 0.53 — above the 0.5 threshold
-        let p = UtilizationPattern::Periodic;
-        let protected = m.p99_disk_ms(util, 2, &isolated, p, 4);
-        let exposed = m.p99_disk_ms(util, 2, &fair, p, 4);
-        assert!(
-            exposed > protected + 50.0,
-            "fair share {exposed:.0}ms not clearly worse than isolation {protected:.0}ms"
-        );
-        // Neither regime saturates: the interference term must degrade
-        // smoothly, not pin at the timeout cap.
-        assert!(exposed < m.cap_ms, "fair-share disk term pinned at cap");
-        assert!(protected < m.cap_ms);
-        // With no streams the two policies agree.
-        assert_eq!(
-            m.p99_disk_ms(util, 2, &isolated, p, 0),
-            m.p99_disk_ms(util, 2, &fair, p, 0)
-        );
-    }
-
-    #[test]
-    fn disk_term_monotone_and_capped() {
-        let m = LatencyModel::paper_calibrated();
-        let d = DiskConfig::fair_share();
-        let p = UtilizationPattern::Constant;
-        let mut last = 0.0;
-        for u in [0.0, 0.2, 0.4, 0.6, 0.8] {
-            let v = m.p99_disk_ms(u, 0, &d, p, 1);
-            assert!(v >= last, "not monotone in util");
-            assert!(v < m.cap_ms, "disk term pinned at cap at util {u}");
-            last = v;
-        }
-        // Saturated CPU dominates: the cap still binds.
-        assert_eq!(m.p99_disk_ms(0.33, 12, &d, p, 8), m.cap_ms);
-        assert!(m.p99_disk_ms(0.99, 0, &d, p, 8) <= m.cap_ms);
     }
 
     #[test]

@@ -72,33 +72,18 @@ impl SearchServer {
     }
 
     /// Runs the server at offered utilization `rho` (fraction of total
-    /// thread-seconds demanded) for `n_requests` requests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rho` is not positive or the server has no threads.
-    pub fn run(&self, rho: f64, n_requests: u64, seed: u64) -> ServiceStats {
-        let mut rec = Recorder::off();
-        self.run_recorded(rho, n_requests, seed, &mut rec)
-    }
-
-    /// [`SearchServer::run`] with observability: each request's wait
-    /// states land on the `service/request` state track (see
+    /// thread-seconds demanded) for `n_requests` requests, recording
+    /// into `rec` ([`Recorder::off`] records nothing): each request's
+    /// wait states land on the `service/request` state track (see
     /// `ServiceObs::states`) and sojourn times are sampled into
     /// `service/sojourn_secs`. Recording never changes the run: the
-    /// returned stats are identical to [`SearchServer::run`]'s (pinned
-    /// by tests), and nothing is printed.
+    /// returned stats are identical with the recorder on or off
+    /// (pinned by tests), and nothing is printed.
     ///
     /// # Panics
     ///
     /// Panics if `rho` is not positive or the server has no threads.
-    pub fn run_recorded(
-        &self,
-        rho: f64,
-        n_requests: u64,
-        seed: u64,
-        rec: &mut Recorder,
-    ) -> ServiceStats {
+    pub fn run(&self, rho: f64, n_requests: u64, seed: u64, rec: &mut Recorder) -> ServiceStats {
         assert!(rho > 0.0, "offered load must be positive");
         assert!(self.threads > 0, "server has no threads");
         let mut rng = StdRng::seed_from_u64(seed);
@@ -189,16 +174,16 @@ mod tests {
     #[test]
     fn completes_all_requests() {
         let s = SearchServer::lucene_like();
-        let stats = s.run(0.3, 5_000, 1);
+        let stats = s.run(0.3, 5_000, 1, &mut Recorder::off());
         assert_eq!(stats.completed, 5_000);
     }
 
     #[test]
     fn latency_grows_with_load() {
         let s = SearchServer::lucene_like();
-        let lo = s.run(0.2, 20_000, 2);
-        let mid = s.run(0.6, 20_000, 2);
-        let hi = s.run(0.9, 20_000, 2);
+        let lo = s.run(0.2, 20_000, 2, &mut Recorder::off());
+        let mid = s.run(0.6, 20_000, 2, &mut Recorder::off());
+        let hi = s.run(0.9, 20_000, 2, &mut Recorder::off());
         // Below saturation the p99 is dominated by the service-time tail
         // and is flat to within a millisecond at this sample count;
         // approaching saturation it must climb decisively.
@@ -217,8 +202,8 @@ mod tests {
         };
         // Demand = 0.4 × 12 threads; on 6 threads that is rho = 0.8 —
         // noticeable, and near-saturation on 5 threads it blows up.
-        let p_full = full.run(0.4, 20_000, 3);
-        let p_cut = cut.run(0.8, 20_000, 3);
+        let p_full = full.run(0.4, 20_000, 3, &mut Recorder::off());
+        let p_cut = cut.run(0.8, 20_000, 3, &mut Recorder::off());
         assert!(
             p_cut.p99_ms() > p_full.p99_ms(),
             "cut {} vs full {}",
@@ -229,7 +214,7 @@ mod tests {
             threads: 5,
             mean_service: full.mean_service,
         };
-        let p_squeezed = squeezed.run(0.4 * 12.0 / 5.0, 20_000, 3);
+        let p_squeezed = squeezed.run(0.4 * 12.0 / 5.0, 20_000, 3, &mut Recorder::off());
         assert!(
             p_squeezed.p99_ms() > p_full.p99_ms() * 1.5,
             "squeezed {} vs full {}",
@@ -254,7 +239,7 @@ mod tests {
         let mut prev_sim = 0.0;
         let mut prev_model = 0.0;
         for rho in [0.5, 0.9, 0.97] {
-            let sim = s.run(rho, 30_000, 4);
+            let sim = s.run(rho, 30_000, 4, &mut Recorder::off());
             let sim_p99 = sim.p99_ms();
             let model_p99 = model.p99_ms(rho, 0);
             assert!(sim_p99 > prev_sim && model_p99 > prev_model);
@@ -266,9 +251,9 @@ mod tests {
     #[test]
     fn recording_does_not_change_the_run() {
         let s = SearchServer::lucene_like();
-        let plain = s.run(0.9, 5_000, 7);
+        let plain = s.run(0.9, 5_000, 7, &mut Recorder::off());
         let mut rec = Recorder::new("svc");
-        let recorded = s.run_recorded(0.9, 5_000, 7, &mut rec);
+        let recorded = s.run(0.9, 5_000, 7, &mut rec);
         assert_eq!(plain.completed, recorded.completed);
         assert_eq!(plain.p99_ms(), recorded.p99_ms());
         assert_eq!(plain.mean_ms(), recorded.mean_ms());
@@ -279,7 +264,7 @@ mod tests {
     #[test]
     fn low_load_latency_near_service_time() {
         let s = SearchServer::lucene_like();
-        let stats = s.run(0.05, 20_000, 5);
+        let stats = s.run(0.05, 20_000, 5, &mut Recorder::off());
         // Essentially no queueing: p99 ≈ p99 of Exp(100ms) ≈ 460 ms.
         let p99 = stats.p99_ms();
         assert!((300.0..600.0).contains(&p99), "p99 {p99}");

@@ -11,10 +11,13 @@
 //! produces the same storm — the workspace's bit-identical-replay
 //! guarantee extends to its failures.
 //!
-//! The plan itself is pure data: each engine (`harvest-dfs` durability
-//! and availability, `harvest-sched`'s simulator, and through them the
-//! `harvest-net` fabric and `harvest-disk` pool) merges the events into
-//! its own deterministic event loop and implements the reaction —
+//! The plan is pure data, and it expands itself once:
+//! [`FaultPlan::actions`] fans rack-level events out to servers and
+//! yields the server-granular [`FaultAction`]s every engine consumes
+//! (`harvest-dfs` durability and availability, `harvest-sched`'s
+//! simulator, and through them the `harvest-net` fabric and
+//! `harvest-disk` pool). Each engine merges those actions into its own
+//! deterministic event loop and implements only the reaction —
 //! detection, abort, retry, degradation. [`FaultPlan::none`] is the
 //! universal off switch: every consumer treats an empty plan as "this
 //! machinery does not exist" and stays bitwise identical to its
@@ -57,16 +60,17 @@ impl ClusterShape {
         self.n_servers.div_ceil(self.rack_size.max(1))
     }
 
-    /// The server-id range of one rack.
-    pub(crate) fn rack_servers(&self, rack: u32) -> std::ops::Range<u32> {
+    /// The server-id range of one rack (empty past the last rack).
+    pub fn rack_servers(&self, rack: u32) -> std::ops::Range<u32> {
         let lo = (rack as usize * self.rack_size).min(self.n_servers);
         let hi = (lo + self.rack_size).min(self.n_servers);
         lo as u32..hi as u32
     }
 }
 
-/// One kind of injected fault. Rack-level kinds are expanded by the
-/// consuming engine using the contiguous rack layout ([`ClusterShape`]).
+/// One kind of injected fault. Rack-level kinds fan out to servers in
+/// [`FaultPlan::actions`], using the contiguous rack layout
+/// ([`ClusterShape`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// A server crashes: its containers die, its replicas go dark, and
@@ -100,6 +104,41 @@ pub struct FaultEvent {
     pub at: SimTime,
     /// What happens.
     pub kind: FaultKind,
+}
+
+/// One server-granular fault action: a [`FaultKind`] after rack
+/// fan-out, aimed at a server id (or, for uplinks, a rack id) that
+/// exists in the cluster. Engines react to these; none expands a plan
+/// itself.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FaultAction {
+    /// The server crashes, alone or with its rack's power.
+    Crash(u32),
+    /// The server comes back.
+    Restore(u32),
+    /// Both directions of the rack's uplink go dark.
+    UplinkDown(u32),
+    /// The rack's uplink comes back.
+    UplinkUp(u32),
+    /// The server's disk dies; the server stays up.
+    DiskFail(u32),
+    /// The server's disk secondary bandwidth scales by a finite,
+    /// non-negative factor.
+    DiskDegrade(u32, f64),
+}
+
+impl FaultAction {
+    /// The name of the `fault/*` instant an engine records for it.
+    pub fn label(self) -> &'static str {
+        match self {
+            FaultAction::Crash(_) => "fault/crash",
+            FaultAction::Restore(_) => "fault/restart",
+            FaultAction::UplinkDown(_) => "fault/uplink-down",
+            FaultAction::UplinkUp(_) => "fault/uplink-up",
+            FaultAction::DiskFail(_) => "fault/disk-fail",
+            FaultAction::DiskDegrade(..) => "fault/disk-degrade",
+        }
+    }
 }
 
 /// Exponential backoff with deterministic jitter for fault-driven
@@ -183,6 +222,53 @@ impl FaultPlan {
             events,
             ..FaultPlan::none()
         }
+    }
+
+    /// The plan as server-granular actions for a cluster of `shape`,
+    /// in stable time order: same-instant actions keep plan order, and
+    /// a rack event's servers follow in id order. Rack power events
+    /// fan out to every server of the rack. Events after `horizon` are
+    /// dropped (one exactly at it is kept), so an armed plan whose
+    /// events never fire is exactly a no-op. Targets outside the
+    /// cluster (a plan drawn for another shape) and degrade factors
+    /// that are negative or not finite are skipped rather than
+    /// panicking.
+    pub fn actions(&self, shape: ClusterShape, horizon: SimTime) -> Vec<(SimTime, FaultAction)> {
+        let n = shape.n_servers;
+        let n_racks = shape.n_racks();
+        let has_server = |s: u32| (s as usize) < n;
+        let has_rack = |r: u32| (r as usize) < n_racks;
+        let mut out = Vec::with_capacity(self.events.len());
+        for ev in self.events.iter().filter(|e| e.at <= horizon) {
+            let mut add = |action| out.push((ev.at, action));
+            match ev.kind {
+                FaultKind::ServerCrash { server: s } if has_server(s) => add(FaultAction::Crash(s)),
+                FaultKind::ServerRestart { server: s } if has_server(s) => {
+                    add(FaultAction::Restore(s))
+                }
+                FaultKind::RackPowerLoss { rack: r } if has_rack(r) => shape
+                    .rack_servers(r)
+                    .for_each(|s| add(FaultAction::Crash(s))),
+                FaultKind::RackPowerRestore { rack: r } if has_rack(r) => shape
+                    .rack_servers(r)
+                    .for_each(|s| add(FaultAction::Restore(s))),
+                FaultKind::RackUplinkDown { rack: r } if has_rack(r) => {
+                    add(FaultAction::UplinkDown(r))
+                }
+                FaultKind::RackUplinkUp { rack: r } if has_rack(r) => add(FaultAction::UplinkUp(r)),
+                FaultKind::DiskFail { server: s } if has_server(s) => add(FaultAction::DiskFail(s)),
+                FaultKind::DiskDegrade { server: s, factor }
+                    if has_server(s) && factor.is_finite() && factor >= 0.0 =>
+                {
+                    add(FaultAction::DiskDegrade(s, factor))
+                }
+                _ => {}
+            }
+        }
+        // Stable, so a hand-built plan whose events are out of order
+        // still yields same-instant actions in plan order.
+        out.sort_by_key(|&(at, _)| at);
+        out
     }
 }
 
@@ -439,5 +525,119 @@ mod tests {
         assert_eq!(shape.n_racks(), 3);
         assert_eq!(shape.rack_servers(0), 0..20);
         assert_eq!(shape.rack_servers(2), 40..45);
+    }
+
+    const PARTIAL: ClusterShape = ClusterShape {
+        n_servers: 45,
+        rack_size: 20,
+    };
+
+    fn at(min: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_mins(min)
+    }
+
+    fn ev(min: u64, kind: FaultKind) -> FaultEvent {
+        FaultEvent { at: at(min), kind }
+    }
+
+    #[test]
+    fn rack_power_fans_out_over_a_partial_last_rack() {
+        let plan = FaultPlan::with_events(vec![
+            ev(1, FaultKind::RackPowerLoss { rack: 2 }),
+            ev(2, FaultKind::RackPowerRestore { rack: 2 }),
+        ]);
+        let actions = plan.actions(PARTIAL, SimTime::MAX);
+        let crashes: Vec<_> = (40..45).map(|s| (at(1), FaultAction::Crash(s))).collect();
+        let restores: Vec<_> = (40..45).map(|s| (at(2), FaultAction::Restore(s))).collect();
+        assert_eq!(actions, [crashes, restores].concat());
+    }
+
+    #[test]
+    fn out_of_range_targets_are_skipped() {
+        // `rack * 20` overflows `u32` for this rack id.
+        let huge = u32::MAX / 20 + 1;
+        let plan = FaultPlan::with_events(vec![
+            ev(1, FaultKind::ServerCrash { server: 45 }),
+            ev(1, FaultKind::ServerRestart { server: u32::MAX }),
+            ev(1, FaultKind::DiskFail { server: 45 }),
+            ev(
+                1,
+                FaultKind::DiskDegrade {
+                    server: 45,
+                    factor: 0.5,
+                },
+            ),
+            ev(1, FaultKind::RackPowerLoss { rack: 3 }),
+            ev(1, FaultKind::RackPowerRestore { rack: huge }),
+            ev(1, FaultKind::RackPowerLoss { rack: u32::MAX }),
+            ev(1, FaultKind::RackUplinkDown { rack: 3 }),
+            ev(1, FaultKind::RackUplinkUp { rack: huge }),
+            ev(2, FaultKind::ServerCrash { server: 44 }),
+            ev(2, FaultKind::RackUplinkDown { rack: 2 }),
+        ]);
+        assert_eq!(
+            plan.actions(PARTIAL, SimTime::MAX),
+            [
+                (at(2), FaultAction::Crash(44)),
+                (at(2), FaultAction::UplinkDown(2)),
+            ]
+        );
+    }
+
+    #[test]
+    fn invalid_degrade_factors_are_skipped() {
+        let degrade = |factor| ev(1, FaultKind::DiskDegrade { server: 3, factor });
+        let plan = FaultPlan::with_events(vec![
+            degrade(-0.1),
+            degrade(f64::NAN),
+            degrade(f64::INFINITY),
+            degrade(f64::NEG_INFINITY),
+            degrade(0.0),
+            degrade(0.7),
+        ]);
+        assert_eq!(
+            plan.actions(PARTIAL, SimTime::MAX),
+            [
+                (at(1), FaultAction::DiskDegrade(3, 0.0)),
+                (at(1), FaultAction::DiskDegrade(3, 0.7)),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_event_at_the_horizon_is_kept() {
+        let plan = FaultPlan::with_events(vec![
+            ev(10, FaultKind::ServerCrash { server: 1 }),
+            ev(11, FaultKind::ServerCrash { server: 2 }),
+        ]);
+        assert_eq!(
+            plan.actions(PARTIAL, at(10)),
+            [(at(10), FaultAction::Crash(1))]
+        );
+    }
+
+    #[test]
+    fn same_instant_actions_keep_plan_order_in_an_unsorted_plan() {
+        // Built by hand, bypassing `with_events`' sort.
+        let plan = FaultPlan {
+            events: vec![
+                ev(5, FaultKind::DiskFail { server: 7 }),
+                ev(3, FaultKind::RackUplinkUp { rack: 1 }),
+                ev(5, FaultKind::ServerRestart { server: 2 }),
+                ev(3, FaultKind::ServerCrash { server: 9 }),
+                ev(5, FaultKind::RackUplinkDown { rack: 0 }),
+            ],
+            ..FaultPlan::none()
+        };
+        assert_eq!(
+            plan.actions(PARTIAL, SimTime::MAX),
+            [
+                (at(3), FaultAction::UplinkUp(1)),
+                (at(3), FaultAction::Crash(9)),
+                (at(5), FaultAction::DiskFail(7)),
+                (at(5), FaultAction::Restore(2)),
+                (at(5), FaultAction::UplinkDown(0)),
+            ]
+        );
     }
 }

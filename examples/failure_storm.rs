@@ -17,13 +17,11 @@
 //! the faulted trace.
 
 use harvest::cluster::Datacenter;
-use harvest::dfs::durability::{
-    simulate_durability, simulate_durability_recorded, DurabilityConfig,
-};
+use harvest::dfs::durability::{simulate_durability, DurabilityConfig};
 use harvest::dfs::placement::PlacementPolicy;
 use harvest::net::NetworkConfig;
 use harvest::prelude::DatacenterProfile;
-use harvest::sim::fault::{ClusterShape, FaultEvent, FaultKind, FaultPlan, FaultProfile};
+use harvest::sim::fault::{FaultEvent, FaultKind, FaultPlan, FaultProfile};
 use harvest::sim::obs::Recorder;
 use harvest::sim::{SimDuration, SimTime};
 
@@ -32,10 +30,7 @@ fn main() {
     let months = 6;
     let profile = DatacenterProfile::dc(9).scaled(0.03);
     let dc = Datacenter::generate(&profile, seed);
-    let shape = ClusterShape {
-        n_servers: dc.n_servers(),
-        rack_size: harvest::cluster::datacenter::RACK_SIZE as usize,
-    };
+    let shape = dc.cluster_shape();
     let horizon = SimDuration::from_days(30 * months as u64);
     println!(
         "{}: {} servers in {} racks, Stock R=3, {months} months\n",
@@ -48,7 +43,7 @@ fn main() {
         let mut cfg = DurabilityConfig::paper(PlacementPolicy::Stock, 3, seed);
         cfg.months = months;
         cfg.faults = faults;
-        simulate_durability(&dc, &cfg)
+        simulate_durability(&dc, &cfg, &mut Recorder::off())
     };
 
     println!(
@@ -133,8 +128,8 @@ fn main() {
     let mut without_cfg = cfg.clone();
     without_cfg.faults = plan;
     without_cfg.faults.max_retries = 0;
-    let with_retries = simulate_durability(&small, &with_cfg);
-    let without = simulate_durability(&small, &without_cfg);
+    let with_retries = simulate_durability(&small, &with_cfg, &mut Recorder::off());
+    let without = simulate_durability(&small, &without_cfg, &mut Recorder::off());
     println!(
         "\nstaged storm on {} servers over a slow fabric \
          ({} transfers aborted mid-flight):",
@@ -170,7 +165,8 @@ fn main() {
     let mut cfg = DurabilityConfig::paper(PlacementPolicy::Stock, 3, seed);
     cfg.months = months;
     cfg.faults = FaultProfile::CorrelatedStorm.plan(seed, shape, horizon);
-    let (_, rec) = simulate_durability_recorded(&dc, &cfg, Recorder::new("failure-storm"));
+    let mut rec = Recorder::new("failure-storm");
+    simulate_durability(&dc, &cfg, &mut rec);
     let analysis =
         harvest::sim::obs::analyze::analyze_recorder(&rec).expect("faulted trace analyzes");
     assert!(

@@ -11,6 +11,7 @@ use harvest::dfs::durability::{simulate_durability, DurabilityConfig};
 use harvest::dfs::grid::Grid2D;
 use harvest::dfs::placement::PlacementPolicy;
 use harvest::prelude::DatacenterProfile;
+use harvest::sim::obs::Recorder;
 
 fn main() {
     let seed = 42;
@@ -45,7 +46,7 @@ fn main() {
     println!("\nsimulating one year of reimages, 3-way replication:");
     for policy in [PlacementPolicy::Stock, PlacementPolicy::History] {
         let cfg = DurabilityConfig::paper(policy, 3, seed);
-        let result = simulate_durability(&dc, &cfg);
+        let result = simulate_durability(&dc, &cfg, &mut Recorder::off());
         println!(
             "  {:<11} {:>8} blocks, {:>6} reimages, {:>8} repairs -> lost {:>6} ({:.2e}%)",
             policy.to_string(),

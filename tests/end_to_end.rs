@@ -9,6 +9,7 @@ use harvest::jobs::tpcds::tpcds_suite;
 use harvest::jobs::workload::Workload;
 use harvest::prelude::*;
 use harvest::sched::sim::{SchedSim, SchedSimConfig};
+use harvest::sim::obs::Recorder;
 use harvest::sim::rng::stream_rng;
 use harvest::sim::SimDuration;
 use harvest::trace::scaling::{calibrate, ScalingKind};
@@ -58,7 +59,7 @@ fn durability_shape_stock_vs_history() {
     let run = |policy| {
         let mut cfg = DurabilityConfig::paper(policy, 3, 5);
         cfg.months = 12;
-        simulate_durability(&dc, &cfg)
+        simulate_durability(&dc, &cfg, &mut Recorder::off())
     };
     let stock = run(PlacementPolicy::Stock);
     let hist = run(PlacementPolicy::History);
@@ -77,7 +78,7 @@ fn four_way_history_replication_eliminates_loss() {
     let dc = small_dc(3, 3);
     let mut cfg = DurabilityConfig::paper(PlacementPolicy::History, 4, 5);
     cfg.months = 12;
-    let result = simulate_durability(&dc, &cfg);
+    let result = simulate_durability(&dc, &cfg, &mut Recorder::off());
     assert_eq!(
         result.lost_blocks, 0,
         "paper: HDFS-H at R=4 loses nothing anywhere"
@@ -120,8 +121,8 @@ fn experiments_render_deterministically() {
     let mut scale = Scale::quick();
     scale.dc_scale = 0.02;
     for id in ["fig7", "fig8"] {
-        let a = run_experiment(id, &scale).expect("experiment runs");
-        let b = run_experiment(id, &scale).expect("experiment runs");
+        let a = run_experiment(id, &scale, &mut Recorder::off()).expect("experiment runs");
+        let b = run_experiment(id, &scale, &mut Recorder::off()).expect("experiment runs");
         assert_eq!(a, b, "{id} not deterministic");
         assert!(a.contains("Figure"), "{id} missing title");
     }

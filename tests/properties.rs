@@ -1845,7 +1845,7 @@ proptest! {
         let render = |jobs: usize, faults| {
             let mut s = fault_scale(jobs, faults);
             s.seed = seed;
-            harvest::core::run_experiment("fig16", &s).expect("fig16 renders")
+            harvest::core::run_experiment("fig16", &s, &mut harvest::sim::obs::Recorder::off()).expect("fig16 renders")
         };
         let armed_seq = render(1, Some(profile));
         let armed_par = render(jobs, Some(profile));
@@ -1899,22 +1899,18 @@ proptest! {
     /// exactly, for any profile and seed.
     #[test]
     fn faulted_traces_conserve(seed in 0u64..1_000, pick in 0usize..4) {
-        use harvest::dfs::durability::{simulate_durability_recorded, DurabilityConfig};
-        use harvest::sim::fault::ClusterShape;
+        use harvest::dfs::durability::{simulate_durability, DurabilityConfig};
         use harvest::sim::obs::{analyze, Recorder};
         let profile = harvest::sim::fault::FaultProfile::ALL[pick];
         let dc = Datacenter::generate(
             &harvest::trace::datacenter::DatacenterProfile::dc(9).scaled(0.01),
             11,
         );
-        let shape = ClusterShape {
-            n_servers: dc.n_servers(),
-            rack_size: harvest::cluster::datacenter::RACK_SIZE as usize,
-        };
         let mut cfg = DurabilityConfig::paper(PlacementPolicy::Stock, 3, seed);
         cfg.months = 2;
-        cfg.faults = profile.plan(seed, shape, SimDuration::from_days(60));
-        let (r, rec) = simulate_durability_recorded(&dc, &cfg, Recorder::new("fault-prop"));
+        cfg.faults = profile.plan(seed, dc.cluster_shape(), SimDuration::from_days(60));
+        let mut rec = Recorder::new("fault-prop");
+        let r = simulate_durability(&dc, &cfg, &mut rec);
         prop_assert!(r.faults_injected > 0, "{} never fired", profile.name());
         let a = analyze::analyze_recorder(&rec).map_err(|e| e.to_string())?;
         prop_assert!(a.conserved(), "faulted trace failed conservation");
