@@ -154,9 +154,9 @@ impl UnpredictableGen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SAMPLES_PER_MONTH;
+    use crate::{DatacenterProfile, SAMPLES_PER_MONTH};
     use harvest_signal::classify::{classify, ClassifierConfig};
-    use harvest_sim::rng::stream_rng;
+    use harvest_sim::rng::{indexed_rng, stream_rng};
 
     fn month<R: Rng>(g: &UtilGen, rng: &mut R) -> TimeSeries {
         g.generate(rng, SAMPLES_PER_MONTH)
@@ -265,6 +265,45 @@ mod tests {
             .cloned()
             .fold(0.0f64, f64::max);
         assert!(weekday_peak > weekend_peak + 0.1);
+    }
+
+    /// FNV-1a over the bits of every sample of every tenant of DC-0…9
+    /// (tenant counts scaled down to keep debug builds quick) at two
+    /// seeds, and of the testbed's 21 tenants; each tenant's rng is
+    /// seeded the way `Datacenter::from_specs` seeds it.
+    #[test]
+    fn generated_traces_are_pinned() {
+        fn fold(h: u64, specs: &[crate::TenantSpec], seed: u64) -> u64 {
+            specs.iter().enumerate().fold(h, |h, (i, spec)| {
+                let mut rng = indexed_rng(seed, "tenant-trace", i as u64);
+                let ts = spec.util.generate(&mut rng, SAMPLES_PER_MONTH);
+                ts.values().iter().fold(h, |h, v| {
+                    v.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+                        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+                    })
+                })
+            })
+        }
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        let dcs = |seed: u64| {
+            DatacenterProfile::all().iter().fold(FNV_OFFSET, |h, p| {
+                fold(h, &p.clone().scaled(0.2).sample_tenants(seed), seed)
+            })
+        };
+        let got = [
+            ("DC-0..9 seed 42", dcs(42)),
+            ("DC-0..9 seed 1009", dcs(1009)),
+            (
+                "testbed_dc9 seed 42",
+                fold(FNV_OFFSET, &DatacenterProfile::testbed_dc9(42), 42),
+            ),
+        ];
+        let want = [
+            ("DC-0..9 seed 42", 0x12f9_099c_f108_c4ec),
+            ("DC-0..9 seed 1009", 0x5acb_7bc2_4cc0_8935),
+            ("testbed_dc9 seed 42", 0x691d_0f7a_fae6_6a45),
+        ];
+        assert_eq!(got, want, "a generated trace moved");
     }
 
     #[test]
