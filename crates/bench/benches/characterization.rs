@@ -9,7 +9,7 @@ use harvest_signal::kmeans::kmeans;
 use harvest_signal::spectrum::{
     periodicity_strength, power_spectrum_truncated_into, SpectrumScratch,
 };
-use harvest_sim::rng::stream_rng;
+use harvest_sim::rng::{indexed_rng, stream_rng};
 use harvest_trace::datacenter::DatacenterProfile;
 use harvest_trace::reimage::{group_changes, TenantReimageModel};
 use harvest_trace::SAMPLES_PER_MONTH;
@@ -27,6 +27,18 @@ fn month_trace() -> Vec<f64> {
 }
 
 fn bench_characterization(c: &mut Criterion) {
+    // Trace generation: a month of samples for each of unscaled DC-9's
+    // 520 tenants, each seeded as `Datacenter::from_specs` seeds it.
+    let dc9 = DatacenterProfile::dc(9).sample_tenants(42);
+    c.bench_function("trace_generate_dc9", |b| {
+        b.iter(|| {
+            for (i, tenant) in dc9.iter().enumerate() {
+                let mut rng = indexed_rng(42, "tenant-trace", i as u64);
+                black_box(tenant.util.generate(&mut rng, SAMPLES_PER_MONTH));
+            }
+        })
+    });
+
     let trace = month_trace();
 
     // Figure 1: the FFT over a month of two-minute samples.

@@ -61,26 +61,96 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
 /// Samples a normal variate with the given `mean` and standard deviation
 /// `std_dev`, using the Marsaglia polar method.
 ///
+/// The composition of [`normal_candidate`] (the draws) and
+/// [`normal_deviate`] (the arithmetic), so a caller that draws its
+/// candidates first and evaluates them later gets the same bits. At
+/// `std_dev == 0` it draws nothing and returns `mean` itself.
+///
 /// # Panics
 ///
 /// Panics if `std_dev` is negative.
 pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
+    let candidate = normal_candidate(rng, std_dev);
+    if std_dev == 0.0 {
+        return mean;
+    }
+    normal_deviate(mean, std_dev, candidate)
+}
+
+/// The candidate `(u, s)` of a standard deviation of 0, which takes no
+/// draw. `u = 0` makes its deviate `mean + ±0.0`, so zero-mean noise
+/// evaluated from it is `+0.0`, exactly what [`normal`] returns there.
+const ZERO_STD_CANDIDATE: (f64, f64) = (0.0, 1.0);
+
+/// One polar-method draw: `u` and `v` uniform in `[-1, 1)`, returned as
+/// `(u, s = u² + v²)` with whether the pair falls inside the unit disc
+/// (and off its centre), i.e. is accepted.
+#[inline]
+fn polar_pair<R: Rng + ?Sized>(rng: &mut R) -> ((f64, f64), bool) {
+    let u: f64 = rng.random::<f64>() * 2.0 - 1.0;
+    let v: f64 = rng.random::<f64>() * 2.0 - 1.0;
+    let s = u * u + v * v;
+    ((u, s), (s > 0.0) & (s < 1.0))
+}
+
+/// Draws the Marsaglia-polar candidate `(u, s)` of one normal variate of
+/// standard deviation `std_dev`: pairs are drawn until one is accepted
+/// (`0 < s < 1`). At `std_dev == 0` it draws nothing.
+///
+/// # Panics
+///
+/// Panics if `std_dev` is negative.
+pub fn normal_candidate<R: Rng + ?Sized>(rng: &mut R, std_dev: f64) -> (f64, f64) {
     assert!(
         std_dev >= 0.0,
         "std_dev must be non-negative, got {std_dev}"
     );
     if std_dev == 0.0 {
-        return mean;
+        return ZERO_STD_CANDIDATE;
     }
     loop {
-        let u: f64 = rng.random::<f64>() * 2.0 - 1.0;
-        let v: f64 = rng.random::<f64>() * 2.0 - 1.0;
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            let factor = (-2.0 * s.ln() / s).sqrt();
-            return mean + std_dev * u * factor;
+        let (candidate, accepted) = polar_pair(rng);
+        if accepted {
+            return candidate;
         }
     }
+}
+
+/// Fills `out` with the candidates of `out.len()` successive
+/// [`normal_candidate`] calls, making the same draws. Every drawn pair is
+/// written at the next free slot, which advances only when the pair is
+/// accepted, so no branch depends on the rejection test.
+///
+/// # Panics
+///
+/// Panics if `out` is not empty and `std_dev` is negative.
+pub fn normal_candidates<R: Rng + ?Sized>(rng: &mut R, std_dev: f64, out: &mut [(f64, f64)]) {
+    if out.is_empty() {
+        return;
+    }
+    assert!(
+        std_dev >= 0.0,
+        "std_dev must be non-negative, got {std_dev}"
+    );
+    if std_dev == 0.0 {
+        out.fill(ZERO_STD_CANDIDATE);
+        return;
+    }
+    let mut filled = 0;
+    while filled < out.len() {
+        let (candidate, accepted) = polar_pair(rng);
+        out[filled] = candidate;
+        filled += accepted as usize;
+    }
+}
+
+/// The polar method's arithmetic: the normal variate of mean `mean` and
+/// standard deviation `std_dev` that the candidate `(u, s)` stands for,
+/// `mean + std_dev·u·sqrt(−2·ln s / s)`.
+#[inline]
+pub fn normal_deviate(mean: f64, std_dev: f64, (u, s): (f64, f64)) -> f64 {
+    let factor = (-2.0 * s.ln() / s).sqrt();
+    mean + std_dev * u * factor
 }
 
 /// Samples a log-normal variate parameterized by the mean and standard
@@ -251,6 +321,47 @@ mod tests {
     fn normal_zero_std_is_constant() {
         let mut r = rng();
         assert_eq!(normal(&mut r, 7.0, 0.0), 7.0);
+    }
+
+    #[test]
+    fn batched_candidates_match_single_draws() {
+        for std_dev in [0.0, 0.01, 3.0] {
+            for len in [0, 1, 7, 300] {
+                let (mut batched, mut single) = (rng(), rng());
+                let mut out = vec![(f64::NAN, f64::NAN); len];
+                normal_candidates(&mut batched, std_dev, &mut out);
+                for &(u, s) in &out {
+                    let (u1, s1) = normal_candidate(&mut single, std_dev);
+                    assert_eq!((u.to_bits(), s.to_bits()), (u1.to_bits(), s1.to_bits()));
+                }
+                assert_eq!(batched, single, "std {std_dev}, {len} candidates");
+            }
+        }
+    }
+
+    #[test]
+    fn normal_is_its_candidate_evaluated() {
+        let (mut a, mut b) = (rng(), rng());
+        for std_dev in [0.0, 0.5, 2.0] {
+            for _ in 0..100 {
+                let c = normal_candidate(&mut b, std_dev);
+                let want = if std_dev == 0.0 {
+                    -0.0
+                } else {
+                    normal_deviate(-0.0, std_dev, c)
+                };
+                assert_eq!(normal(&mut a, -0.0, std_dev).to_bits(), want.to_bits());
+            }
+        }
+        assert_eq!(a, b);
+        // Zero-mean noise from the zero-std candidate is +0.0.
+        assert_eq!(normal_deviate(0.0, 0.0, ZERO_STD_CANDIDATE).to_bits(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "std_dev must be non-negative")]
+    fn negative_std_candidates_panic() {
+        normal_candidates(&mut rng(), -1.0, &mut [(0.0, 0.0)]);
     }
 
     #[test]
