@@ -314,7 +314,8 @@ pub fn simulate_availability(
 /// Turns a fault plan's actions into `(start, end, server)` down
 /// intervals: a crash (or rack power loss) opens an interval that the
 /// matching restart closes, and a disk failure keeps the server's
-/// replicas offline through the end of the span. Only actions strictly
+/// replicas offline through the end of the span, so no restart closes
+/// an interval once the server's disk has failed. Only actions strictly
 /// before `span_end` count. Uplink and brown-out actions do not produce
 /// intervals (see [`AvailabilityConfig::faults`]).
 fn fault_down_intervals(
@@ -323,14 +324,19 @@ fn fault_down_intervals(
     span_end: SimTime,
 ) -> Vec<(SimTime, SimTime, u32)> {
     let mut open: std::collections::HashMap<u32, SimTime> = std::collections::HashMap::new();
+    let mut disk_failed = std::collections::HashSet::new();
     let mut intervals = Vec::new();
     let actions = plan.actions(dc.cluster_shape(), span_end);
     for (at, action) in actions.into_iter().filter(|&(at, _)| at < span_end) {
         match action {
-            FaultAction::Crash(server) | FaultAction::DiskFail(server) => {
+            FaultAction::Crash(server) => {
                 open.entry(server).or_insert(at);
             }
-            FaultAction::Restore(server) => {
+            FaultAction::DiskFail(server) => {
+                open.entry(server).or_insert(at);
+                disk_failed.insert(server);
+            }
+            FaultAction::Restore(server) if !disk_failed.contains(&server) => {
                 if let Some(start) = open.remove(&server) {
                     intervals.push((start, at, server));
                 }
@@ -625,6 +631,38 @@ mod tests {
         let b = simulate_availability(&dc, &view, &cfg);
         assert_eq!(a.failed, b.failed);
         assert_eq!(a.fault_down_ticks, b.fault_down_ticks);
+    }
+
+    #[test]
+    fn restart_does_not_reopen_a_failed_disk() {
+        // A failed disk keeps its server's replicas offline to the end of
+        // the span, whether the server restarts after the disk failed or
+        // was already down when it did; a plain crash closes on restart.
+        use harvest_sim::fault::FaultEvent;
+        let (dc, _) = setup(0.5);
+        let span_end = SimTime::ZERO + SimDuration::from_days(2);
+        let at = |hours| SimTime::ZERO + SimDuration::from_hours(hours);
+        let event = |hours, kind| FaultEvent {
+            at: at(hours),
+            kind,
+        };
+        let plan = FaultPlan::with_events(vec![
+            event(2, FaultKind::DiskFail { server: 3 }),
+            event(5, FaultKind::ServerRestart { server: 3 }),
+            event(6, FaultKind::ServerCrash { server: 4 }),
+            event(9, FaultKind::ServerRestart { server: 4 }),
+            event(10, FaultKind::ServerCrash { server: 5 }),
+            event(11, FaultKind::DiskFail { server: 5 }),
+            event(12, FaultKind::ServerRestart { server: 5 }),
+        ]);
+        assert_eq!(
+            fault_down_intervals(&dc, &plan, span_end),
+            vec![
+                (at(6), at(9), 4),
+                (at(2), span_end, 3),
+                (at(10), span_end, 5)
+            ]
+        );
     }
 
     /// Every named fault profile, drawn for the cluster over the span:
