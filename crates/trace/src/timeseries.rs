@@ -138,73 +138,6 @@ impl TimeSeries {
 mod tests {
     use super::*;
 
-    impl TimeSeries {
-        /// Element-wise average of several series (the paper's "average
-        /// server" of a primary tenant, §3.2).
-        ///
-        /// # Panics
-        ///
-        /// Panics if `series` is empty or lengths/intervals differ.
-        fn average_of(series: &[&TimeSeries]) -> TimeSeries {
-            assert!(!series.is_empty(), "cannot average zero series");
-            let first = series[0];
-            assert!(
-                series
-                    .iter()
-                    .all(|s| s.len() == first.len() && s.interval == first.interval),
-                "series must share length and interval"
-            );
-            let n = series.len() as f64;
-            let values = (0..first.len())
-                .map(|i| series.iter().map(|s| s.values[i]).sum::<f64>() / n)
-                .collect();
-            TimeSeries::from_shared(first.interval, values)
-        }
-
-        /// The `q`-quantile of the samples (`q` in `[0, 1]`), by linear
-        /// interpolation.
-        fn quantile(&self, q: f64) -> f64 {
-            let mut sorted = self.values.to_vec();
-            sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-            let q = q.clamp(0.0, 1.0);
-            let n = sorted.len();
-            if n == 1 {
-                return sorted[0];
-            }
-            let pos = q * (n - 1) as f64;
-            let lo = pos.floor() as usize;
-            let hi = pos.ceil() as usize;
-            let frac = pos - lo as f64;
-            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-        }
-
-        /// Minimum sample.
-        fn min(&self) -> f64 {
-            self.values.iter().cloned().fold(f64::INFINITY, f64::min)
-        }
-
-        /// The total time the series spans.
-        fn span(&self) -> SimDuration {
-            SimDuration::from_millis(self.interval.as_millis() * self.values.len() as u64)
-        }
-
-        /// Whether the sample at `slot` differs (bitwise) from the sample at
-        /// the previous slot. Slot 0 always counts as changed — there is no
-        /// previous sample to match. Lets playback callers skip work for
-        /// series that sat still across a sampling boundary.
-        fn sample_changed(&self, slot: u64) -> bool {
-            if slot == 0 {
-                return true;
-            }
-            self.at_slot(slot).to_bits() != self.at_slot(slot - 1).to_bits()
-        }
-
-        /// The sample at index `i`, wrapping.
-        fn at_index(&self, i: usize) -> f64 {
-            self.values[i % self.values.len()]
-        }
-    }
-
     fn mins(m: u64) -> SimDuration {
         SimDuration::from_mins(m)
     }
@@ -214,7 +147,6 @@ mod tests {
         let ts = TimeSeries::new(mins(2), vec![0.2, 0.4, 0.6, 0.8]);
         assert!((ts.mean() - 0.5).abs() < 1e-12);
         assert_eq!(ts.peak(), 0.8);
-        assert_eq!(ts.min(), 0.2);
         assert!(ts.std_dev() > 0.0);
         assert_eq!(ts.len(), 4);
     }
@@ -226,7 +158,6 @@ mod tests {
         assert_eq!(ts.at(SimTime::from_secs(121)), 0.2);
         // Wraps after 6 minutes.
         assert_eq!(ts.at(SimTime::from_secs(6 * 60)), 0.1);
-        assert_eq!(ts.at_index(4), 0.2);
     }
 
     #[test]
@@ -236,35 +167,19 @@ mod tests {
             let t = SimTime::from_millis(slot * mins(2).as_millis() + 1);
             assert_eq!(ts.at_slot(slot).to_bits(), ts.at(t).to_bits());
         }
-        assert!(ts.sample_changed(0), "slot 0 must count as changed");
-        assert!(ts.sample_changed(1));
-        assert!(!ts.sample_changed(2), "equal neighbours are unchanged");
-        assert!(ts.sample_changed(3));
-        // Wrap: slot 4 re-reads sample 0 after sample 3.
-        assert!(ts.sample_changed(4));
     }
 
     #[test]
     fn span_and_interval() {
-        let ts = TimeSeries::constant(mins(2), 0.5, 720);
-        assert_eq!(ts.span(), SimDuration::from_days(1));
+        // 720 two-minute samples span one day: lookups wrap there.
+        let ts = TimeSeries::new(mins(2), (0..720).map(|i| i as f64 / 720.0).collect());
         assert_eq!(ts.interval(), mins(2));
-    }
-
-    #[test]
-    fn quantiles() {
-        let ts = TimeSeries::new(mins(1), (1..=100).map(|i| i as f64 / 100.0).collect());
-        assert!((ts.quantile(0.5) - 0.505).abs() < 1e-9);
-        assert_eq!(ts.quantile(0.0), 0.01);
-        assert_eq!(ts.quantile(1.0), 1.0);
-    }
-
-    #[test]
-    fn average_server() {
-        let a = TimeSeries::new(mins(2), vec![0.0, 1.0]);
-        let b = TimeSeries::new(mins(2), vec![1.0, 0.0]);
-        let avg = TimeSeries::average_of(&[&a, &b]);
-        assert_eq!(avg.values(), &[0.5, 0.5]);
+        let day = SimTime::ZERO + SimDuration::from_days(1);
+        assert_eq!(
+            ts.at(SimTime::from_millis(day.as_millis() - 1)),
+            719.0 / 720.0
+        );
+        assert_eq!(ts.at(day), 0.0);
     }
 
     #[test]
@@ -287,13 +202,5 @@ mod tests {
     #[should_panic(expected = "at least one sample")]
     fn empty_series_panics() {
         TimeSeries::new(mins(2), vec![]);
-    }
-
-    #[test]
-    #[should_panic(expected = "share length")]
-    fn average_of_mismatched_panics() {
-        let a = TimeSeries::new(mins(2), vec![0.0, 1.0]);
-        let b = TimeSeries::new(mins(2), vec![1.0]);
-        TimeSeries::average_of(&[&a, &b]);
     }
 }
