@@ -100,6 +100,7 @@ fn polar_pair<R: Rng + ?Sized>(rng: &mut R) -> ((f64, f64), bool) {
 /// # Panics
 ///
 /// Panics if `std_dev` is negative.
+#[inline]
 pub fn normal_candidate<R: Rng + ?Sized>(rng: &mut R, std_dev: f64) -> (f64, f64) {
     assert!(
         std_dev >= 0.0,

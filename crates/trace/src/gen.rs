@@ -250,9 +250,11 @@ impl UnpredictableGen {
     }
 
     /// Pass 2: the walk from `level` over the draws; returns where it
-    /// ends. A sample without a jump skips the jump's add (adding
-    /// [`NOTHING`] would be exact too, but would lengthen the walk's
-    /// serial chain).
+    /// ends. Each sample's level depends on the last one's, so the walk
+    /// is one serial chain of adds; two rarely taken branches keep it
+    /// short. A sample without a jump skips the jump's add (adding
+    /// [`NOTHING`] would be exact too), and a level inside `[0, 1]`
+    /// skips the clamp, which leaves it unchanged.
     fn evaluate(&self, mut level: f64, noise: &[(f64, f64)], jump: &[f64], out: &mut [f64]) -> f64 {
         for ((v, &c), &jump) in out.iter_mut().zip(noise).zip(jump) {
             level += self.reversion * (self.mean - level);
@@ -260,7 +262,9 @@ impl UnpredictableGen {
             if jump.to_bits() != NOTHING.to_bits() {
                 level += jump;
             }
-            level = level.clamp(0.0, 1.0);
+            if !(0.0..=1.0).contains(&level) {
+                level = level.clamp(0.0, 1.0);
+            }
             *v = level;
         }
         level
