@@ -341,25 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_is_its_candidate_evaluated() {
-        let (mut a, mut b) = (rng(), rng());
-        for std_dev in [0.0, 0.5, 2.0] {
-            for _ in 0..100 {
-                let c = normal_candidate(&mut b, std_dev);
-                let want = if std_dev == 0.0 {
-                    -0.0
-                } else {
-                    normal_deviate(-0.0, std_dev, c)
-                };
-                assert_eq!(normal(&mut a, -0.0, std_dev).to_bits(), want.to_bits());
-            }
-        }
-        assert_eq!(a, b);
-        // Zero-mean noise from the zero-std candidate is +0.0.
-        assert_eq!(normal_deviate(0.0, 0.0, ZERO_STD_CANDIDATE).to_bits(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "std_dev must be non-negative")]
     fn negative_std_candidates_panic() {
         normal_candidates(&mut rng(), -1.0, &mut [(0.0, 0.0)]);
