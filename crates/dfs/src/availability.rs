@@ -665,6 +665,48 @@ mod tests {
         );
     }
 
+    /// The hand-built edge plan: its down intervals exactly, and the
+    /// run's modelled outcome field by field.
+    #[test]
+    fn edge_plan_is_pinned() {
+        use crate::durability::tests::{edge_plan, fnv};
+        let (dc, view) = setup(0.5);
+        let mut cfg = AvailabilityConfig::paper(PlacementPolicy::Stock, 3, 7);
+        cfg.span = SimDuration::from_days(2);
+        cfg.accesses_per_second = 5.0;
+        cfg.network = Some(NetworkConfig::datacenter());
+        cfg.faults = edge_plan();
+        let min = |m| SimTime::ZERO + SimDuration::from_mins(m);
+        let span_end = SimTime::ZERO + cfg.span;
+        assert_eq!(
+            fault_down_intervals(&dc, &cfg.faults, span_end),
+            vec![
+                (min(80), min(80), 9),
+                (min(90), min(95), 11),
+                (min(30), min(120), 3),
+                (min(45), span_end, 7),
+                (min(44), span_end, 8),
+            ]
+        );
+        let r = simulate_availability(&dc, &view, &cfg);
+        let hash = fnv([
+            r.n_blocks,
+            r.accesses,
+            r.failed,
+            r.failed_percent.to_bits(),
+            r.mean_utilization.to_bits(),
+            r.forced_remote_reads,
+            r.mean_read_ms.to_bits(),
+            r.p99_read_ms.to_bits(),
+            r.disk_only_failures,
+            r.fault_down_ticks,
+        ]);
+        assert_eq!(
+            hash, 0x4912_30b3_327b_32dd,
+            "the edge plan's availability outcome moved"
+        );
+    }
+
     /// Every named fault profile, drawn for the cluster over the span:
     /// the faulted result is pinned bitwise (FNV-1a over its `Debug`
     /// rendering), so a change to how plans become down intervals

@@ -198,7 +198,7 @@ fn reimage_schedule(dc: &Datacenter, cfg: &DurabilityConfig) -> Vec<(SimTime, Se
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::repair::{fault_schedule, Fault};
     use harvest_sim::fault::{FaultAction, FaultEvent, FaultKind, FaultProfile};
@@ -591,6 +591,96 @@ mod tests {
         assert_eq!(
             rec.counter_value("dfs/repairs_aborted"),
             Some(recorded.repairs_aborted)
+        );
+    }
+
+    /// A hand-built plan reaching the fault edges no named profile
+    /// does: a crash of a down server, a restore of an up one, a disk
+    /// failure then a restore (of an up and of a crashed server), a
+    /// brown-out after a disk failure, two downs of one uplink, a
+    /// same-instant crash and restore, and a crash restored before the
+    /// heartbeat deadline.
+    pub(crate) fn edge_plan() -> FaultPlan {
+        let ev = |min: u64, kind| FaultEvent {
+            at: SimTime::ZERO + SimDuration::from_mins(min),
+            kind,
+        };
+        FaultPlan::with_events(vec![
+            ev(30, FaultKind::ServerCrash { server: 3 }),
+            ev(35, FaultKind::ServerCrash { server: 3 }),
+            ev(40, FaultKind::ServerRestart { server: 5 }),
+            ev(44, FaultKind::ServerCrash { server: 8 }),
+            ev(45, FaultKind::DiskFail { server: 7 }),
+            ev(45, FaultKind::DiskFail { server: 8 }),
+            ev(
+                50,
+                FaultKind::DiskDegrade {
+                    server: 7,
+                    factor: 0.5,
+                },
+            ),
+            ev(55, FaultKind::RackUplinkDown { rack: 1 }),
+            ev(58, FaultKind::RackUplinkDown { rack: 1 }),
+            ev(60, FaultKind::ServerRestart { server: 7 }),
+            ev(60, FaultKind::ServerRestart { server: 8 }),
+            ev(70, FaultKind::RackUplinkUp { rack: 1 }),
+            ev(80, FaultKind::ServerCrash { server: 9 }),
+            ev(80, FaultKind::ServerRestart { server: 9 }),
+            ev(90, FaultKind::ServerCrash { server: 11 }),
+            ev(95, FaultKind::ServerRestart { server: 11 }),
+            ev(120, FaultKind::ServerRestart { server: 3 }),
+        ])
+    }
+
+    /// FNV-1a over a sequence of words.
+    pub(crate) fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            w.to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        })
+    }
+
+    /// The edge plan over the fabric and the disks, pinned by the
+    /// run's modelled outcome field by field: the block and repair
+    /// totals, the fault counters, and the transfer models' completed,
+    /// delivered, aborted and peak-concurrency counts.
+    #[test]
+    fn edge_plan_is_pinned() {
+        let dc = dc(0.02);
+        let mut cfg = DurabilityConfig::paper(PlacementPolicy::History, 3, 5);
+        cfg.months = 2;
+        cfg.network = Some(NetworkConfig::datacenter());
+        cfg.disk = Some(DiskConfig::datacenter());
+        cfg.faults = edge_plan();
+        let r = simulate_durability(&dc, &cfg, &mut Recorder::off());
+        let f = r.fabric.expect("network on");
+        let d = r.disk.expect("disks on");
+        assert!(r.fault_retries > 0, "the edge plan retried no repair");
+        let hash = fnv([
+            r.n_blocks,
+            r.lost_blocks,
+            r.reimages,
+            r.repairs,
+            r.repairs_too_late,
+            r.lost_percent.to_bits(),
+            r.faults_injected,
+            r.repairs_aborted,
+            r.fault_retries,
+            r.retries_exhausted,
+            r.repairs_shed,
+            f.completed,
+            f.bytes_delivered,
+            f.flows_aborted,
+            f.peak_active as u64,
+            d.completed,
+            d.bytes_moved,
+            d.streams_aborted,
+            d.peak_active as u64,
+        ]);
+        assert_eq!(
+            hash, 0x3946_ffc6_45da_bbde,
+            "the edge plan's durability outcome moved"
         );
     }
 

@@ -1910,6 +1910,101 @@ mod tests {
         assert_eq!(got, pins, "a faulted outcome moved");
     }
 
+    /// A hand-built plan reaching the fault edges no named profile
+    /// does: a crash of a down server, a restore of an up one, a disk
+    /// failure then a restore (of an up and of a crashed server), a
+    /// brown-out after a disk failure, two downs of one uplink, a
+    /// same-instant crash and restore, and a crash restored before the
+    /// heartbeat deadline.
+    fn edge_plan() -> FaultPlan {
+        use harvest_sim::fault::FaultEvent;
+        let ev = |min: u64, kind| FaultEvent {
+            at: SimTime::ZERO + SimDuration::from_mins(min),
+            kind,
+        };
+        FaultPlan::with_events(vec![
+            ev(30, FaultKind::ServerCrash { server: 3 }),
+            ev(35, FaultKind::ServerCrash { server: 3 }),
+            ev(40, FaultKind::ServerRestart { server: 5 }),
+            ev(44, FaultKind::ServerCrash { server: 8 }),
+            ev(45, FaultKind::DiskFail { server: 7 }),
+            ev(45, FaultKind::DiskFail { server: 8 }),
+            ev(
+                50,
+                FaultKind::DiskDegrade {
+                    server: 7,
+                    factor: 0.5,
+                },
+            ),
+            ev(55, FaultKind::RackUplinkDown { rack: 1 }),
+            ev(58, FaultKind::RackUplinkDown { rack: 1 }),
+            ev(60, FaultKind::ServerRestart { server: 7 }),
+            ev(60, FaultKind::ServerRestart { server: 8 }),
+            ev(70, FaultKind::RackUplinkUp { rack: 1 }),
+            ev(80, FaultKind::ServerCrash { server: 9 }),
+            ev(80, FaultKind::ServerRestart { server: 9 }),
+            ev(90, FaultKind::ServerCrash { server: 11 }),
+            ev(95, FaultKind::ServerRestart { server: 11 }),
+            ev(120, FaultKind::ServerRestart { server: 3 }),
+        ])
+    }
+
+    /// FNV-1a over a run's modelled outcome, field by field (floats by
+    /// bit pattern): every job's timing and kills, the kill, start and
+    /// utilization totals, the fault counters, and the transfer
+    /// models' completed, delivered, aborted and peak-concurrency
+    /// counts.
+    fn outcome_hash(s: &SimStats) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let at = |t: Option<SimTime>| t.map_or(u64::MAX, |t| t.as_millis());
+        for j in &s.jobs {
+            eat(j.query as u64);
+            eat(j.submitted.as_millis());
+            eat(at(j.finished));
+            eat(j.execution_time.map_or(u64::MAX, |d| d.as_millis()));
+            eat(j.kills);
+        }
+        eat(s.total_kills);
+        eat(s.tasks_started);
+        eat(s.avg_total_utilization.to_bits());
+        eat(s.avg_primary_utilization.to_bits());
+        s.kills_per_server.iter().for_each(|&k| eat(k));
+        eat(s.fault_kills);
+        eat(s.fault_retries);
+        eat(s.jobs_abandoned);
+        if let Some(f) = &s.fabric {
+            eat(f.completed);
+            eat(f.bytes_delivered);
+            eat(f.flows_aborted);
+            eat(f.peak_active as u64);
+        }
+        if let Some(d) = &s.disks {
+            eat(d.completed);
+            eat(d.bytes_moved);
+            eat(d.streams_aborted);
+            eat(d.peak_active as u64);
+        }
+        h
+    }
+
+    /// The edge plan with the fabric and the disks on, pinned by its
+    /// modelled outcome.
+    #[test]
+    fn edge_plan_is_pinned() {
+        let s = run_faulted(41, edge_plan(), true);
+        assert!(s.fault_kills > 0, "the edge plan killed no containers");
+        assert_eq!(
+            outcome_hash(&s),
+            0x44e0_aba8_d6d5_2506,
+            "the edge plan's outcome moved"
+        );
+    }
+
     /// The observability oracle: running with a live recorder must not
     /// perturb the trajectory — the returned stats are bitwise identical
     /// to a recorder-off run, while the recorder itself mirrors the
