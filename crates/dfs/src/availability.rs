@@ -24,7 +24,7 @@ use harvest_cluster::{Datacenter, ServerId, UtilizationView};
 use harvest_disk::{DiskConfig, MIN_SERVE_FRACTION};
 use harvest_net::{NetworkConfig, Topology};
 use harvest_signal::classify::UtilizationPattern;
-use harvest_sim::fault::{FaultAction, FaultPlan};
+use harvest_sim::fault::FaultPlan;
 use harvest_sim::metrics::Histogram;
 use harvest_sim::rng::stream_rng;
 use harvest_sim::{dist, SimDuration, SimTime};
@@ -132,11 +132,7 @@ pub fn simulate_availability(
     // Per-server fault-down intervals, empty without an armed plan —
     // the mask merge below is then a no-op and the trajectory matches
     // the fault-free build bit for bit.
-    let down = if cfg.faults.is_none() {
-        Vec::new()
-    } else {
-        fault_down_intervals(dc, &cfg.faults, SimTime::ZERO + cfg.span)
-    };
+    let down = fault_down_intervals(dc, &cfg.faults, SimTime::ZERO + cfg.span);
     let down_at = |now: SimTime, busy: &mut [bool]| -> u64 {
         let mut n = 0u64;
         for &(start, end, server) in &down {
@@ -312,10 +308,10 @@ pub fn simulate_availability(
 }
 
 /// Turns a fault plan's actions into `(start, end, server)` down
-/// intervals: a crash (or rack power loss) opens an interval that the
-/// matching restart closes, and a disk failure keeps the server's
-/// replicas offline through the end of the span, so no restart closes
-/// an interval once the server's disk has failed. Only actions strictly
+/// intervals: a server is down while the fault fold finds its data
+/// unreachable, from the action that crashes it or fails its disk to
+/// the restore that brings it back. A failed disk never comes back, so
+/// its interval runs to the end of the span. Only actions strictly
 /// before `span_end` count. Uplink and brown-out actions do not produce
 /// intervals (see [`AvailabilityConfig::faults`]).
 fn fault_down_intervals(
@@ -323,32 +319,29 @@ fn fault_down_intervals(
     plan: &FaultPlan,
     span_end: SimTime,
 ) -> Vec<(SimTime, SimTime, u32)> {
-    let mut open: std::collections::HashMap<u32, SimTime> = std::collections::HashMap::new();
-    let mut disk_failed = std::collections::HashSet::new();
+    let Some(mut fold) = plan.arm(dc.n_servers(), 0) else {
+        return Vec::new();
+    };
+    let mut open: Vec<Option<SimTime>> = vec![None; dc.n_servers()];
     let mut intervals = Vec::new();
     let actions = plan.actions(dc.cluster_shape(), span_end);
     for (at, action) in actions.into_iter().filter(|&(at, _)| at < span_end) {
-        match action {
-            FaultAction::Crash(server) => {
-                open.entry(server).or_insert(at);
-            }
-            FaultAction::DiskFail(server) => {
-                open.entry(server).or_insert(at);
-                disk_failed.insert(server);
-            }
-            FaultAction::Restore(server) if !disk_failed.contains(&server) => {
-                if let Some(start) = open.remove(&server) {
-                    intervals.push((start, at, server));
-                }
+        let Some(server) = action.server() else {
+            continue;
+        };
+        fold.apply(action);
+        let slot = &mut open[server as usize];
+        match (*slot, fold.unreachable(server)) {
+            (None, true) => *slot = Some(at),
+            (Some(start), false) => {
+                intervals.push((start, at, server));
+                *slot = None;
             }
             _ => {}
         }
     }
-    let mut dangling: Vec<(u32, SimTime)> = open.into_iter().collect();
-    dangling.sort_unstable();
-    for (server, start) in dangling {
-        intervals.push((start, span_end, server));
-    }
+    let dangling = open.into_iter().enumerate();
+    intervals.extend(dangling.filter_map(|(s, start)| Some((start?, span_end, s as u32))));
     intervals
 }
 

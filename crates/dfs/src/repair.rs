@@ -30,8 +30,8 @@ use std::collections::{BTreeSet, BinaryHeap, HashSet};
 use harvest_cluster::{Datacenter, ServerId, TenantId};
 use harvest_disk::{DiskConfig, DiskPool, DiskStats, IoDir};
 use harvest_net::{Fabric, FabricStats, NetworkConfig};
-use harvest_sim::fault::{FaultAction, FaultPlan};
-use harvest_sim::idmap::{sorted_ids, IdBuildHasher, IdMap};
+use harvest_sim::fault::{FaultAction, FaultPlan, FaultState};
+use harvest_sim::idmap::{sorted_ids, IdMap};
 use harvest_sim::obs::{HistogramId, Recorder, StateTrackId, TrackId};
 use harvest_sim::rng::stream_rng;
 use harvest_sim::{SimDuration, SimTime};
@@ -366,7 +366,8 @@ pub(crate) fn replay(dc: &Datacenter, spec: Replay<'_>, rec: &mut Recorder) -> R
 
     let mut fabric = spec.network.map(|n| Fabric::from_datacenter(dc, n));
     let mut disks = spec.disk.map(|d| DiskPool::from_datacenter(dc, d));
-    let armed = !spec.faults.is_none();
+    let faults = spec.faults.arm(dc.n_servers(), spec.seed);
+    let armed = faults.is_some();
     let obs = rec.is_on().then(|| Obs {
         track: rec.track("dfs"),
         repair_secs: rec.histogram("dfs/repair_secs"),
@@ -397,14 +398,8 @@ pub(crate) fn replay(dc: &Datacenter, spec: Replay<'_>, rec: &mut Recorder) -> R
         streaming: IdMap::default(),
         landed: Vec::new(),
         next_rid: 0,
-        faults: Faults {
-            armed,
-            plan: spec.faults,
-            down: vec![false; dc.n_servers()],
-            attempts: IdMap::default(),
-            retrying: HashSet::default(),
-            seed: spec.seed,
-        },
+        faults,
+        shed_inflight_above: spec.faults.shed_inflight_above,
         rec,
         obs,
         out: Replayed {
@@ -589,33 +584,6 @@ struct Obs {
     faults: Option<(TrackId, StateTrackId)>,
 }
 
-/// Fault state: the down mask and per-block retry budgets. An unarmed
-/// (empty) plan short-circuits every branch that could perturb the
-/// fault-free trajectory, and placement sees no busy mask.
-struct Faults<'a> {
-    armed: bool,
-    plan: &'a FaultPlan,
-    down: Vec<bool>,
-    /// Fault aborts per block since its last durable copy landed.
-    attempts: IdMap<u32>,
-    /// Blocks waiting out a backoff.
-    retrying: HashSet<u64, IdBuildHasher>,
-    /// Seeds each retry's backoff jitter.
-    seed: u64,
-}
-
-impl Faults<'_> {
-    /// The busy mask for placement — `None` when faults are off, so the
-    /// fault-free placement RNG stream is untouched.
-    fn busy(&self) -> Option<&[bool]> {
-        self.armed.then_some(self.down.as_slice())
-    }
-
-    fn is_down(&self, s: ServerId) -> bool {
-        self.armed && self.down[s.0 as usize]
-    }
-}
-
 /// The driver's state between events.
 struct Driver<'a> {
     dc: &'a Datacenter,
@@ -637,7 +605,11 @@ struct Driver<'a> {
     /// (landing instant, repair id, transfer). Reused across pumps.
     landed: Vec<(SimTime, u64, InFlight)>,
     next_rid: u64,
-    faults: Faults<'a>,
+    /// The down servers and the retry budget per block id; `None` for
+    /// an empty plan, so placement sees no busy mask.
+    faults: Option<FaultState>,
+    /// The plan's in-flight ceiling for shedding repair slots.
+    shed_inflight_above: Option<usize>,
     rec: &'a mut Recorder,
     obs: Option<Obs>,
     out: Replayed,
@@ -725,26 +697,27 @@ impl Driver<'_> {
     /// transfer. Destination space is re-checked when it lands.
     fn release(&mut self, slot: QueuedRepair, now: SimTime) {
         let block = slot.block;
-        if self.faults.armed {
+        if let Some(faults) = self.faults.as_mut() {
             // The block's backoff wait ends when its slot fires.
-            if self.faults.retrying.remove(&block.0) {
+            if faults.release(block.0) {
                 if let Some((_, retries)) = self.obs.and_then(|o| o.faults) {
                     self.rec.state_exit(retries, block.0, slot.at);
                 }
             }
             // Graceful degradation: under a storm, shed repair slots
             // rather than pile more transfers onto a saturated fabric.
-            if let Some(cap) = self.faults.plan.shed_inflight_above {
-                if self.in_flight.len() >= cap {
-                    self.out.repairs_shed += 1;
-                    self.requeue(block, slot.at);
-                    return;
-                }
+            if self
+                .shed_inflight_above
+                .is_some_and(|cap| self.in_flight.len() >= cap)
+            {
+                self.out.repairs_shed += 1;
+                self.requeue(block, slot.at);
+                return;
             }
             // Every surviving replica sits on a crashed-but-not-yet-dead
             // server: nothing to read from until one restarts.
             let existing = self.store.replicas(block);
-            if !existing.is_empty() && existing.iter().all(|&s| self.faults.down[s as usize]) {
+            if !existing.is_empty() && existing.iter().all(|&s| faults.is_down(s)) {
                 self.retry_or_abandon(block, slot.at);
                 return;
             }
@@ -760,12 +733,13 @@ impl Driver<'_> {
             return;
         }
         let existing = self.store.replicas(block);
-        let placed =
-            self.placer
-                .place_repair(&mut self.rng, &self.store, existing, self.faults.busy());
+        let busy = self.faults.as_ref().map(|f| f.down_mask());
+        let placed = self
+            .placer
+            .place_repair(&mut self.rng, &self.store, existing, busy);
         // No destination (cluster full), or a crashed one picked by a
         // busy-oblivious policy (Stock): retry after another slot.
-        let Some(dest) = placed.filter(|&d| !self.faults.is_down(d)) else {
+        let Some(dest) = placed.filter(|&d| !busy.is_some_and(|b| b[d.0 as usize])) else {
             self.requeue(block, slot.at);
             return;
         };
@@ -773,13 +747,13 @@ impl Driver<'_> {
             self.commit(block, dest, now);
             return;
         }
-        let src = if self.faults.armed {
+        let src = if let Some(faults) = &self.faults {
             // Read from a live replica only: crashed-but-not-dead
             // servers still hold the data but cannot serve it.
             let live: Vec<u32> = existing
                 .iter()
                 .copied()
-                .filter(|&s| !self.faults.down[s as usize])
+                .filter(|&s| !faults.is_down(s))
                 .collect();
             if live.is_empty() {
                 self.retry_or_abandon(block, now);
@@ -866,7 +840,9 @@ impl Driver<'_> {
         self.out.repairs += 1;
         self.out.recovered_at = self.out.recovered_at.max(now);
         // A durable copy landed: the block's fault-retry budget resets.
-        self.faults.attempts.remove(&block.0);
+        if let Some(faults) = self.faults.as_mut() {
+            faults.reset(block.0);
+        }
         // Still short, counting copies still inbound? Queue another.
         if self.store.replica_count(block) + self.streaming(block) < self.replication {
             self.requeue(block, now);
@@ -891,32 +867,26 @@ impl Driver<'_> {
     /// backoff and jitter, or — past `max_retries` — give up and account
     /// the block as permanently under-repaired.
     fn retry_or_abandon(&mut self, block: BlockId, now: SimTime) {
-        let attempt = self.faults.attempts.entry(block.0).or_insert(0);
-        *attempt += 1;
-        let attempt = *attempt;
+        let faults = self.faults.as_mut().expect("only an armed plan retries");
+        let verdict = faults.charge(block.0, now);
         let retries = self.obs.and_then(|o| o.faults).map(|f| f.1);
         if let Some(states) = retries {
             self.rec.state_enter(states, block.0, "failed", now);
         }
-        if attempt <= self.faults.plan.max_retries {
-            self.out.fault_retries += 1;
-            let at = now
-                + self
-                    .faults
-                    .plan
-                    .backoff
-                    .delay(self.faults.seed, block.0, attempt);
-            self.queue.push(QueuedRepair { at, block });
-            if let Some(states) = retries {
-                self.rec.state_enter(states, block.0, "retrying", now);
+        match verdict {
+            Some(at) => {
+                self.out.fault_retries += 1;
+                self.queue.push(QueuedRepair { at, block });
+                if let Some(states) = retries {
+                    self.rec.state_enter(states, block.0, "retrying", now);
+                }
             }
-            self.faults.retrying.insert(block.0);
-        } else {
-            self.out.retries_exhausted += 1;
-            if let Some(states) = retries {
-                self.rec.state_exit(states, block.0, now);
+            None => {
+                self.out.retries_exhausted += 1;
+                if let Some(states) = retries {
+                    self.rec.state_exit(states, block.0, now);
+                }
             }
-            self.faults.retrying.remove(&block.0);
         }
     }
 
@@ -980,68 +950,31 @@ impl Driver<'_> {
         }
     }
 
-    /// The driver's reaction to one plan action.
+    /// The driver's reaction to one plan action. A no-op (a crash of a
+    /// crashed server, a restore of an up one) changes nothing. Else
+    /// the fabric and the disks abort the transfers the action hits,
+    /// and every repair reading from or writing to a crashed server or
+    /// a failed disk aborts and retries with them. A crashed server's
+    /// replicas stay in the store until the heartbeat declares it
+    /// dead; a failed disk's are gone at once, as in a reimage, while
+    /// its server stays up.
     fn react(&mut self, action: FaultAction, now: SimTime) {
-        match action {
-            FaultAction::Crash(s) => {
-                let s = ServerId(s);
-                if !self.faults.down[s.0 as usize] {
-                    self.faults.down[s.0 as usize] = true;
-                    // Tear down everything touching the server: its NIC
-                    // links, its disk streams, and any repair reading
-                    // from or writing to it. Replicas stay in the store
-                    // until the heartbeat declares it dead.
-                    let mut rids = BTreeSet::new();
-                    if let Some(f) = self.fabric.as_mut() {
-                        rids.extend(f.fail_endpoint(now, s));
-                    }
-                    if let Some(p) = self.disks.as_mut() {
-                        rids.extend(p.fail_server(now, s));
-                    }
-                    rids.extend(self.touching(s));
-                    self.abort(rids, now);
-                }
-            }
-            FaultAction::Restore(s) => {
-                if self.faults.down[s as usize] {
-                    self.faults.down[s as usize] = false;
-                    if let Some(f) = self.fabric.as_mut() {
-                        f.restore_endpoint(now, ServerId(s));
-                    }
-                }
-            }
-            FaultAction::UplinkDown(rack) => {
-                // Without a network model an uplink outage cannot delay
-                // repairs.
-                let mut rids = BTreeSet::new();
-                if let Some(f) = self.fabric.as_mut() {
-                    rids.extend(f.fail_uplink(now, rack));
-                }
-                self.abort(rids, now);
-            }
-            FaultAction::UplinkUp(rack) => {
-                if let Some(f) = self.fabric.as_mut() {
-                    f.restore_uplink(now, rack);
-                }
-            }
-            FaultAction::DiskFail(s) => {
-                // The server stays up: repairs reading from or writing
-                // to the dead disk abort and retry, then its blocks are
-                // gone as in a reimage.
-                let s = ServerId(s);
-                let mut rids = BTreeSet::new();
-                if let Some(p) = self.disks.as_mut() {
-                    rids.extend(p.fail_server(now, s));
-                }
-                rids.extend(self.touching(s));
-                self.abort(rids, now);
-                self.reimage(s, now);
-            }
-            FaultAction::DiskDegrade(s, factor) => {
-                if let Some(p) = self.disks.as_mut() {
-                    p.set_degrade(now, ServerId(s), factor);
-                }
-            }
+        if !self.faults.as_mut().is_some_and(|f| f.apply(action)) {
+            return;
+        }
+        let mut rids = BTreeSet::new();
+        if let Some(f) = self.fabric.as_mut() {
+            rids.extend(f.apply_fault(now, action));
+        }
+        if let Some(p) = self.disks.as_mut() {
+            rids.extend(p.apply_fault(now, action));
+        }
+        if let FaultAction::Crash(s) | FaultAction::DiskFail(s) = action {
+            rids.extend(self.touching(ServerId(s)));
+        }
+        self.abort(rids, now);
+        if let FaultAction::DiskFail(s) = action {
+            self.reimage(ServerId(s), now);
         }
     }
 
@@ -1052,10 +985,8 @@ impl Driver<'_> {
             for rid in sorted_ids(&self.in_flight, |_| true) {
                 self.rec.state_exit(o.transfers, rid, end);
             }
-            if let Some((_, retries)) = o.faults {
-                let mut open: Vec<u64> = self.faults.retrying.iter().copied().collect();
-                open.sort_unstable();
-                for b in open {
+            if let (Some((_, retries)), Some(faults)) = (o.faults, &self.faults) {
+                for b in faults.waiting() {
                     self.rec.state_exit(retries, b, end);
                 }
             }
@@ -1076,7 +1007,7 @@ impl Driver<'_> {
                 ("dfs/replicas_lost", o.replicas_lost),
                 ("dfs/lost_blocks", o.lost_blocks),
             ];
-            if self.faults.armed {
+            if self.faults.is_some() {
                 counters.extend([
                     ("dfs/faults_injected", o.faults_injected),
                     ("dfs/repairs_aborted", o.repairs_aborted),

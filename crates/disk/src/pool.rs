@@ -64,6 +64,7 @@ use harvest_cluster::ServerId;
 use harvest_signal::classify::UtilizationPattern;
 use harvest_sim::engine::{EventKey, EventQueue};
 use harvest_sim::fairshare::FairShare;
+use harvest_sim::fault::FaultAction;
 use harvest_sim::idmap::{sorted_ids, IdMap};
 use harvest_sim::obs::{CounterId, GaugeId, HistogramId, Recorder, StateTrackId, TrackId};
 use harvest_sim::{SimDuration, SimTime};
@@ -509,6 +510,41 @@ impl DiskPool {
         self.dead_cancels_seen = d;
     }
 
+    /// Applies one real fault action (see [`harvest_sim::fault`]) at
+    /// `now` and returns the tags of the streams it aborted: a crash or
+    /// a disk failure aborts every stream on the server's disk, scheduled
+    /// ones too (the replaced disk takes new streams), and a brown-out
+    /// sets its [`DiskPool::set_degrade`] factor. Restores and uplinks
+    /// do not concern the pool. The pool must be pumped to `now`.
+    pub fn apply_fault(&mut self, now: SimTime, action: FaultAction) -> Vec<u64> {
+        if let FaultAction::DiskDegrade(s, factor) = action {
+            self.set_degrade(now, ServerId(s), factor);
+        }
+        let (FaultAction::Crash(s) | FaultAction::DiskFail(s)) = action else {
+            return Vec::new();
+        };
+        let server = ServerId(s);
+        let mut ids: Vec<u64> = Vec::new();
+        for dir in [IoDir::Read, IoDir::Write] {
+            ids.extend(&self.channels[chan(server, dir) as usize].streams);
+        }
+        let mut tags = Vec::new();
+        for id in ids {
+            if let Some((tag, c)) = self.abort_active(StreamId(id), now) {
+                tags.push(tag);
+                self.reshare(c, now);
+            }
+        }
+        let pend = sorted_ids(&self.pending, |p| p.server == server);
+        for id in pend {
+            let p = self.pending.remove(&id).expect("collected above");
+            self.stats.streams_aborted += 1;
+            tags.push(p.tag);
+        }
+        self.sync_dead_cancels();
+        tags
+    }
+
     /// Sets a disk's brown-out factor and re-shares both its channels.
     /// `factor` multiplies the secondary bandwidth: 0.7 models a
     /// degraded replacement disk, 0.0 parks every stream until a later
@@ -530,33 +566,6 @@ impl DiskPool {
         for dir in [IoDir::Read, IoDir::Write] {
             self.reshare(chan(server, dir), now);
         }
-    }
-
-    /// Kills a disk: every stream on either channel — active, or
-    /// scheduled but unstarted — aborts. Returns the aborted streams'
-    /// tags. The disk itself stays usable for *new* streams (the
-    /// replaced-disk model); combine with [`DiskPool::set_degrade`] to
-    /// model a dead-until-restored disk.
-    pub fn fail_server(&mut self, now: SimTime, server: ServerId) -> Vec<u64> {
-        let mut ids: Vec<u64> = Vec::new();
-        for dir in [IoDir::Read, IoDir::Write] {
-            ids.extend(&self.channels[chan(server, dir) as usize].streams);
-        }
-        let mut tags = Vec::new();
-        for id in ids {
-            if let Some((tag, c)) = self.abort_active(StreamId(id), now) {
-                tags.push(tag);
-                self.reshare(c, now);
-            }
-        }
-        let pend = sorted_ids(&self.pending, |p| p.server == server);
-        for id in pend {
-            let p = self.pending.remove(&id).expect("collected above");
-            self.stats.streams_aborted += 1;
-            tags.push(p.tag);
-        }
-        self.sync_dead_cancels();
-        tags
     }
 
     /// Aborts every stream (active or scheduled) whose tag is in `tags`
@@ -1193,7 +1202,10 @@ mod tests {
         p.schedule_stream(SimTime::from_secs(9), S0, IoDir::Read, MB, 3);
         p.schedule_stream(SimTime::ZERO, S1, IoDir::Read, 16 * MB, 4);
         p.pump(SimTime::ZERO);
-        let mut tags = p.fail_server(SimTime::from_millis(50), S0);
+        let t = SimTime::from_millis(50);
+        // A restore does not concern the pool.
+        assert!(p.apply_fault(t, FaultAction::Restore(S0.0)).is_empty());
+        let mut tags = p.apply_fault(t, FaultAction::DiskFail(S0.0));
         tags.sort_unstable();
         assert_eq!(tags, vec![1, 2, 3]);
         assert_eq!(p.stats().streams_aborted, 3);

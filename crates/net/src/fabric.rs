@@ -73,7 +73,7 @@
 //! Every flow touch — a start, a completion, a rate lookup — finds its
 //! flow by id in an [`IdMap`] (one multiply per hash). Nothing reads
 //! those tables in their own order: the fault scans (`set_link_down`,
-//! `fail_endpoint`, `abort_flows_with_tags`) and
+//! [`Fabric::apply_fault`]'s endpoint kill, `abort_flows_with_tags`) and
 //! [`Fabric::active_flow_ids`] take their ids from [`sorted_ids`], so
 //! aborts and listings run in ascending id order.
 //!
@@ -92,6 +92,7 @@ use std::collections::BinaryHeap;
 use harvest_cluster::ServerId;
 use harvest_sim::engine::{EventKey, EventQueue};
 use harvest_sim::fairshare::FairShare;
+use harvest_sim::fault::FaultAction;
 use harvest_sim::idmap::{sorted_ids, IdMap};
 use harvest_sim::obs::{GaugeId, HistogramId, Recorder, StateTrackId, TrackId};
 use harvest_sim::{SimDuration, SimTime};
@@ -566,41 +567,42 @@ impl Fabric {
         self.reshare(now, &[link]);
     }
 
-    /// Kills a server as a network endpoint: both its NIC links go
-    /// down, and every flow touching it — active, or scheduled but
-    /// unstarted (including instant local copies) — aborts. Returns the
-    /// aborted flows' tags.
-    pub fn fail_endpoint(&mut self, now: SimTime, server: ServerId) -> Vec<u64> {
-        let mut tags = self.set_link_down(now, self.topo.server_tx(server));
-        tags.extend(self.set_link_down(now, self.topo.server_rx(server)));
-        let touching = sorted_ids(&self.pending, |p| p.src == server || p.dst == server);
-        for id in touching {
-            let p = self.pending.remove(&id).expect("collected above");
-            self.stats.flows_aborted += 1;
-            tags.push(p.tag);
+    /// Applies one real fault action (see [`harvest_sim::fault`]) at
+    /// `now` and returns the tags of the flows it aborted: a crash takes
+    /// the server's NIC links down and aborts every flow touching it,
+    /// scheduled ones too; an uplink outage takes the rack's uplink down
+    /// both ways and aborts every flow crossing it. Restores bring the
+    /// links back up. Disk actions do not concern the fabric.
+    pub fn apply_fault(&mut self, now: SimTime, action: FaultAction) -> Vec<u64> {
+        let t = &self.topo;
+        let links = match action {
+            FaultAction::Crash(s) | FaultAction::Restore(s) => {
+                [t.server_tx(ServerId(s)), t.server_rx(ServerId(s))]
+            }
+            FaultAction::UplinkDown(rack) | FaultAction::UplinkUp(rack) => {
+                [t.rack_up(rack), t.rack_down(rack)]
+            }
+            FaultAction::DiskFail(_) | FaultAction::DiskDegrade(..) => return Vec::new(),
+        };
+        if let FaultAction::Restore(_) | FaultAction::UplinkUp(_) = action {
+            for link in links {
+                self.set_link_up(now, link);
+            }
+            return Vec::new();
+        }
+        let mut tags: Vec<u64> = links
+            .into_iter()
+            .flat_map(|link| self.set_link_down(now, link))
+            .collect();
+        if let FaultAction::Crash(s) = action {
+            let server = ServerId(s);
+            for id in sorted_ids(&self.pending, |p| p.src == server || p.dst == server) {
+                let p = self.pending.remove(&id).expect("collected above");
+                self.stats.flows_aborted += 1;
+                tags.push(p.tag);
+            }
         }
         tags
-    }
-
-    /// Brings a dead endpoint's NIC links back up.
-    pub fn restore_endpoint(&mut self, now: SimTime, server: ServerId) {
-        self.set_link_up(now, self.topo.server_tx(server));
-        self.set_link_up(now, self.topo.server_rx(server));
-    }
-
-    /// Takes a rack's uplink down in both directions (rack→agg, then
-    /// agg→rack): every flow crossing it aborts, and no new transfer
-    /// can route through it. Returns the aborted flows' tags.
-    pub fn fail_uplink(&mut self, now: SimTime, rack: u32) -> Vec<u64> {
-        let mut tags = self.set_link_down(now, self.topo.rack_up(rack));
-        tags.extend(self.set_link_down(now, self.topo.rack_down(rack)));
-        tags
-    }
-
-    /// Brings a rack's uplink back up in both directions.
-    pub fn restore_uplink(&mut self, now: SimTime, rack: u32) {
-        self.set_link_up(now, self.topo.rack_up(rack));
-        self.set_link_up(now, self.topo.rack_down(rack));
     }
 
     /// Aborts every flow (active or scheduled) whose tag is in `tags` —
@@ -1653,14 +1655,19 @@ mod tests {
         f.schedule_flow(SimTime::ZERO, b, a, 500 * MB, 2); // inbound, active
         f.schedule_flow(SimTime::from_secs(5), a, a, MB, 3); // pending local copy
         f.pump(SimTime::ZERO);
-        let mut tags = f.fail_endpoint(SimTime::from_millis(50), a);
+        let t = SimTime::from_millis(50);
+        // Disk actions do not concern the fabric.
+        assert!(f.apply_fault(t, FaultAction::DiskFail(a.0)).is_empty());
+        assert_eq!(f.n_active(), 2);
+        let mut tags = f.apply_fault(t, FaultAction::Crash(a.0));
         tags.sort_unstable();
         assert_eq!(tags, vec![1, 2, 3]);
         assert_eq!(f.n_active(), 0);
         assert_eq!(f.n_pending(), 0);
         assert_eq!(f.stats().flows_aborted, 3);
         // After restore, new transfers to the server work again.
-        f.restore_endpoint(SimTime::from_secs(10), a);
+        let restored = f.apply_fault(SimTime::from_secs(10), FaultAction::Restore(a.0));
+        assert!(restored.is_empty());
         f.schedule_flow(SimTime::from_secs(10), b, a, 10 * MB, 4);
         let done = f.drain();
         assert_eq!(done.len(), 1);

@@ -90,7 +90,7 @@ use harvest_jobs::shuffle::{stage_shuffle_bytes, DEFAULT_BYTES_PER_TASK};
 use harvest_jobs::workload::Workload;
 use harvest_net::{Fabric, NetworkConfig};
 use harvest_sim::engine::EventQueue;
-use harvest_sim::fault::{FaultAction, FaultPlan};
+use harvest_sim::fault::{FaultAction, FaultPlan, FaultState};
 use harvest_sim::obs::{GaugeId, HistogramId, Recorder, StateTrackId, TrackId};
 use harvest_sim::rng::stream_rng;
 use harvest_sim::supervise::CancelToken;
@@ -365,16 +365,10 @@ struct Runner<'a> {
     /// Unlike the durability engine there is no heartbeat grace here:
     /// the RM sees a dead node manager at crash time.
     fault_actions: Vec<(SimTime, FaultAction)>,
-    /// Whether the fault plan is non-empty. Every branch that could
-    /// perturb the fault-free trajectory checks this first.
-    fault_armed: bool,
-    /// Servers currently crashed / powered off.
-    down: Vec<bool>,
-    /// Fault-retry budget spent per stage entity (`job << 32 | stage`).
-    fault_attempts: std::collections::HashMap<u64, u32>,
-    /// Stage entities currently in the `retrying` wait state, so open
-    /// states can be closed at end-of-run (conservation).
-    fault_retrying: std::collections::HashSet<u64>,
+    /// The down servers and the retry budget per stage entity
+    /// (`job << 32 | stage`); `None` for an empty plan, so every branch
+    /// that could perturb the fault-free trajectory tests it first.
+    faults: Option<FaultState>,
     fault_kills: u64,
     fault_retries: u64,
     jobs_abandoned: u64,
@@ -429,7 +423,6 @@ impl<'a> Runner<'a> {
             }
         }
         let end_of_time = SimTime::ZERO + sim.cfg.horizon + sim.cfg.drain;
-        let fault_armed = !sim.cfg.faults.is_none();
         let fault_actions = sim.cfg.faults.actions(sim.dc.cluster_shape(), end_of_time);
         Runner {
             sim,
@@ -472,10 +465,7 @@ impl<'a> Runner<'a> {
             rec,
             obs,
             fault_actions,
-            fault_armed,
-            down: vec![false; n_servers],
-            fault_attempts: std::collections::HashMap::new(),
-            fault_retrying: std::collections::HashSet::new(),
+            faults: sim.cfg.faults.arm(n_servers, sim.cfg.seed),
             fault_kills: 0,
             fault_retries: 0,
             jobs_abandoned: 0,
@@ -538,10 +528,8 @@ impl<'a> Runner<'a> {
         // Stages still waiting out a backoff when the clock ran out
         // close their `retrying` state here, so faulted traces keep the
         // tiling invariant (every enter has a matching exit).
-        if let Some(obs) = &self.obs {
-            let mut open: Vec<u64> = self.fault_retrying.iter().copied().collect();
-            open.sort_unstable();
-            for entity in open {
+        if let (Some(obs), Some(faults)) = (&self.obs, &self.faults) {
+            for entity in faults.waiting() {
                 self.rec.state_exit(obs.stages, entity, last_now);
             }
         }
@@ -587,7 +575,7 @@ impl<'a> Runner<'a> {
                 let id = self.rec.counter("sched/schedule_pass_wall_us");
                 self.rec.counter_set(id, obs.pass_wall.as_micros() as u64);
             }
-            if self.fault_armed {
+            if self.faults.is_some() {
                 let id = self.rec.counter("sched/fault_kills");
                 self.rec.counter_set(id, self.fault_kills);
                 let id = self.rec.counter("sched/fault_retries");
@@ -990,12 +978,13 @@ impl<'a> Runner<'a> {
     }
 
     /// Applies one fault action. Ordering within the event:
-    /// containers on the faulted server die first, then the fabric and
-    /// disk models abort in-flight shuffle parts touching it, then
+    /// containers on a crashed server die first, then the fabric and
+    /// disk models abort in-flight shuffle parts the action hits, then
     /// every stage whose shuffle lost a part tears the rest of its
     /// parts down and restarts from scratch — all interrupted stages
     /// re-dispatch with backoff (or their job is abandoned past the
-    /// retry budget).
+    /// retry budget). An action the fold finds to be a no-op changes
+    /// nothing before the scheduling pass.
     fn on_fault(&mut self, i: usize, now: SimTime) {
         let (_, action) = self.fault_actions[i];
         if let Some(obs) = &self.obs {
@@ -1005,68 +994,35 @@ impl<'a> Runner<'a> {
         // and gate teardowns), deduplicated and in deterministic order.
         let mut hit: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
         let mut tags: Vec<u64> = Vec::new();
-        match action {
-            FaultAction::Crash(s) => {
-                let s = ServerId(s);
-                if !self.down[s.0 as usize] {
-                    self.down[s.0 as usize] = true;
-                    loop {
-                        let (roster, containers) = (&mut self.roster, &self.containers);
-                        let Some(cid) = roster.youngest(s, |c| containers[c].alive) else {
-                            break;
-                        };
-                        hit.insert(self.kill_container(cid, now, true));
-                    }
-                    if let Some(f) = self.fabric.as_mut() {
-                        tags.extend(f.fail_endpoint(now, s));
-                    }
-                    if let Some(d) = self.disks.as_mut() {
-                        tags.extend(d.fail_server(now, s));
-                    }
+        if self.faults.as_mut().is_some_and(|f| f.apply(action)) {
+            if let FaultAction::Crash(s) = action {
+                loop {
+                    let (roster, containers) = (&mut self.roster, &self.containers);
+                    let Some(cid) = roster.youngest(ServerId(s), |c| containers[c].alive) else {
+                        break;
+                    };
+                    hit.insert(self.kill_container(cid, now, true));
                 }
             }
-            FaultAction::Restore(s) => {
-                if self.down[s as usize] {
-                    self.down[s as usize] = false;
-                    if let Some(f) = self.fabric.as_mut() {
-                        f.restore_endpoint(now, ServerId(s));
-                    }
-                }
+            if let Some(f) = self.fabric.as_mut() {
+                tags.extend(f.apply_fault(now, action));
             }
-            FaultAction::UplinkDown(rack) => {
-                if let Some(f) = self.fabric.as_mut() {
-                    tags.extend(f.fail_uplink(now, rack));
-                }
-            }
-            FaultAction::UplinkUp(rack) => {
-                if let Some(f) = self.fabric.as_mut() {
-                    f.restore_uplink(now, rack);
-                }
-            }
-            FaultAction::DiskFail(s) => {
-                if let Some(d) = self.disks.as_mut() {
-                    tags.extend(d.fail_server(now, ServerId(s)));
-                }
-            }
-            FaultAction::DiskDegrade(s, factor) => {
-                if let Some(d) = self.disks.as_mut() {
-                    d.set_degrade(now, ServerId(s), factor);
-                }
+            if let Some(d) = self.disks.as_mut() {
+                tags.extend(d.apply_fault(now, action));
             }
         }
         // Any gate that lost a shuffle part restarts from scratch. The
         // tag's surviving parts must abort too — a gate reset to
         // `Unstarted` re-counts its parts, and a leftover completion
         // under the same tag would decrement the new gate spuriously.
-        let mut resets: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        for &tag in &tags {
-            let (job, stage) = ((tag >> 32) as usize, (tag & 0xFFFF_FFFF) as usize);
-            if !self.jobs[job].done
-                && matches!(self.shuffle_gate[job][stage], ShuffleGate::Waiting(_))
-            {
-                resets.insert(tag);
-            }
-        }
+        let resets: std::collections::BTreeSet<u64> = tags
+            .into_iter()
+            .filter(|&tag| {
+                let (job, stage) = ((tag >> 32) as usize, (tag & 0xFFFF_FFFF) as usize);
+                !self.jobs[job].done
+                    && matches!(self.shuffle_gate[job][stage], ShuffleGate::Waiting(_))
+            })
+            .collect();
         if !resets.is_empty() {
             let set: std::collections::HashSet<u64> = resets.iter().copied().collect();
             if let Some(f) = self.fabric.as_mut() {
@@ -1096,27 +1052,26 @@ impl<'a> Runner<'a> {
         if self.jobs[job].done {
             return;
         }
-        let a = self.fault_attempts.entry(entity).or_insert(0);
-        *a += 1;
-        let attempt = *a;
-        let plan = &self.sim.cfg.faults;
-        if attempt <= plan.max_retries {
-            self.fault_retries += 1;
-            let at = now + plan.backoff.delay(self.sim.cfg.seed, entity, attempt);
-            self.queue.push(at, Ev::Retry(entity));
-            if let Some(obs) = &self.obs {
-                self.rec.state_enter(obs.stages, entity, "failed", now);
-                self.rec.state_enter(obs.stages, entity, "retrying", now);
+        let faults = self.faults.as_mut().expect("only an armed plan retries");
+        let verdict = faults.charge(entity, now);
+        if let Some(obs) = &self.obs {
+            self.rec.state_enter(obs.stages, entity, "failed", now);
+        }
+        match verdict {
+            Some(at) => {
+                self.fault_retries += 1;
+                self.queue.push(at, Ev::Retry(entity));
+                if let Some(obs) = &self.obs {
+                    self.rec.state_enter(obs.stages, entity, "retrying", now);
+                }
             }
-            self.fault_retrying.insert(entity);
-        } else {
-            self.jobs[job].done = true;
-            self.jobs_abandoned += 1;
-            if let Some(obs) = &self.obs {
-                self.rec.state_enter(obs.stages, entity, "failed", now);
-                self.rec.state_exit(obs.stages, entity, now);
+            None => {
+                self.jobs[job].done = true;
+                self.jobs_abandoned += 1;
+                if let Some(obs) = &self.obs {
+                    self.rec.state_exit(obs.stages, entity, now);
+                }
             }
-            self.fault_retrying.remove(&entity);
         }
     }
 
@@ -1125,7 +1080,7 @@ impl<'a> Runner<'a> {
     /// again at the next pass.
     fn on_retry(&mut self, entity: u64, now: SimTime) {
         let job = (entity >> 32) as usize;
-        let was_held = self.fault_retrying.remove(&entity);
+        let was_held = self.faults.as_mut().is_some_and(|f| f.release(entity));
         if !self.jobs[job].done {
             if was_held {
                 if let Some(obs) = &self.obs {
@@ -1210,11 +1165,8 @@ impl<'a> Runner<'a> {
             next = self.jobs[j].exec.next_ready_stage(stage.0 + 1);
             // A stage waiting out a fault backoff is invisible to the
             // scheduler until its retry fires.
-            if self.fault_armed
-                && self
-                    .fault_retrying
-                    .contains(&(((j as u64) << 32) | stage.0 as u64))
-            {
+            let waiting = |f: &FaultState| f.is_waiting(((j as u64) << 32) | stage.0 as u64);
+            if self.faults.as_ref().is_some_and(waiting) {
                 continue;
             }
             if self.gate_for(j, stage, now) == ShuffleGate::Open {
@@ -1288,12 +1240,12 @@ impl<'a> Runner<'a> {
                     break;
                 }
             }
-            if self.fault_armed {
+            if let Some(faults) = &self.faults {
                 // Upstream output on a crashed server is unreachable;
                 // fetching from it would park at rate 0 until a restart
                 // that may never come, so those sources drop out (the
                 // bytes are re-read from the surviving copies).
-                sources.retain(|s| !self.down[s.0 as usize]);
+                sources.retain(|s| !faults.is_down(s.0));
             }
         }
         let gate = if total == 0 || sources.is_empty() {
@@ -1419,9 +1371,8 @@ impl<'a> Runner<'a> {
         weights.clear();
         weights.extend(candidates.iter().map(|&sid| {
             // A crashed server stops heartbeating, so the RM never
-            // offers it (fault plans only; the mask is all-false —
-            // and unread — otherwise).
-            if self.fault_armed && self.down[sid.0 as usize] {
+            // offers it (armed fault plans only).
+            if self.faults.as_ref().is_some_and(|f| f.is_down(sid.0)) {
                 return 0.0;
             }
             let free = self.free_capacity(sid, now);
@@ -1464,11 +1415,12 @@ impl<'a> Runner<'a> {
             Some(list) if !list.is_empty() => list[i],
             _ => ServerId(i as u32),
         };
+        let down = |s: ServerId| self.faults.as_ref().is_some_and(|f| f.is_down(s.0));
         let mut dst = at(self, idx);
-        if self.fault_armed && self.down[dst.0 as usize] {
+        if down(dst) {
             for step in 1..len {
                 let cand = at(self, (idx + step) % len);
-                if !self.down[cand.0 as usize] {
+                if !down(cand) {
                     dst = cand;
                     break;
                 }

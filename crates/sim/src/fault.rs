@@ -13,15 +13,25 @@
 //!
 //! The plan is pure data, and it expands itself once:
 //! [`FaultPlan::actions`] fans rack-level events out to servers and
-//! yields the server-granular [`FaultAction`]s every engine consumes
-//! (`harvest-dfs` durability and availability, `harvest-sched`'s
-//! simulator, and through them the `harvest-net` fabric and
-//! `harvest-disk` pool). Each engine merges those actions into its own
-//! deterministic event loop and implements only the reaction —
-//! detection, abort, retry, degradation. [`FaultPlan::none`] is the
-//! universal off switch: every consumer treats an empty plan as "this
-//! machinery does not exist" and stays bitwise identical to its
-//! pre-fault behavior (pinned by oracle tests).
+//! yields the server-granular [`FaultAction`]s every consumer replays in
+//! its own event loop (`harvest-dfs` durability and availability,
+//! `harvest-sched`'s simulator). What the actions mean has one owner:
+//!
+//! - [`FaultState`]'s fold keeps one state per server — up or crashed,
+//!   and a disk that is ok, failed or degraded — tells a real action
+//!   from a no-op (a crash of a crashed server, a restore of an up
+//!   one), and answers "is `s` down" and "is `s`'s data unreachable".
+//! - [`FaultState`]'s retry ledger keeps the bounded-retry budget:
+//!   attempts per entity and the entities waiting out a backoff.
+//! - `harvest-net`'s `Fabric::apply_fault` and `harvest-disk`'s
+//!   `DiskPool::apply_fault` own the infrastructure half of a reaction:
+//!   each returns the tags of the transfers a real action aborted.
+//!
+//! A consumer keeps only its own reaction (container kills, repair
+//! aborts and reimages, heartbeat detection). [`FaultPlan::arm`] hands
+//! it the state, or `None` for [`FaultPlan::none`], the
+//! universal off switch: every consumer then stays bitwise identical to
+//! its pre-fault behavior (pinned by oracle tests).
 //!
 //! # Cost model
 //!
@@ -35,9 +45,10 @@
 //! servers. Abort costs mirror completion costs — an aborted flow or
 //! stream pays exactly the bookkeeping its completion would have paid,
 //! plus one re-share of its component. With an empty plan every fault
-//! branch is behind an `is_none()` check and the hot loops are
-//! untouched.
+//! branch is one test of an empty `Option<FaultState>` and the hot
+//! loops are untouched.
 
+use crate::idmap::{sorted_ids, IdMap};
 use crate::rng::{splitmix64, stream_rng};
 use crate::time::{SimDuration, SimTime};
 use rand::RngExt;
@@ -128,6 +139,15 @@ pub enum FaultAction {
 }
 
 impl FaultAction {
+    /// The server the action aims at (`None` for a rack uplink).
+    pub fn server(self) -> Option<u32> {
+        match self {
+            FaultAction::Crash(s) | FaultAction::Restore(s) | FaultAction::DiskFail(s) => Some(s),
+            FaultAction::DiskDegrade(s, _) => Some(s),
+            FaultAction::UplinkDown(_) | FaultAction::UplinkUp(_) => None,
+        }
+    }
+
     /// The name of the `fault/*` instant an engine records for it.
     pub fn label(self) -> &'static str {
         match self {
@@ -270,6 +290,121 @@ impl FaultPlan {
         out.sort_by_key(|&(at, _)| at);
         out
     }
+
+    /// The run-time state of this plan over `n_servers` — `None` for an
+    /// empty plan, so a consumer's every fault branch is one `Option`
+    /// test. `seed` seeds the retries' backoff jitter.
+    pub fn arm(&self, n_servers: usize, seed: u64) -> Option<FaultState> {
+        (!self.is_none()).then(|| FaultState {
+            crashed: vec![false; n_servers],
+            disks: vec![DiskHealth::Ok; n_servers],
+            attempts: IdMap::default(),
+            waiting: IdMap::default(),
+            max_retries: self.max_retries,
+            backoff: self.backoff,
+            seed,
+        })
+    }
+}
+
+/// A server's disk as the fold sees it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DiskHealth {
+    /// Never failed nor browned out.
+    Ok,
+    /// Failed: its replicas are gone, and no later restart or brown-out
+    /// revives it.
+    Failed,
+    /// Browned out to this factor of its secondary bandwidth.
+    Degraded(f64),
+}
+
+/// An armed plan's run-time state ([`FaultPlan::arm`]), in two parts.
+/// The fold keeps one state per server, up or crashed and a disk that
+/// is ok, failed or degraded: it is every consumer's one answer to "is
+/// this server down". The retry ledger keeps the bounded-retry budget:
+/// the attempts per entity (a stage, a block) since the consumer last
+/// reset them, and the entities waiting out a backoff.
+#[derive(Debug, Clone)]
+pub struct FaultState {
+    crashed: Vec<bool>,
+    disks: Vec<DiskHealth>,
+    attempts: IdMap<u32>,
+    waiting: IdMap<()>,
+    max_retries: u32,
+    backoff: BackoffConfig,
+    seed: u64,
+}
+
+impl FaultState {
+    /// Folds one action in and says whether it is real. A crash of a
+    /// crashed server and a restore of an up one change nothing, and
+    /// every consumer skips their reaction; every other action is real
+    /// and reaches the engines.
+    pub fn apply(&mut self, action: FaultAction) -> bool {
+        let (crashed, disks) = (&mut self.crashed, &mut self.disks);
+        match action {
+            FaultAction::Crash(s) => return !std::mem::replace(&mut crashed[s as usize], true),
+            FaultAction::Restore(s) => return std::mem::replace(&mut crashed[s as usize], false),
+            FaultAction::DiskFail(s) => disks[s as usize] = DiskHealth::Failed,
+            FaultAction::DiskDegrade(s, f) if disks[s as usize] != DiskHealth::Failed => {
+                disks[s as usize] = DiskHealth::Degraded(f)
+            }
+            _ => {}
+        }
+        true
+    }
+
+    /// Whether server `s` is crashed.
+    pub fn is_down(&self, s: u32) -> bool {
+        self.crashed[s as usize]
+    }
+
+    /// The crashed mask, by server id.
+    pub fn down_mask(&self) -> &[bool] {
+        &self.crashed
+    }
+
+    /// Whether server `s`'s stored data cannot be read: it is crashed
+    /// or its disk failed.
+    pub fn unreachable(&self, s: u32) -> bool {
+        self.is_down(s) || self.disks[s as usize] == DiskHealth::Failed
+    }
+
+    /// Charges a fault interruption to `entity` at `now`. Within the
+    /// plan's budget the entity waits out a backoff and this returns
+    /// the instant to retry at; past it the entity stops waiting and
+    /// this returns `None`: it is exhausted.
+    pub fn charge(&mut self, entity: u64, now: SimTime) -> Option<SimTime> {
+        let attempt = self.attempts.entry(entity).or_insert(0);
+        *attempt += 1;
+        if *attempt > self.max_retries {
+            self.waiting.remove(&entity);
+            return None;
+        }
+        self.waiting.insert(entity, ());
+        Some(now + self.backoff.delay(self.seed, entity, *attempt))
+    }
+
+    /// Ends `entity`'s backoff wait; returns whether it was waiting.
+    pub fn release(&mut self, entity: u64) -> bool {
+        self.waiting.remove(&entity).is_some()
+    }
+
+    /// Forgets `entity`'s spent attempts: its work succeeded.
+    pub fn reset(&mut self, entity: u64) {
+        self.attempts.remove(&entity);
+    }
+
+    /// Whether `entity` is waiting out a backoff.
+    pub fn is_waiting(&self, entity: u64) -> bool {
+        self.waiting.contains_key(&entity)
+    }
+
+    /// The entities waiting out a backoff, ascending.
+    pub fn waiting(&self) -> Vec<u64> {
+        sorted_ids(&self.waiting, |_| true)
+    }
 }
 
 /// Named fault profiles `repro --faults PROFILE` exposes. Each draws a
@@ -336,42 +471,34 @@ impl FaultProfile {
             SimTime::from_millis(base + off)
         };
         let mut events = Vec::new();
+        let mut add = |at: SimTime, kind: FaultKind| events.push(FaultEvent { at, kind });
         match self {
             FaultProfile::RackLoss => {
                 let rack = rng.random_range(0..n_racks.max(1) as usize) as u32;
                 let t = at(&mut rng, 0.10, 0.10);
                 let back = t + SimDuration::from_hours(2);
-                events.push(FaultEvent {
-                    at: t,
-                    kind: FaultKind::RackPowerLoss { rack },
-                });
-                events.push(FaultEvent {
-                    at: back,
-                    kind: FaultKind::RackPowerRestore { rack },
-                });
+                add(t, FaultKind::RackPowerLoss { rack });
+                add(back, FaultKind::RackPowerRestore { rack });
                 // The replacement fleet comes back with degraded disks.
                 for server in shape.rack_servers(rack) {
-                    events.push(FaultEvent {
-                        at: back,
-                        kind: FaultKind::DiskDegrade {
+                    add(
+                        back,
+                        FaultKind::DiskDegrade {
                             server,
                             factor: 0.7,
                         },
-                    });
+                    );
                 }
             }
             FaultProfile::LinkFlap => {
                 let rack = rng.random_range(0..n_racks.max(1) as usize) as u32;
                 for flap in 0..4u64 {
                     let t = at(&mut rng, 0.1 + 0.2 * flap as f64, 0.05);
-                    events.push(FaultEvent {
-                        at: t,
-                        kind: FaultKind::RackUplinkDown { rack },
-                    });
-                    events.push(FaultEvent {
-                        at: t + SimDuration::from_mins(5),
-                        kind: FaultKind::RackUplinkUp { rack },
-                    });
+                    add(t, FaultKind::RackUplinkDown { rack });
+                    add(
+                        t + SimDuration::from_mins(5),
+                        FaultKind::RackUplinkUp { rack },
+                    );
                 }
             }
             FaultProfile::DiskRot => {
@@ -380,68 +507,50 @@ impl FaultProfile {
                     let server = rng.random_range(0..shape.n_servers) as u32;
                     let factor = 0.3 + rng.random_range(0..=50) as f64 / 100.0;
                     let t = at(&mut rng, 0.05, 0.85);
-                    events.push(FaultEvent {
-                        at: t,
-                        kind: FaultKind::DiskDegrade { server, factor },
-                    });
+                    add(t, FaultKind::DiskDegrade { server, factor });
                 }
                 let failed = (degraded / 4).max(1);
                 for _ in 0..failed {
                     let server = rng.random_range(0..shape.n_servers) as u32;
                     let t = at(&mut rng, 0.05, 0.85);
-                    events.push(FaultEvent {
-                        at: t,
-                        kind: FaultKind::DiskFail { server },
-                    });
+                    add(t, FaultKind::DiskFail { server });
                 }
             }
             FaultProfile::CorrelatedStorm => {
                 let t0 = at(&mut rng, 0.20, 0.10);
                 let rack = rng.random_range(0..n_racks.max(1) as usize) as u32;
-                events.push(FaultEvent {
-                    at: t0,
-                    kind: FaultKind::RackPowerLoss { rack },
-                });
-                events.push(FaultEvent {
-                    at: t0 + SimDuration::from_hours(2),
-                    kind: FaultKind::RackPowerRestore { rack },
-                });
+                add(t0, FaultKind::RackPowerLoss { rack });
+                add(
+                    t0 + SimDuration::from_hours(2),
+                    FaultKind::RackPowerRestore { rack },
+                );
                 for k in 1..=2u32 {
                     let flapping = (rack + k) % n_racks.max(1);
                     let t = t0 + SimDuration::from_mins(10 * k as u64);
-                    events.push(FaultEvent {
-                        at: t,
-                        kind: FaultKind::RackUplinkDown { rack: flapping },
-                    });
-                    events.push(FaultEvent {
-                        at: t + SimDuration::from_mins(15),
-                        kind: FaultKind::RackUplinkUp { rack: flapping },
-                    });
+                    add(t, FaultKind::RackUplinkDown { rack: flapping });
+                    let up = FaultKind::RackUplinkUp { rack: flapping };
+                    add(t + SimDuration::from_mins(15), up);
                 }
                 let degraded = (shape.n_servers / 50).max(2);
                 for _ in 0..degraded {
                     let server = rng.random_range(0..shape.n_servers) as u32;
-                    let off = rng.random_range(0..3_600_000u64);
-                    events.push(FaultEvent {
-                        at: t0 + SimDuration::from_millis(off),
-                        kind: FaultKind::DiskDegrade {
+                    let off = SimDuration::from_millis(rng.random_range(0..3_600_000u64));
+                    add(
+                        t0 + off,
+                        FaultKind::DiskDegrade {
                             server,
                             factor: 0.5,
                         },
-                    });
+                    );
                 }
                 for _ in 0..3 {
                     let server = rng.random_range(0..shape.n_servers) as u32;
-                    let off = rng.random_range(0..3_600_000u64);
-                    let t = t0 + SimDuration::from_millis(off);
-                    events.push(FaultEvent {
-                        at: t,
-                        kind: FaultKind::ServerCrash { server },
-                    });
-                    events.push(FaultEvent {
-                        at: t + SimDuration::from_mins(30),
-                        kind: FaultKind::ServerRestart { server },
-                    });
+                    let t = t0 + SimDuration::from_millis(rng.random_range(0..3_600_000u64));
+                    add(t, FaultKind::ServerCrash { server });
+                    add(
+                        t + SimDuration::from_mins(30),
+                        FaultKind::ServerRestart { server },
+                    );
                 }
             }
         }
@@ -614,6 +723,116 @@ mod tests {
             plan.actions(PARTIAL, at(10)),
             [(at(10), FaultAction::Crash(1))]
         );
+    }
+
+    /// The fold against a from-scratch scan: over random hand-built
+    /// plans (unsorted, with duplicates and out-of-range targets), after
+    /// every action each server's state and the action's real/no-op
+    /// verdict match what a rescan of the action prefix says.
+    #[test]
+    fn fold_matches_a_rescan_of_every_action_prefix() {
+        for case in 0..200u64 {
+            let mut rng = stream_rng(case, "fold-oracle");
+            let n_events = rng.random_range(1..60usize);
+            let events = (0..n_events)
+                .map(|_| {
+                    let server = rng.random_range(0..50u32);
+                    let rack = rng.random_range(0..4u32);
+                    let kind = match rng.random_range(0..8u32) {
+                        0 => FaultKind::ServerCrash { server },
+                        1 => FaultKind::ServerRestart { server },
+                        2 => FaultKind::RackPowerLoss { rack },
+                        3 => FaultKind::RackPowerRestore { rack },
+                        4 => FaultKind::RackUplinkDown { rack },
+                        5 => FaultKind::RackUplinkUp { rack },
+                        6 => FaultKind::DiskFail { server },
+                        _ => FaultKind::DiskDegrade {
+                            server,
+                            factor: rng.random_range(0..=10u32) as f64 / 10.0,
+                        },
+                    };
+                    ev(rng.random_range(0..20u64), kind)
+                })
+                .collect();
+            let plan = FaultPlan {
+                events,
+                ..FaultPlan::none()
+            };
+            let actions: Vec<FaultAction> = plan
+                .actions(PARTIAL, SimTime::MAX)
+                .into_iter()
+                .map(|(_, a)| a)
+                .collect();
+            let mut fold = plan
+                .arm(PARTIAL.n_servers, 0)
+                .expect("a plan with actions is armed");
+            for (k, &action) in actions.iter().enumerate() {
+                let prefix = &actions[..k];
+                let crashed = |s: u32, upto: &[FaultAction]| {
+                    upto.iter().rev().find_map(|a| match *a {
+                        FaultAction::Crash(t) if t == s => Some(true),
+                        FaultAction::Restore(t) if t == s => Some(false),
+                        _ => None,
+                    }) == Some(true)
+                };
+                let real = match action {
+                    FaultAction::Crash(s) => !crashed(s, prefix),
+                    FaultAction::Restore(s) => crashed(s, prefix),
+                    _ => true,
+                };
+                assert_eq!(
+                    fold.apply(action),
+                    real,
+                    "case {case}: verdict of {action:?}"
+                );
+                let upto = &actions[..=k];
+                for s in 0..PARTIAL.n_servers as u32 {
+                    let failed = upto.contains(&FaultAction::DiskFail(s));
+                    let degraded = upto.iter().rev().find_map(|a| match *a {
+                        FaultAction::DiskDegrade(t, f) if t == s => Some(f),
+                        _ => None,
+                    });
+                    let disk = match (failed, degraded) {
+                        (true, _) => DiskHealth::Failed,
+                        (false, Some(f)) => DiskHealth::Degraded(f),
+                        (false, None) => DiskHealth::Ok,
+                    };
+                    let down = crashed(s, upto);
+                    assert_eq!(fold.is_down(s), down, "case {case}: server {s} after {k}");
+                    assert_eq!(fold.down_mask()[s as usize], down);
+                    assert_eq!(
+                        fold.disks[s as usize], disk,
+                        "case {case}: disk {s} after {k}"
+                    );
+                    assert_eq!(fold.unreachable(s), down || failed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ledger_retries_within_budget_then_exhausts() {
+        let mut plan = FaultPlan::with_events(vec![ev(1, FaultKind::ServerCrash { server: 0 })]);
+        plan.max_retries = 2;
+        assert!(FaultPlan::none().arm(4, 9).is_none());
+        let mut ledger = plan.arm(4, 9).expect("armed");
+        let now = at(10);
+        let backoff = |attempt| Some(now + plan.backoff.delay(9, 7, attempt));
+        assert_eq!(ledger.charge(7, now), backoff(1));
+        assert_eq!(ledger.charge(7, now), backoff(2));
+        assert!(ledger.is_waiting(7));
+        assert_eq!(ledger.charge(7, now), None);
+        assert!(!ledger.is_waiting(7) && !ledger.release(7));
+        // A reset restores the budget; a release ends the wait.
+        ledger.reset(7);
+        assert_eq!(ledger.charge(7, now), backoff(1));
+        assert_eq!(
+            ledger.charge(3, now),
+            Some(now + plan.backoff.delay(9, 3, 1))
+        );
+        assert_eq!(ledger.waiting(), [3, 7]);
+        assert!(ledger.release(7));
+        assert_eq!(ledger.waiting(), [3]);
     }
 
     #[test]

@@ -65,7 +65,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crate::rng::splitmix64;
+use crate::fault::BackoffConfig;
+use crate::time::SimDuration;
 
 /// Cooperative cancellation handle handed to every supervised task.
 ///
@@ -176,11 +177,11 @@ impl RetryBudget {
     /// The wall-clock delay before retry number `attempt` (1-based) of
     /// `task`. Deterministic in `(seed, task, attempt)`.
     pub(crate) fn delay_ms(&self, seed: u64, task: u64, attempt: u32) -> u64 {
-        let shift = (attempt.saturating_sub(1)).min(20);
-        let raw = self.base_ms.saturating_mul(1u64 << shift);
-        let capped = raw.min(self.cap_ms).max(1);
-        let h = splitmix64(seed ^ splitmix64(task) ^ ((attempt as u64) << 40));
-        capped + h % (capped / 2 + 1)
+        let backoff = BackoffConfig {
+            base: SimDuration::from_millis(self.base_ms),
+            cap: SimDuration::from_millis(self.cap_ms),
+        };
+        backoff.delay(seed, task, attempt).as_millis()
     }
 }
 
