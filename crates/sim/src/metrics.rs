@@ -497,39 +497,9 @@ mod tests {
     }
 
     impl StreamingStats {
-        /// Merges another accumulator into this one (parallel Welford).
-        fn merge(&mut self, other: &StreamingStats) {
-            if other.count == 0 {
-                return;
-            }
-            if self.count == 0 {
-                *self = other.clone();
-                return;
-            }
-            let n1 = self.count as f64;
-            let n2 = other.count as f64;
-            let delta = other.mean - self.mean;
-            let total = n1 + n2;
-            self.mean += delta * n2 / total;
-            self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-            self.count += other.count;
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-
         /// Largest observation, or -∞ if empty.
         fn max(&self) -> f64 {
             self.max
-        }
-
-        /// Coefficient of variation (σ/μ), or 0.0 if the mean is zero.
-        fn cv(&self) -> f64 {
-            let m = self.mean();
-            if m == 0.0 {
-                0.0
-            } else {
-                self.std_dev() / m
-            }
         }
 
         /// Number of observations so far.
@@ -552,32 +522,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_stats_merge_matches_sequential() {
-        let data: Vec<f64> = (0..1_000).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = StreamingStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut a = StreamingStats::new();
-        let mut b = StreamingStats::new();
-        for &x in &data[..400] {
-            a.push(x);
-        }
-        for &x in &data[400..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_stats_are_sane() {
         let s = StreamingStats::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.cv(), 0.0);
     }
 
     #[test]
